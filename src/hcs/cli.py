@@ -19,13 +19,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import angular, fock1d, hydrogen, position, weights
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .specfun import exp_decay_rule, radial_eigenfunction
+from .weights import CheckResult
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,12 +117,16 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
     for key, value in merged.items():
         if key in known:
             setattr(cfg, key, value)
-    if "r" in grid:
-        cfg.grid_r = tuple(grid["r"])
-    if "theta" in grid:
-        cfg.grid_theta = tuple(grid["theta"])
-    if "phi" in grid:
-        cfg.grid_phi = tuple(grid["phi"])
+    for axis in ("r", "theta", "phi"):
+        if axis not in grid:
+            continue
+        values = grid[axis]
+        if isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            setattr(cfg, f"grid_{axis}", tuple(values))
+        else:
+            errors.append(f"grid.{axis} must be a list of numbers, got {values!r}")
     if times is not None:
         try:
             cfg.times = tuple(float(t) for t in times)
@@ -175,35 +180,35 @@ def _resolve_family(name: str) -> weights.WeightFamily:
 # -- verify check registry ---------------------------------------------------
 
 
-def _entry(name, measured, bound, passed, detail=""):
+def _report_entry(check: CheckResult) -> dict:
+    """The report entry {name, measured, bound, pass, detail} of one check."""
     return {
-        "name": name,
-        "measured": float(measured),
-        "bound": float(bound),
-        "pass": bool(passed),
-        "detail": detail,
+        "name": check.name,
+        "measured": float(check.measured),
+        "bound": float(check.bound),
+        "pass": bool(check.passed),
+        "detail": check.detail,
     }
 
 
+def _family_checks(family, n_max: int) -> list[CheckResult]:
+    validation = weights.validate_family(family, n_max=n_max, tol=1e-9)
+    return [replace(c, name=f"family-{c.name}") for c in validation.checks]
+
+
 def _checks_family(cfg, family, rng):
-    report = weights.validate_family(family, n_max=12, tol=1e-9)
-    out = []
-    for check in report.checks:
-        out.append(
-            _entry(f"family-{check.name}", check.measured, check.bound, check.passed, check.detail)
-        )
-    return out
+    return _family_checks(family, 12)
 
 
 def _checks_resolution_periodic(cfg, family, rng):
     rep = fock1d.resolution_check_1d(family, "periodic", n_max=20, radial_nodes=64)
     ok = rep.diag_max_dev <= 1e-10 and rep.offdiag_max == 0.0
     return [
-        _entry(
+        CheckResult(
             "resolution-1d-periodic",
+            ok,
             rep.diag_max_dev,
             1e-10,
-            ok,
             "diagonal deviation; off-diagonals vanish under exact phase integration",
         )
     ]
@@ -215,21 +220,15 @@ def _checks_resolution_covering(cfg, family, rng):
         fock1d.resolution_check_1d(family, "covering", n_max=8, radial_nodes=64, gamma_window=g)
         for g in windows
     ]
-    sinc_ok = all(
-        np.all(
-            np.abs(r.matrix[~np.eye(r.matrix.shape[0], dtype=bool)])
-            <= r.certificate_matrix[~np.eye(r.matrix.shape[0], dtype=bool)] * (1 + 1e-12)
-        )
-        for r in reports
-    )
+    sinc_ok = all(r.certificate_satisfied for r in reports)
     ratios = [reports[i].certificate_bound / reports[i + 1].certificate_bound for i in range(2)]
     scaling_dev = max(abs(r / 10.0 - 1.0) for r in ratios)
     return [
-        _entry(
+        CheckResult(
             "resolution-1d-covering",
+            sinc_ok and scaling_dev <= 0.01,
             scaling_dev,
             0.01,
-            sinc_ok and scaling_dev <= 0.01,
             "certificate bound must fall 10x per window decade; every off-diagonal "
             "obeys the sinc bound",
         )
@@ -241,7 +240,7 @@ def _checks_angular(cfg, family, rng):
     for n in range(min(cfg.n_max, 6) + 1):
         rep = angular.angular_resolution_check(n, cfg.theta_nodes, cfg.phi_nodes, cfg.psi_nodes)
         worst = max(worst, rep.max_identity_dev)
-    return [_entry("angular-resolution", worst, 1e-12, worst <= 1e-12, "shells n <= 6")]
+    return [CheckResult("angular-resolution", worst <= 1e-12, worst, 1e-12, "shells n <= 6")]
 
 
 def _checks_shell_norms(cfg, family, rng):
@@ -253,12 +252,12 @@ def _checks_shell_norms(cfg, family, rng):
                 rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
             )
             worst = max(worst, abs(angular.shell_norm_squared(n, ob) - target))
-    return [_entry("shell-norms", worst, 1e-12, worst <= 1e-12, "100 random labels per shell")]
+    return [CheckResult("shell-norms", worst <= 1e-12, worst, 1e-12, "100 random labels per shell")]
 
 
 def _checks_stability(cfg, family, rng):
     worst = stability_sweep(family, rng, count=50, n_max=12)
-    return [_entry("temporal-stability", worst, 5e-15, worst <= 5e-15, "50 random configurations")]
+    return [CheckResult("temporal-stability", worst <= 5e-15, worst, 5e-15, "50 random configurations")]
 
 
 def stability_sweep(family, rng, count=50, n_max=12) -> float:
@@ -318,8 +317,8 @@ def _checks_radial(cfg, family, rng):
         abs(radial_eigenfunction(0, 0, 0.0) - 2.0), abs(radial_eigenfunction(1, 0, 2.0))
     )
     return [
-        _entry("radial-orthonormality", worst, 1e-10, worst <= 1e-10, "n, n' <= 8 per channel"),
-        _entry("radial-spot-values", spot, 1e-12, spot <= 1e-12, "u(0,0,0) = 2 and the 2s node"),
+        CheckResult("radial-orthonormality", worst <= 1e-10, worst, 1e-10, "n, n' <= 8 per channel"),
+        CheckResult("radial-spot-values", spot <= 1e-12, spot, 1e-12, "u(0,0,0) = 2 and the 2s node"),
     ]
 
 
@@ -331,11 +330,11 @@ def _checks_parseval(cfg, family, rng):
     closed = hydrogen.state_norm(label, family, 8) ** 2
     measured = max(abs(quad - coeff), abs(coeff - closed))
     return [
-        _entry(
+        CheckResult(
             "position-parseval",
+            measured <= 1e-8,
             measured,
             1e-8,
-            measured <= 1e-8,
             "quadrature norm vs coefficient norm vs closed shell sum at s = 1",
         )
     ]
@@ -349,18 +348,18 @@ def _checks_ground_state(cfg, family, rng):
     r2_dev = abs(position.radial_expectation(ground, 2) - 3.0)
     product = position.radial_uncertainty_product(ground)
     return [
-        _entry(
+        CheckResult(
             "ground-state-moments",
+            max(r_dev, r2_dev) <= 1e-10,
             max(r_dev, r2_dev),
             1e-10,
-            max(r_dev, r2_dev) <= 1e-10,
             "<r> = 1.5 and <r^2> = 3.0",
         ),
-        _entry(
+        CheckResult(
             "uncertainty-ground",
+            abs(product - 0.75) <= 1e-9,
             abs(product - 0.75),
             1e-9,
-            abs(product - 0.75) <= 1e-9,
             "ground-state radial uncertainty product = 3/4",
         ),
     ]
@@ -379,11 +378,11 @@ def _checks_uncertainty_floor(cfg, family, rng):
         state = hydrogen.hydrogen_cs(label, family, n_max=12, check_tail=False)
         lowest = min(lowest, position.radial_uncertainty_product(state))
     return [
-        _entry(
+        CheckResult(
             "uncertainty-floor",
+            lowest >= 0.25,
             lowest,
             0.25,
-            lowest >= 0.25,
             "20 random coherent states stay above the Heisenberg floor",
         )
     ]
@@ -401,11 +400,11 @@ def _checks_hydrogen_resolution(cfg, family, rng):
     )
     ok = rep.diag_max_dev <= 1e-10 and rep.certificate_satisfied
     return [
-        _entry(
+        CheckResult(
             "hydrogen-resolution",
+            ok,
             rep.diag_max_dev,
             1e-10,
-            ok,
             f"diagonal deviation at gamma window {rep.gamma_window:g}; "
             "off-diagonals within the sinc certificate",
         )
@@ -442,8 +441,8 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             groups = list(pool.map(run_group, items))
-    checks = [entry for group in groups for entry in group]
-    passed = all(c["pass"] for c in checks)
+    checks = [check for group in groups for check in group]
+    passed = all(c.passed for c in checks)
     report = {
         "command": "verify",
         "family": cfg.family,
@@ -451,7 +450,7 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
         "gamma_window": cfg.gamma_window,
         "omega": cfg.omega,
         "seed": cfg.seed,
-        "checks": checks,
+        "checks": [_report_entry(c) for c in checks],
         "passed": passed,
     }
     return report, EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -459,7 +458,8 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 def run_moments(cfg: RunConfig) -> tuple[dict, int]:
     family = _resolve_family(cfg.family)
-    validation = weights.validate_family(family, n_max=cfg.n_max, tol=1e-9)
+    checks = _family_checks(family, cfg.n_max)
+    passed = all(c.passed for c in checks)
     table = []
     for n in range(cfg.n_max + 1):
         stored = family.moment(n)
@@ -472,19 +472,16 @@ def run_moments(cfg: RunConfig) -> tuple[dict, int]:
                 "rel_dev": abs(quad - stored) / abs(stored),
             }
         )
-    checks = [
-        _entry(f"family-{c.name}", c.measured, c.bound, c.passed, c.detail) for c in validation.checks
-    ]
     report = {
         "command": "moments",
         "family": cfg.family,
         "n_max": cfg.n_max,
         "seed": cfg.seed,
         "moments": table,
-        "checks": checks,
-        "passed": validation.passed,
+        "checks": [_report_entry(c) for c in checks],
+        "passed": passed,
     }
-    return report, EXIT_OK if validation.passed else EXIT_CHECK_FAILED
+    return report, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def run_eval(cfg: RunConfig) -> tuple[list, int]:
@@ -512,16 +509,23 @@ def run_evolve(cfg: RunConfig) -> tuple[list, int]:
 
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _write_rows(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+def write_csv(path, header, rows) -> None:
+    """Write a header and float rows as CSV: CRLF line ends, 17 significant digits."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.17g}" for v in row])
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -577,11 +581,11 @@ def main(argv=None) -> int:
             print(f"moments: family {cfg.family} {'passed' if report['passed'] else 'FAILED'} -> {cfg.out}")
         elif args.command == "eval":
             rows, code = run_eval(cfg)
-            _write_rows(cfg.out, position.DENSITY_CSV_HEADER, rows)
+            write_csv(cfg.out, position.DENSITY_CSV_HEADER, rows)
             print(f"eval: {len(rows)} rows -> {cfg.out}")
         else:
             rows, code = run_evolve(cfg)
-            _write_rows(cfg.out, ("t", "residual", "re_autocorr", "im_autocorr", "abs_autocorr"), rows)
+            write_csv(cfg.out, ("t", "residual", "re_autocorr", "im_autocorr", "abs_autocorr"), rows)
             print(f"evolve: {len(rows)} rows -> {cfg.out}")
         return code
     except ValueError as exc:

@@ -34,7 +34,7 @@ __all__ = [
     "radial_factor_matrix",
 ]
 
-#: constructor tail-adequacy threshold: |c_{n_max}|^2 <= TAIL_TOL * norm^2
+#: constructor tail-adequacy threshold: last-level weight <= TAIL_TOL * total weight
 TAIL_TOL = 1e-16
 
 _TWO_PI = 2.0 * math.pi
@@ -94,16 +94,17 @@ class FockExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
-def _check_tail(coeffs: np.ndarray, radius: float, n_max: int, what: str) -> None:
+def tail_guard(weights: np.ndarray, radius: float, what: str) -> None:
+    """Raise TruncationError when the last of the per-level ``weights`` exceeds
+    TAIL_TOL of their sum: |c_n|^2 for a 1-D state, (n+1)^2 |c_n|^2 per shell."""
     # a zero label radius makes the expansion exact at any truncation
     if radius == 0.0:
         return
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    tail = abs(coeffs[-1]) ** 2
-    if tail > TAIL_TOL * total:
+    total = float(np.sum(weights))
+    if weights[-1] > TAIL_TOL * total:
         raise TruncationError(
-            f"{what}: truncation n_max={n_max} inadequate "
-            f"(|c_last|^2 / norm^2 = {tail / total:.3e} > {TAIL_TOL:.0e})"
+            f"{what}: truncation n_max={len(weights) - 1} inadequate "
+            f"(last-level weight fraction {weights[-1] / total:.3e} > {TAIL_TOL:.0e})"
         )
 
 
@@ -125,7 +126,7 @@ def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> FockExpans
         log_amp = -0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * gammaln(n + 1.0)
         coeffs = np.exp(log_amp + 1j * (n * cmath.phase(z)))
     if check_tail:
-        _check_tail(coeffs, abs(z), n_max, "oscillator_cs")
+        tail_guard(np.abs(coeffs) ** 2, abs(z), "oscillator_cs")
     return FockExpansion(coeffs, meta={"kind": "oscillator", "z": z})
 
 
@@ -152,7 +153,7 @@ def generalized_cs(
     n = np.arange(n_max + 1)
     coeffs = _weighted_amplitudes(r, family, n_max) * np.exp(1j * n * theta)
     if check_tail:
-        _check_tail(coeffs, r, n_max, "generalized_cs")
+        tail_guard(np.abs(coeffs) ** 2, r, "generalized_cs")
     return FockExpansion(
         coeffs, meta={"kind": "generalized", "r": r, "theta": theta, "family": family.name}
     )
@@ -173,7 +174,7 @@ def degen_cs(
     n = np.arange(n_max + 1)
     coeffs = _weighted_amplitudes(s, family, n_max) * np.exp(1j * (gamma / (n + 1.0) ** 2))
     if check_tail:
-        _check_tail(coeffs, s, n_max, "degen_cs")
+        tail_guard(np.abs(coeffs) ** 2, s, "degen_cs")
     return FockExpansion(
         coeffs, meta={"kind": "degenerate", "s": s, "gamma": gamma, "family": family.name}
     )
@@ -274,6 +275,7 @@ class ResolutionReport:
     gamma_window: float | None = None
     certificate_bound: float | None = None
     certificate_matrix: np.ndarray | None = None
+    certificate_satisfied: bool | None = None
 
 
 def resolution_check_1d(
@@ -292,7 +294,8 @@ def resolution_check_1d(
     phase 'covering': the unbounded phase average over [-G, G] is evaluated
     in closed form as sinc(G * D_{nn'}) with D_{nn'} = 1/(n+1)^2 -
     1/(n'+1)^2, never by numerical integration; off-diagonals carry the
-    certificate bound radial/(G |D|) from |sinc(x)| <= 1/|x|.
+    certificate bound radial/(G |D|) from |sinc(x)| <= 1/|x|, and
+    ``certificate_satisfied`` records that every off-diagonal obeys it.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -320,6 +323,7 @@ def resolution_check_1d(
     if n_max > 0:
         cert[off] = radial[off] / (gamma_window * np.abs(delta[off]))
     bound = float(np.max(cert[off])) if n_max > 0 else 0.0
+    satisfied = bool(np.all(np.abs(matrix[off]) <= cert[off] * (1.0 + 1e-12)))
     return ResolutionReport(
         mode="covering",
         matrix=matrix,
@@ -328,4 +332,5 @@ def resolution_check_1d(
         gamma_window=gamma_window,
         certificate_bound=bound,
         certificate_matrix=cert,
+        certificate_satisfied=satisfied,
     )

@@ -17,13 +17,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .angular import (
+    AngularResolutionReport,
     EulerAngles,
     angular_cs,
     angular_resolution_check,
     shell_dimension,
 )
-from .errors import TruncationError
-from .fock1d import TAIL_TOL, radial_factor_matrix
+from .fock1d import ResolutionReport, Spectrum, degen_cs, resolution_check_1d, tail_guard
 from .specfun import BasisIndex
 from .weights import WeightFamily
 
@@ -54,11 +54,7 @@ def total_dimension(n_max: int) -> int:
 
 def hydrogen_spectrum(omega: float, n: int) -> float:
     """Bound-state energy -omega/(n+1)^2 of shell n (0-based)."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if n < 0:
-        raise ValueError(f"shell index must be >= 0, got {n}")
-    return -omega / (n + 1.0) ** 2
+    return Spectrum("inverse-square", omega).energy(n)
 
 
 @dataclass(frozen=True)
@@ -114,19 +110,14 @@ class HydrogenExpansion:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-
-def _shell_amplitudes(label: HydrogenLabel, family: WeightFamily, n_max: int) -> np.ndarray:
-    """Complex shell prefactors M(s^2) s^n e^{i gamma/(n+1)^2} / sqrt(rho_n)."""
-    n = np.arange(n_max + 1)
-    log_mom = np.array([family.log_moment(int(k)) for k in n])
-    phases = np.exp(1j * (label.gamma / (n + 1.0) ** 2))
-    if label.s == 0.0:
-        amp = np.zeros(n_max + 1)
-        amp[0] = family.m_value(0.0) * math.exp(-0.5 * log_mom[0])
-    else:
-        log_m = math.log(family.m_value(label.s * label.s))
-        amp = np.exp(log_m + n * math.log(label.s) - 0.5 * log_mom)
-    return amp * phases
+    def phased(self, phases: np.ndarray, label: HydrogenLabel) -> "HydrogenExpansion":
+        """Copy with every coefficient of shell n multiplied by phases[n]."""
+        coeffs = self.coeffs.copy()
+        for n in range(self.n_max + 1):
+            # one scalar per shell: numpy rounds a complex array-by-array
+            # product differently, which would change exported digits
+            coeffs[self.shell_slice(n)] *= phases[n]
+        return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, family=self.family, label=label)
 
 
 def hydrogen_cs(
@@ -134,20 +125,15 @@ def hydrogen_cs(
 ) -> HydrogenExpansion:
     """Hydrogen coherent state truncated at shell n_max.
 
-    The tail-adequacy guard requires the last shell to carry at most
-    TAIL_TOL of the total weight; pass ``check_tail=False`` when comparing
-    identically truncated vectors, where adequacy is irrelevant.
+    The shell amplitudes are the degenerate-spectrum coefficients of
+    ``degen_cs``.  The tail-adequacy guard requires the last shell to carry
+    at most TAIL_TOL of the total weight; pass ``check_tail=False`` when
+    comparing identically truncated vectors, where adequacy is irrelevant.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    amps = _shell_amplitudes(label, family, n_max)
-    if check_tail and label.s > 0.0:
-        weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
-        if weights[-1] > TAIL_TOL * float(np.sum(weights)):
-            raise TruncationError(
-                f"hydrogen_cs: truncation n_max={n_max} inadequate for s={label.s} "
-                f"(last shell weight fraction {weights[-1] / float(np.sum(weights)):.3e})"
-            )
+    amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False).coeffs
+    if check_tail:
+        shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
+        tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
     angular = angular_cs(n_max, label.omega_bar).coeffs
     coeffs = np.empty(total_dimension(n_max), dtype=complex)
     for n in range(n_max + 1):
@@ -162,15 +148,8 @@ def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExp
     Pure phases: the norm is preserved and the result equals the state at
     the shifted label gamma + omega*t.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    w = omega * t
-    coeffs = x.coeffs.copy()
-    for n in range(x.n_max + 1):
-        coeffs[x.shell_slice(n)] *= np.exp(1j * (w / (n + 1.0) ** 2))
-    return HydrogenExpansion(
-        n_max=x.n_max, coeffs=coeffs, family=x.family, label=x.label.shifted(omega, t)
-    )
+    phases = Spectrum("inverse-square", omega).evolution_phases(x.n_max + 1, t)
+    return x.phased(phases, x.label.shifted(omega, t))
 
 
 def hydrogen_stability_residual(
@@ -211,17 +190,57 @@ def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HydrogenResolutionReport:
-    """Resolution-of-unity check over the truncated (n, l, m) basis."""
+    """Resolution-of-unity check over the truncated (n, l, m) basis.
 
-    n_max: int
-    dimension: int
-    matrix: np.ndarray
+    The Gram operator factorizes: shell pair (a, b) contributes the block
+    ``shells.matrix[a, b] * angular.gram[:d_a, :d_b]`` with d_n = (n+1)^2,
+    the covering-mode shell Gram times the angular channel Gram.  The
+    figures below are computed from those factors; ``matrix`` assembles
+    the dense operator only when read.
+    """
+
+    shells: ResolutionReport
+    angular: AngularResolutionReport
     diag_max_dev: float
     offdiag_max: float
-    gamma_window: float
     certificate_bound: float
-    certificate_satisfied: bool
-    angular_max_dev: float
+
+    @property
+    def n_max(self) -> int:
+        return self.angular.n
+
+    @property
+    def dimension(self) -> int:
+        return total_dimension(self.n_max)
+
+    @property
+    def gamma_window(self) -> float:
+        return self.shells.gamma_window
+
+    @property
+    def certificate_satisfied(self) -> bool:
+        return self.shells.certificate_satisfied
+
+    @property
+    def angular_max_dev(self) -> float:
+        return self.angular.max_identity_dev
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dimension x dimension Gram operator."""
+        dims = [shell_dimension(n) for n in range(self.n_max + 1)]
+        gram = self.angular.gram
+        return np.block(
+            [
+                [self.shells.matrix[a, b] * gram[:da, :db] for b, db in enumerate(dims)]
+                for a, da in enumerate(dims)
+            ]
+        )
+
+
+def _leading_block_max(values: np.ndarray) -> np.ndarray:
+    """peak[i, j] = max(values[:i+1, :j+1])."""
+    return np.maximum.accumulate(np.maximum.accumulate(values, axis=0), axis=1)
 
 
 def hydrogen_resolution_check(
@@ -233,57 +252,37 @@ def hydrogen_resolution_check(
     phi_nodes: int | None = None,
     psi_nodes: int | None = None,
 ) -> HydrogenResolutionReport:
-    """Assemble the coherent-state Gram operator in the (n, l, m) basis.
+    """Gram operator of the coherent-state measure in the (n, l, m) basis.
 
-    The measure factorizes, so the operator is assembled from three
-    certified pieces instead of one 6-dimensional oscillatory integral:
-    the angular channel Gram (computed by exact quadrature, not assumed
-    diagonal), the closed-form sinc factor of the finite gamma window, and
-    the radial moment integrals.  Off-diagonals between shells carry the
-    certificate bound |entry| <= |angular| * radial / (window * |D_{nn'}|).
+    The measure factorizes, so the operator is the product of two certified
+    pieces instead of one 6-dimensional oscillatory integral: the covering-
+    mode shell Gram (radial moment integrals times the closed-form sinc of
+    the finite gamma window) and the angular channel Gram (exact
+    quadrature, not assumed diagonal).  The sinc certificate is a shell-pair
+    test, so a cross-shell entry obeys |entry| <= certificate * |angular|.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if not gamma_window > 0:
-        raise ValueError(f"gamma window must be positive, got {gamma_window}")
+    shells = resolution_check_1d(family, "covering", n_max, radial_nodes, gamma_window)
     ang = angular_resolution_check(n_max, theta_nodes, phi_nodes, psi_nodes)
-    radial = radial_factor_matrix(family, n_max, radial_nodes)
-    n = np.arange(n_max + 1)
-    delta = 1.0 / (n[:, None] + 1.0) ** 2 - 1.0 / (n[None, :] + 1.0) ** 2
-    sinc = np.sinc(gamma_window * delta / math.pi)
 
-    dim = total_dimension(n_max)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    cert = np.zeros((dim, dim))
-    for a in range(n_max + 1):
-        rows = slice(shell_offset(a), shell_offset(a + 1))
-        da = shell_dimension(a)
-        for b in range(n_max + 1):
-            cols = slice(shell_offset(b), shell_offset(b + 1))
-            db = shell_dimension(b)
-            block_ang = ang.gram[:da, :db]
-            matrix[rows, cols] = radial[a, b] * sinc[a, b] * block_ang
-            if a != b:
-                cert[rows, cols] = (
-                    radial[a, b] / (gamma_window * abs(delta[a, b])) * np.abs(block_ang)
-                )
-            else:
-                cert[rows, cols] = np.inf
-
-    diag_dev = float(np.max(np.abs(np.diag(matrix) - 1.0)))
-    off = ~np.eye(dim, dtype=bool)
-    offdiag_max = float(np.max(np.abs(matrix[off]))) if dim > 1 else 0.0
-    finite = np.isfinite(cert)
-    bound = float(np.max(cert[finite])) if finite.any() else 0.0
-    satisfied = bool(np.all(np.abs(matrix[finite]) <= cert[finite] * (1.0 + 1e-12) + 1e-15))
+    diag = np.diag(ang.gram)
+    diag_dev = max(
+        float(np.max(np.abs(shells.matrix[a, a] * diag[: shell_dimension(a)] - 1.0)))
+        for a in range(n_max + 1)
+    )
+    # largest |angular entry| in each leading block gram[:d_a, :d_b], with
+    # the operator diagonal left out of same-shell blocks
+    ends = (np.arange(n_max + 1) + 1) ** 2 - 1
+    magnitude = np.abs(ang.gram)
+    block_peak = _leading_block_max(magnitude)[np.ix_(ends, ends)]
+    np.fill_diagonal(magnitude, 0.0)
+    np.fill_diagonal(block_peak, _leading_block_max(magnitude)[ends, ends])
+    offdiag_max = float(np.max(np.abs(shells.matrix) * block_peak))
+    off = ~np.eye(n_max + 1, dtype=bool)
+    bound = float(np.max(shells.certificate_matrix[off] * block_peak[off])) if n_max > 0 else 0.0
     return HydrogenResolutionReport(
-        n_max=n_max,
-        dimension=dim,
-        matrix=matrix,
+        shells=shells,
+        angular=ang,
         diag_max_dev=diag_dev,
         offdiag_max=offdiag_max,
-        gamma_window=gamma_window,
         certificate_bound=bound,
-        certificate_satisfied=satisfied,
-        angular_max_dev=ang.max_identity_dev,
     )

@@ -9,7 +9,6 @@ incoherently after the exact angular integral.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +38,6 @@ __all__ = [
     "radial_momentum_moments",
     "radial_uncertainty_product",
     "export_density_grid",
-    "write_density_csv",
 ]
 
 DENSITY_CSV_HEADER = ("t", "r", "theta", "phi", "re_psi", "im_psi", "density")
@@ -222,11 +220,7 @@ def export_density_grid(
 
     rows: list[tuple[float, ...]] = []
     for t in t_values:
-        phases = spectrum.evolution_phases(x.n_max + 1, float(t))
-        coeffs = x.coeffs.copy()
-        for n in range(x.n_max + 1):
-            coeffs[x.shell_slice(n)] *= phases[n]
-        evolved = HydrogenExpansion(n_max=x.n_max, coeffs=coeffs, family=x.family, label=x.label)
+        evolved = x.phased(spectrum.evolution_phases(x.n_max + 1, float(t)), x.label)
         psi = _channel_radial_sums(evolved, r).T @ ylm  # (n_r, n_ang)
         for i_r, rv in enumerate(r):
             for i_a in range(n_t * n_p):
@@ -244,14 +238,3 @@ def export_density_grid(
                 )
     return rows
 
-
-def write_density_csv(path, rows: Sequence[tuple[float, ...]]) -> None:
-    """Write export rows as CSV with 17 significant digits per float."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DENSITY_CSV_HEADER)
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
-    except OSError as exc:
-        raise OSError(f"cannot write density grid to {path}: {exc}") from exc

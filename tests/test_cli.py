@@ -69,6 +69,12 @@ class TestVerify:
         cfg.write_text(json.dumps({"n_mxa": 4}))
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    def test_non_list_grid_axis(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": {"r": 5}}))
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+        assert "grid.r must be a list of numbers" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"seed": 1, "gamma_window": 1e4}))
@@ -126,6 +132,15 @@ class TestEvolve:
         assert all(row[1] <= 5e-15 for row in rows)
         assert rows[0][4] == pytest.approx(1.0, abs=1e-12)
         assert all(row[4] <= 1.0 + 1e-12 for row in rows)
+
+
+@pytest.mark.parametrize("command", ["verify", "moments", "eval", "evolve"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out"
+    assert main([command, "--n-max", "2", "--s", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write" in err and str(out) in err
+    assert not out.parent.exists()
 
 
 def test_console_entry_point(tmp_path):

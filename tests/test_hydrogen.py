@@ -6,6 +6,7 @@ import pytest
 
 from hcs.angular import EulerAngles, angular_cs, shell_dimension
 from hcs.errors import TruncationError
+from hcs.fock1d import radial_factor_matrix
 from hcs.hydrogen import (
     HydrogenLabel,
     evolve_hydrogen,
@@ -209,3 +210,35 @@ class TestHydrogenResolution:
         rep = hydrogen_resolution_check(sqrt_exponential, n_max=6, radial_nodes=64, gamma_window=1e5)
         assert rep.diag_max_dev <= 1e-10
         assert rep.certificate_satisfied
+
+    @pytest.mark.parametrize("name", ["exponential", "sqrt-exponential"])
+    @pytest.mark.parametrize("n_max", [0, 1, 3, 8])
+    @pytest.mark.parametrize("window", [123.0, 1e3, 1e5])
+    def test_factored_fields_match_dense(self, name, n_max, window):
+        family = builtin_family(name)
+        rep = hydrogen_resolution_check(family, n_max=n_max, radial_nodes=64, gamma_window=window)
+        # dense reference: the operator and its sinc certificate entry by entry
+        radial = radial_factor_matrix(family, n_max, 64)
+        n = np.arange(n_max + 1)
+        delta = 1.0 / (n[:, None] + 1.0) ** 2 - 1.0 / (n[None, :] + 1.0) ** 2
+        sinc = np.sinc(window * delta / math.pi)
+        dim = total_dimension(n_max)
+        matrix = np.zeros((dim, dim), dtype=complex)
+        cert = np.full((dim, dim), np.inf)
+        for a in range(n_max + 1):
+            rows = slice(shell_offset(a), shell_offset(a + 1))
+            for b in range(n_max + 1):
+                cols = slice(shell_offset(b), shell_offset(b + 1))
+                block = rep.angular.gram[: shell_dimension(a), : shell_dimension(b)]
+                matrix[rows, cols] = radial[a, b] * sinc[a, b] * block
+                if a != b:
+                    cert[rows, cols] = radial[a, b] / (window * abs(delta[a, b])) * np.abs(block)
+        assert np.array_equal(rep.matrix, matrix)
+        off = ~np.eye(dim, dtype=bool)
+        finite = np.isfinite(cert)
+        assert rep.diag_max_dev == float(np.max(np.abs(np.diag(matrix) - 1.0)))
+        assert rep.offdiag_max == (float(np.max(np.abs(matrix[off]))) if dim > 1 else 0.0)
+        assert rep.certificate_bound == (float(np.max(cert[finite])) if finite.any() else 0.0)
+        assert rep.certificate_satisfied == bool(
+            np.all(np.abs(matrix[finite]) <= cert[finite] * (1.0 + 1e-12) + 1e-15)
+        )

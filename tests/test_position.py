@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from hcs.angular import EulerAngles
+from hcs.cli import write_csv
 from hcs.fock1d import Spectrum
 from hcs.hydrogen import HydrogenExpansion, HydrogenLabel, hydrogen_cs, total_dimension
 from hcs.position import (
+    DENSITY_CSV_HEADER,
     GridSpec,
     eval_angular_cs_position,
     eval_eigenstate,
@@ -17,7 +19,6 @@ from hcs.position import (
     radial_expectation,
     radial_momentum_moments,
     radial_uncertainty_product,
-    write_density_csv,
 )
 from hcs.specfun import BasisIndex, radial_eigenfunction
 from hcs.weights import builtin_family
@@ -257,7 +258,7 @@ class TestExportDensityGrid:
         x = _ground(exponential)
         grid = GridSpec((1.0,), (0.5,), (0.0,))
         path = tmp_path / "density.csv"
-        write_density_csv(path, export_density_grid(x, grid, [0.0]))
+        write_csv(path, DENSITY_CSV_HEADER, export_density_grid(x, grid, [0.0]))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,r,theta,phi,re_psi,im_psi,density"
         assert len(lines) == 2
