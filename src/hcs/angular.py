@@ -53,6 +53,8 @@ class EulerAngles:
     def __post_init__(self):
         if not 0.0 <= self.theta_bar <= math.pi:
             raise ValueError(f"theta_bar must lie in [0, pi], got {self.theta_bar}")
+        if not (math.isfinite(self.phi_bar) and math.isfinite(self.psi_bar)):
+            raise ValueError(f"azimuths must be finite, got {self.phi_bar}, {self.psi_bar}")
         object.__setattr__(self, "phi_bar", self.phi_bar % _TWO_PI)
         object.__setattr__(self, "psi_bar", self.psi_bar % _TWO_PI)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import angular, fock1d, hydrogen, position, weights
 from .errors import ConfigurationError, NumericalError, TruncationError
-from .specfun import exp_decay_rule, radial_eigenfunction
+from .specfun import exp_decay_rule, radial_eigenfunction, radial_table
 from .weights import CheckResult
 
 EXIT_OK = 0
@@ -52,6 +52,8 @@ _CONFIG_KEYS = {
     "grid",
     "times",
 }
+
+_NUMBER_FIELDS = ("s", "gamma", "theta_bar", "phi_bar", "psi_bar", "omega", "gamma_window")
 
 _DEFAULT_N_MAX = {"verify": 8, "moments": 12, "eval": 24, "evolve": 24}
 _DEFAULT_OUT = {
@@ -91,6 +93,15 @@ class RunConfig:
         )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, neither NaN nor infinite, within float range."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
     """Merge config-file values with flag overrides and validate everything."""
     errors: list[str] = []
@@ -121,42 +132,48 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
         if axis not in grid:
             continue
         values = grid[axis]
-        if isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
+        if isinstance(values, list) and all(_is_finite_number(v) for v in values):
             setattr(cfg, f"grid_{axis}", tuple(values))
         else:
-            errors.append(f"grid.{axis} must be a list of numbers, got {values!r}")
+            errors.append(f"grid.{axis} must be a list of numbers, all finite, got {values!r}")
     if times is not None:
-        try:
+        if isinstance(times, list) and all(_is_finite_number(t) for t in times):
             cfg.times = tuple(float(t) for t in times)
-        except (TypeError, ValueError):
-            errors.append(f"times must be a list of numbers, got {times!r}")
+        else:
+            errors.append(f"times must be a list of finite numbers, got {times!r}")
     if not cfg.times:
         cfg.times = (0.0,) if command == "eval" else tuple(0.5 * k for k in range(11))
 
-    # aggregate every violation into a single report
-    if not isinstance(cfg.n_max, int) or cfg.n_max < 0:
+    # aggregate every violation into a single report; types before ranges
+    for name in ("family", "out"):
+        if not isinstance(getattr(cfg, name), str):
+            errors.append(f"{name} must be a string, got {getattr(cfg, name)!r}")
+    numbers_ok = {name: _is_finite_number(getattr(cfg, name)) for name in _NUMBER_FIELDS}
+    for name, ok in numbers_ok.items():
+        if not ok:
+            errors.append(f"{name} must be a finite number, got {getattr(cfg, name)!r}")
+    if not _is_int(cfg.n_max) or cfg.n_max < 0:
         errors.append(f"n_max must be an integer >= 0, got {cfg.n_max!r}")
-    if cfg.s < 0:
+    if numbers_ok["s"] and cfg.s < 0:
         errors.append(f"s must be >= 0, got {cfg.s}")
-    if not 0.0 <= cfg.theta_bar <= math.pi:
+    if numbers_ok["theta_bar"] and not 0.0 <= cfg.theta_bar <= math.pi:
         errors.append(f"theta_bar must lie in [0, pi], got {cfg.theta_bar}")
-    if not cfg.omega > 0:
+    if numbers_ok["omega"] and not cfg.omega > 0:
         errors.append(f"omega must be positive, got {cfg.omega}")
-    if not cfg.gamma_window > 0:
+    if numbers_ok["gamma_window"] and not cfg.gamma_window > 0:
         errors.append(f"gamma_window must be positive, got {cfg.gamma_window}")
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+    if not _is_int(cfg.seed) or cfg.seed < 0:
         errors.append(f"seed must be an integer >= 0, got {cfg.seed!r}")
     for name in ("radial_nodes", "theta_nodes", "phi_nodes", "psi_nodes"):
         value = getattr(cfg, name)
-        if value is not None and (not isinstance(value, int) or value < 1):
+        # only the angular node counts may be left unset (null: the exactness threshold)
+        if (value is not None or name == "radial_nodes") and (not _is_int(value) or value < 1):
             errors.append(f"{name} must be a positive integer, got {value!r}")
-    if isinstance(cfg.n_max, int) and cfg.n_max >= 0:
+    if _is_int(cfg.n_max) and cfg.n_max >= 0:
         threshold = angular.exactness_threshold(cfg.n_max)
         for name in ("theta_nodes", "phi_nodes", "psi_nodes"):
             value = getattr(cfg, name)
-            if isinstance(value, int) and value < threshold:
+            if _is_int(value) and value < threshold:
                 errors.append(
                     f"{name} = {value} below the exactness threshold {threshold} "
                     f"for the configured n_max"
@@ -203,15 +220,8 @@ def _checks_family(cfg, family, rng):
 def _checks_resolution_periodic(cfg, family, rng):
     rep = fock1d.resolution_check_1d(family, "periodic", n_max=20, radial_nodes=64)
     ok = rep.diag_max_dev <= 1e-10 and rep.offdiag_max == 0.0
-    return [
-        CheckResult(
-            "resolution-1d-periodic",
-            ok,
-            rep.diag_max_dev,
-            1e-10,
-            "diagonal deviation; off-diagonals vanish under exact phase integration",
-        )
-    ]
+    detail = "diagonal deviation; off-diagonals vanish under exact phase integration"
+    return [CheckResult("resolution-1d-periodic", ok, rep.diag_max_dev, 1e-10, detail)]
 
 
 def _checks_resolution_covering(cfg, family, rng):
@@ -240,7 +250,7 @@ def _checks_angular(cfg, family, rng):
     for n in range(min(cfg.n_max, 6) + 1):
         rep = angular.angular_resolution_check(n, cfg.theta_nodes, cfg.phi_nodes, cfg.psi_nodes)
         worst = max(worst, rep.max_identity_dev)
-    return [CheckResult("angular-resolution", worst <= 1e-12, worst, 1e-12, "shells n <= 6")]
+    return [CheckResult.at_most("angular-resolution", worst, 1e-12, "shells n <= 6")]
 
 
 def _checks_shell_norms(cfg, family, rng):
@@ -252,12 +262,12 @@ def _checks_shell_norms(cfg, family, rng):
                 rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
             )
             worst = max(worst, abs(angular.shell_norm_squared(n, ob) - target))
-    return [CheckResult("shell-norms", worst <= 1e-12, worst, 1e-12, "100 random labels per shell")]
+    return [CheckResult.at_most("shell-norms", worst, 1e-12, "100 random labels per shell")]
 
 
 def _checks_stability(cfg, family, rng):
     worst = stability_sweep(family, rng, count=50, n_max=12)
-    return [CheckResult("temporal-stability", worst <= 5e-15, worst, 5e-15, "50 random configurations")]
+    return [CheckResult.at_most("temporal-stability", worst, 5e-15, "50 random configurations")]
 
 
 def stability_sweep(family, rng, count=50, n_max=12) -> float:
@@ -308,17 +318,16 @@ def stability_sweep(family, rng, count=50, n_max=12) -> float:
 def _checks_radial(cfg, family, rng):
     n_top = 8
     r, w = exp_decay_rule(2.0 / (n_top + 1.0), 96)
+    table, _ = radial_table(n_top, r)
     worst = 0.0
     for l in range(n_top + 1):
-        funcs = np.array([radial_eigenfunction(n, l, r) for n in range(l, n_top + 1)])
+        funcs = table[l:, l]
         gram = np.einsum("ar,r,br->ab", funcs, w * r * r, funcs)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(funcs))))))
-    spot = max(
-        abs(radial_eigenfunction(0, 0, 0.0) - 2.0), abs(radial_eigenfunction(1, 0, 2.0))
-    )
+    spot = max(abs(radial_eigenfunction(0, 0, 0.0) - 2.0), abs(radial_eigenfunction(1, 0, 2.0)))
     return [
-        CheckResult("radial-orthonormality", worst <= 1e-10, worst, 1e-10, "n, n' <= 8 per channel"),
-        CheckResult("radial-spot-values", spot <= 1e-12, spot, 1e-12, "u(0,0,0) = 2 and the 2s node"),
+        CheckResult.at_most("radial-orthonormality", worst, 1e-10, "n, n' <= 8 per channel"),
+        CheckResult.at_most("radial-spot-values", spot, 1e-12, "u(0,0,0) = 2 and the 2s node"),
     ]
 
 
@@ -329,15 +338,8 @@ def _checks_parseval(cfg, family, rng):
     coeff = state.norm_squared()
     closed = hydrogen.state_norm(label, family, 8) ** 2
     measured = max(abs(quad - coeff), abs(coeff - closed))
-    return [
-        CheckResult(
-            "position-parseval",
-            measured <= 1e-8,
-            measured,
-            1e-8,
-            "quadrature norm vs coefficient norm vs closed shell sum at s = 1",
-        )
-    ]
+    detail = "quadrature norm vs coefficient norm vs closed shell sum at s = 1"
+    return [CheckResult.at_most("position-parseval", measured, 1e-8, detail)]
 
 
 def _checks_ground_state(cfg, family, rng):
@@ -346,22 +348,11 @@ def _checks_ground_state(cfg, family, rng):
     )
     r_dev = abs(position.radial_expectation(ground, 1) - 1.5)
     r2_dev = abs(position.radial_expectation(ground, 2) - 3.0)
-    product = position.radial_uncertainty_product(ground)
+    product_dev = abs(position.radial_uncertainty_product(ground) - 0.75)
+    detail = "ground-state radial uncertainty product = 3/4"
     return [
-        CheckResult(
-            "ground-state-moments",
-            max(r_dev, r2_dev) <= 1e-10,
-            max(r_dev, r2_dev),
-            1e-10,
-            "<r> = 1.5 and <r^2> = 3.0",
-        ),
-        CheckResult(
-            "uncertainty-ground",
-            abs(product - 0.75) <= 1e-9,
-            abs(product - 0.75),
-            1e-9,
-            "ground-state radial uncertainty product = 3/4",
-        ),
+        CheckResult.at_most("ground-state-moments", max(r_dev, r2_dev), 1e-10, "<r> = 1.5 and <r^2> = 3.0"),
+        CheckResult.at_most("uncertainty-ground", product_dev, 1e-9, detail),
     ]
 
 
@@ -377,15 +368,8 @@ def _checks_uncertainty_floor(cfg, family, rng):
         )
         state = hydrogen.hydrogen_cs(label, family, n_max=12, check_tail=False)
         lowest = min(lowest, position.radial_uncertainty_product(state))
-    return [
-        CheckResult(
-            "uncertainty-floor",
-            lowest >= 0.25,
-            lowest,
-            0.25,
-            "20 random coherent states stay above the Heisenberg floor",
-        )
-    ]
+    detail = "20 random coherent states stay above the Heisenberg floor"
+    return [CheckResult("uncertainty-floor", lowest >= 0.25, lowest, 0.25, detail)]
 
 
 def _checks_hydrogen_resolution(cfg, family, rng):
@@ -399,16 +383,11 @@ def _checks_hydrogen_resolution(cfg, family, rng):
         psi_nodes=cfg.psi_nodes,
     )
     ok = rep.diag_max_dev <= 1e-10 and rep.certificate_satisfied
-    return [
-        CheckResult(
-            "hydrogen-resolution",
-            ok,
-            rep.diag_max_dev,
-            1e-10,
-            f"diagonal deviation at gamma window {rep.gamma_window:g}; "
-            "off-diagonals within the sinc certificate",
-        )
-    ]
+    detail = (
+        f"diagonal deviation at gamma window {rep.gamma_window:g}; "
+        "off-diagonals within the sinc certificate"
+    )
+    return [CheckResult("hydrogen-resolution", ok, rep.diag_max_dev, 1e-10, detail)]
 
 
 _CHECK_REGISTRY = (

@@ -61,8 +61,9 @@ def hydrogen_spectrum(omega: float, n: int) -> float:
 class HydrogenLabel:
     """The five real coherent-state parameters (s, gamma, omega_bar).
 
-    s >= 0; gamma is unbounded (covering space).  At s = 0 every omega_bar
-    labels the same physical ray; the constructor accepts the redundancy.
+    s >= 0; gamma is unbounded (covering space); both must be finite.  At
+    s = 0 every omega_bar labels the same physical ray; the constructor
+    accepts the redundancy.
     """
 
     s: float
@@ -70,6 +71,8 @@ class HydrogenLabel:
     omega_bar: EulerAngles
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.gamma)):
+            raise ValueError(f"labels must be finite, got s={self.s}, gamma={self.gamma}")
         if self.s < 0:
             raise ValueError(f"radial label must be >= 0, got s={self.s}")
 

@@ -20,10 +20,11 @@ from .fock1d import Spectrum
 from .hydrogen import HydrogenExpansion, shell_offset
 from .specfun import (
     BasisIndex,
+    _radial_shell,
     exp_decay_rule,
     make_quadrature,
     radial_eigenfunction,
-    radial_eigenfunction_deriv,
+    radial_table,
     spherical_harmonic,
     spherical_harmonic_table,
 )
@@ -76,33 +77,29 @@ def eval_eigenstate(idx: BasisIndex, r, theta, phi):
 def eval_angular_cs_position(n: int, omega_bar: EulerAngles, r, theta, phi):
     """Position representation of the shell-n angular coherent state."""
     shell = angular_cs(n, omega_bar)
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    rb, tb, pb = np.broadcast_arrays(r, theta, phi)
+    rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
     ylm = spherical_harmonic_table(n, tb.ravel(), pb.ravel())
-    out = np.zeros(rb.size, dtype=complex)
-    for l in range(n + 1):
-        u = radial_eigenfunction(n, l, rb.ravel())
-        lo, hi = channel_index(l, -l), channel_index(l, l) + 1
-        out += u * np.einsum("c,cp->p", shell.coeffs[lo:hi], ylm[lo:hi])
-    out = out.reshape(rb.shape)
+    u = _radial_shell(n, np.arange(n + 1), rb.ravel())[0]  # (l, point)
+    l_of_channel = np.repeat(np.arange(n + 1), 2 * np.arange(n + 1) + 1)
+    out = np.einsum("c,cp,cp->p", shell.coeffs, u[l_of_channel], ylm).reshape(rb.shape)
     if out.shape == ():
         return complex(out)
     return out
 
 
-def _channel_radial_sums(x: HydrogenExpansion, r: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """g[ch](r) = sum_n coeff(n, ch) u_{n}^{l}(r), or its r-derivative."""
-    r = np.asarray(r, dtype=float).ravel()
-    f = radial_eigenfunction_deriv if deriv else radial_eigenfunction
-    g = np.zeros(((x.n_max + 1) ** 2, r.size), dtype=complex)
-    for n in range(x.n_max + 1):
-        base = shell_offset(n)
-        for l in range(n + 1):
-            u = f(n, l, r)
-            lo, hi = channel_index(l, -l), channel_index(l, l) + 1
-            g[lo:hi] += x.coeffs[base + lo : base + hi, None] * u[None, :]
+def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
+    """g[..., ch, :] = sum_n coeff(n, ch) table[..., n, l, :] over shells n >= l.
+
+    ``table`` is a radial table (or a stack of them) of shape (..., shell,
+    l, r) from radial_table; each l block is one matmul over shells.
+    """
+    n_max = x.n_max
+    g = np.empty(table.shape[:-3] + ((n_max + 1) ** 2, table.shape[-1]), dtype=complex)
+    for l in range(n_max + 1):
+        lo, hi = channel_index(l, -l), channel_index(l, l) + 1
+        starts = [shell_offset(n) + lo for n in range(l, n_max + 1)]
+        coeffs = x.coeffs[np.add.outer(starts, np.arange(hi - lo))]  # (shell, m)
+        g[..., lo:hi, :] = coeffs.T @ table[..., l:, l, :]
     return g
 
 
@@ -112,11 +109,8 @@ def eval_hydrogen_cs_position(x: HydrogenExpansion, r, theta, phi):
     Linear in the coefficients: sum over (n, l, m) of coeff * radial *
     spherical harmonic, organized by (l, m) channel.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    rb, tb, pb = np.broadcast_arrays(r, theta, phi)
-    g = _channel_radial_sums(x, rb.ravel())
+    rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
+    g = _channel_radial_sums(x, radial_table(x.n_max, rb.ravel())[0])
     ylm = spherical_harmonic_table(x.n_max, tb.ravel(), pb.ravel())
     out = np.einsum("cp,cp->p", g, ylm).reshape(rb.shape)
     if out.shape == ():
@@ -127,6 +121,28 @@ def eval_hydrogen_cs_position(x: HydrogenExpansion, r, theta, phi):
 def _radial_rule(x: HydrogenExpansion, radial_nodes: int):
     # decay rate of the slowest basis function present
     return exp_decay_rule(2.0 / (x.n_max + 1.0), radial_nodes)
+
+
+def _radial_samples(x: HydrogenExpansion, radial_nodes: int):
+    """(r, w, g, g') at the radial rule nodes: channel sums and their r-derivatives."""
+    r, w = _radial_rule(x, radial_nodes)
+    g, gp = _channel_radial_sums(x, radial_table(x.n_max, r))
+    return r, w, g, gp
+
+
+def _r_moment(r, w, g, power: int) -> float:
+    density = np.sum(np.abs(g) ** 2, axis=0)
+    norm_sq = float(np.dot(w, density * r * r))
+    return float(np.dot(w, density * r ** (2 + power))) / norm_sq
+
+
+def _p_moments(r, w, g, gp) -> tuple[float, float]:
+    h = g * r[None, :]
+    hp = g + gp * r[None, :]
+    norm_sq = float(np.dot(w, np.sum(np.abs(h) ** 2, axis=0)))
+    p_sq = float(np.dot(w, np.sum(np.abs(hp) ** 2, axis=0))) / norm_sq
+    p_mean = float(np.dot(w, np.sum(np.imag(np.conj(h) * hp), axis=0))) / norm_sq
+    return p_mean, p_sq
 
 
 def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> float:
@@ -148,7 +164,7 @@ def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> flo
     pb = np.tile(phi, theta.size)
     w_ang = np.repeat(x_rule.weights, n_phi) * (2.0 * math.pi / n_phi)
 
-    g = _channel_radial_sums(x, r)
+    g = _channel_radial_sums(x, radial_table(l_max, r)[0])
     ylm = spherical_harmonic_table(l_max, tb, pb)
     psi = g.T @ ylm  # (n_r, n_ang)
     return float(np.einsum("r,a,ra->", wr * r * r, w_ang, np.abs(psi) ** 2))
@@ -162,10 +178,8 @@ def radial_expectation(x: HydrogenExpansion, power: int, radial_nodes: int = 96)
     """
     if power < -1 or power != int(power):
         raise ValueError(f"power must be an integer >= -1, got {power}")
-    r, wr = _radial_rule(x, radial_nodes)
-    density = np.sum(np.abs(_channel_radial_sums(x, r)) ** 2, axis=0)
-    norm_sq = float(np.dot(wr, density * r * r))
-    return float(np.dot(wr, density * r ** (2 + int(power)))) / norm_sq
+    r, w, g, _ = _radial_samples(x, radial_nodes)
+    return _r_moment(r, w, g, int(power))
 
 
 def radial_momentum_moments(x: HydrogenExpansion, radial_nodes: int = 96) -> tuple[float, float]:
@@ -173,25 +187,17 @@ def radial_momentum_moments(x: HydrogenExpansion, radial_nodes: int = 96) -> tup
 
     With h_ch = r g_ch, <p_r^2> = sum_ch int |h_ch'|^2 dr and <p_r> =
     sum_ch int Im(conj(h_ch) h_ch') dr, normalized; h' comes from the
-    analytic series derivative of the radial eigenfunctions, not finite
+    analytic derivative of the radial eigenfunctions, not finite
     differences.
     """
-    r, wr = _radial_rule(x, radial_nodes)
-    g = _channel_radial_sums(x, r)
-    gp = _channel_radial_sums(x, r, deriv=True)
-    h = g * r[None, :]
-    hp = g + gp * r[None, :]
-    norm_sq = float(np.dot(wr, np.sum(np.abs(h) ** 2, axis=0)))
-    p_sq = float(np.dot(wr, np.sum(np.abs(hp) ** 2, axis=0))) / norm_sq
-    p_mean = float(np.dot(wr, np.sum(np.imag(np.conj(h) * hp), axis=0))) / norm_sq
-    return p_mean, p_sq
+    return _p_moments(*_radial_samples(x, radial_nodes))
 
 
 def radial_uncertainty_product(x: HydrogenExpansion, radial_nodes: int = 96) -> float:
     """Var(r) * Var(p_r); dimensionless, bounded below by 1/4."""
-    r_mean = radial_expectation(x, 1, radial_nodes)
-    r_sq = radial_expectation(x, 2, radial_nodes)
-    p_mean, p_sq = radial_momentum_moments(x, radial_nodes)
+    r, w, g, gp = _radial_samples(x, radial_nodes)
+    r_mean, r_sq = _r_moment(r, w, g, 1), _r_moment(r, w, g, 2)
+    p_mean, p_sq = _p_moments(r, w, g, gp)
     return (r_sq - r_mean**2) * (p_sq - p_mean**2)
 
 
@@ -211,30 +217,18 @@ def export_density_grid(
     if spectrum is None:
         spectrum = Spectrum("inverse-square", 1.0)
     r = np.asarray(grid.r)
-    theta = np.asarray(grid.theta)
-    phi = np.asarray(grid.phi)
-    n_t, n_p = theta.size, phi.size
-    tb = np.repeat(theta, n_p)
-    pb = np.tile(phi, n_t)
+    tb = np.repeat(grid.theta, len(grid.phi))
+    pb = np.tile(grid.phi, len(grid.theta))
     ylm = spherical_harmonic_table(x.n_max, tb, pb)
+    u = radial_table(x.n_max, r)[0]
+    # (r, theta, phi) columns in r-major, then angle order; the same at every time
+    points = [np.repeat(r, tb.size).tolist(), np.tile(tb, r.size).tolist(), np.tile(pb, r.size).tolist()]
 
     rows: list[tuple[float, ...]] = []
     for t in t_values:
         evolved = x.phased(spectrum.evolution_phases(x.n_max + 1, float(t)), x.label)
-        psi = _channel_radial_sums(evolved, r).T @ ylm  # (n_r, n_ang)
-        for i_r, rv in enumerate(r):
-            for i_a in range(n_t * n_p):
-                value = psi[i_r, i_a]
-                rows.append(
-                    (
-                        float(t),
-                        float(rv),
-                        float(tb[i_a]),
-                        float(pb[i_a]),
-                        float(value.real),
-                        float(value.imag),
-                        float(abs(value) ** 2),
-                    )
-                )
+        psi = (_channel_radial_sums(evolved, u).T @ ylm).ravel()
+        values = [psi.real.tolist(), psi.imag.tolist(), (np.abs(psi) ** 2).tolist()]
+        rows.extend(zip([float(t)] * psi.size, *points, *values))
     return rows
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_laguerre, roots_legendre
+from scipy.special import gammaln, roots_laguerre, roots_legendre, xlogy
 
 from .errors import ConfigurationError
 
@@ -24,10 +24,10 @@ __all__ = [
     "spherical_harmonic",
     "spherical_harmonic_table",
     "confluent_polynomial",
-    "confluent_polynomial_deriv",
     "radial_normalization",
     "radial_eigenfunction",
     "radial_eigenfunction_deriv",
+    "radial_table",
     "make_quadrature",
     "exp_decay_rule",
 ]
@@ -127,15 +127,9 @@ def spherical_harmonic(l: int, m: int, theta, phi):
         raise ValueError(f"l must be >= 0, got {l}")
     if abs(m) > l:
         raise ValueError(f"need |m| <= l, got m={m}, l={l}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    theta_b, phi_b = np.broadcast_arrays(theta, phi)
-    p = _legendre_table(l, np.cos(theta_b.ravel()))[l, abs(m)]
-    p = p.reshape(theta_b.shape)
-    if m >= 0:
-        out = p * np.exp(1j * m * phi_b)
-    else:
-        out = (-1) ** (-m) * p * np.exp(1j * m * phi_b)
+    theta_b, phi_b = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    table = spherical_harmonic_table(l, theta_b.ravel(), phi_b.ravel())
+    out = table[l * l + l + m].reshape(theta_b.shape)
     if out.shape == ():
         return complex(out)
     return out
@@ -160,40 +154,54 @@ def spherical_harmonic_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> 
     return out
 
 
+def _check_shell(n: int, l: int) -> None:
+    if not 0 <= l <= n:
+        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
+
+
+def _laguerre(n: int, l: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Scaled Laguerre values P and dP/dz for shell n and ascending l.
+
+    P = L_k^(a)(z) / sqrt(C(k+a, k)) with k = n - l and a = 2l + 1, from the
+    three-term recurrence in degree (DLMF 18.9.1) in its symmetric form
+    b_j P_j = (2j-1+a-z) P_{j-1} - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)), and
+    its z-derivative.  The scaling keeps P in double range for large n; no
+    step divides by z.  Returns (P, dP/dz) stacked, shape (2, len(l), len(z)).
+    """
+    a = 2.0 * l[:, None] + 1.0
+    j = np.arange(n - int(l[0]) + 2)
+    b = np.sqrt(j * (j + a))  # b[:, j] = b_j
+    c = 2.0 * j - 1.0 + a  # c[:, j] - z multiplies P_{j-1}
+    # l ascending, so the rows of degree >= j are a prefix; rows of degree j
+    # are [live[j+1], live[j]) and are read off after step j
+    live = np.searchsorted(l, n - j, side="right")
+    out = np.zeros((2, l.size, z.size))  # (P, dP/dz)
+    out[0] = 1.0
+    q_prev, q = np.zeros_like(out), out
+    for i in range(1, j.size - 1):
+        m, done = live[i], live[i + 1]
+        q_next = (c[:m, i, None] - z) * q[:, :m] - b[:m, i - 1, None] * q_prev[:, :m]
+        q_next[1] -= q[0, :m]
+        q_prev, q = q[:, :m], q_next / b[:m, i, None]
+        out[:, done:m] = q[:, done:]
+    return out
+
+
 def confluent_polynomial(n: int, l: int, z):
     """Terminating confluent series F(-n+l, 2l+2, z) of degree n - l.
 
-    Evaluated by forward recurrence on the terms, term_j = term_{j-1} *
-    (l - n + j - 1) / ((2l + 1 + j) j) * z, to keep every ratio O(1).
+    Equals k!/(a+1)_k L_k^(a)(z) with k = n - l, a = 2l + 1 (DLMF 18.5.12),
+    evaluated by the Laguerre recurrence.
     """
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
+    _check_shell(n, l)
     z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for j in range(1, n - l + 1):
-        term = term * ((l - n + j - 1) / ((2 * l + 1 + j) * j)) * z
-        acc = acc + term
-    if acc.shape == ():
-        return float(acc)
-    return acc
-
-
-def confluent_polynomial_deriv(n: int, l: int, z):
-    """d/dz of confluent_polynomial(n, l, z), by the same term recurrence."""
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
-    z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    if n - l >= 1:
-        term = np.full_like(z, (l - n) / (2.0 * l + 2.0))  # coefficient of z^1
-        acc = acc + term
-        for j in range(2, n - l + 1):
-            term = term * ((l - n + j - 1) / ((2 * l + 1 + j) * j)) * z
-            acc = acc + j * term
-    if acc.shape == ():
-        return float(acc)
-    return acc
+    p, _ = _laguerre(n, np.array([l]), z.ravel())
+    k, a = n - l, 2 * l + 1
+    scale = math.exp(0.5 * (math.lgamma(k + 1) + math.lgamma(a + 1) - math.lgamma(k + a + 1)))
+    out = (scale * p[0]).reshape(z.shape)
+    if out.shape == ():
+        return float(out)
+    return out
 
 
 def radial_normalization(n: int, l: int) -> float:
@@ -202,8 +210,7 @@ def radial_normalization(n: int, l: int) -> float:
     Equals [1/(2l+1)!] sqrt((n+l+1)! / (2(n+1)(n-l)!)) (2/(n+1))^(3/2),
     assembled in log space.
     """
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
+    _check_shell(n, l)
     lg = (
         -log_factorial(2 * l + 1)
         + 0.5 * (log_factorial(n + l + 1) - math.log(2.0 * (n + 1)) - log_factorial(n - l))
@@ -212,42 +219,60 @@ def radial_normalization(n: int, l: int) -> float:
     return math.exp(lg)
 
 
+def _radial_shell(n: int, l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """u_n^l(r) and du/dr for shell n, ascending l and a vector of r >= 0.
+
+    u = N k!/(a+1)_k z^l e^{-z/2} L_k^(a)(z) with z = 2r/(n+1); the prefactor
+    of the scaled Laguerre value P is sqrt(1/(2(n+1)(2l+1)!)) (2/(n+1))^(3/2)
+    z^l e^{-z/2}, assembled in log space, so neither z^l nor (2l+1)! has to
+    be representable on its own.  Returns (u, du/dr) stacked, shape
+    (2, len(l), len(r)).
+    """
+    if np.any(r < 0):
+        raise ValueError("radius must be >= 0")
+    z = 2.0 * r / (n + 1)
+    p, dp = _laguerre(n, l, z)
+    col = l[:, None]
+    base = 1.5 * math.log(2.0 / (n + 1)) - 0.5 * (math.log(2.0 * (n + 1)) + gammaln(2.0 * col + 2.0) + z)
+    s0 = np.exp(base + xlogy(col, z))  # prefactor of P
+    s1 = col * np.exp(base + xlogy(np.maximum(col - 1, 0), z))  # l z^(l-1) part of its z-derivative
+    return np.stack((s0 * p, (s1 * p + s0 * (dp - 0.5 * p)) * (2.0 / (n + 1))))
+
+
+def _radial_single(n: int, l: int, r, which: int):
+    _check_shell(n, l)
+    r = np.asarray(r, dtype=float)
+    out = _radial_shell(n, np.array([l]), r.ravel())[which, 0].reshape(r.shape)
+    if out.shape == ():
+        return float(out)
+    return out
+
+
 def radial_eigenfunction(n: int, l: int, r):
     """Radial eigenfunction u of the shell-n bound state, in Bohr units.
 
     u(r) = N [2r/(n+1)]^l F(-n+l, 2l+2, 2r/(n+1)) exp(-r/(n+1)), orthonormal
     under the measure r^2 dr.
     """
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be >= 0")
-    z = 2.0 * r / (n + 1)
-    out = radial_normalization(n, l) * z**l * confluent_polynomial(n, l, z) * np.exp(-0.5 * z)
-    if out.shape == ():
-        return float(out)
-    return out
+    return _radial_single(n, l, r, 0)
 
 
 def radial_eigenfunction_deriv(n: int, l: int, r):
-    """d/dr of radial_eigenfunction, by term-wise analytic differentiation."""
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be >= 0")
-    z = 2.0 * r / (n + 1)
-    f = confluent_polynomial(n, l, z)
-    fp = confluent_polynomial_deriv(n, l, z)
-    # d/dz [z^l F e^{-z/2}] = e^{-z/2} (l z^{l-1} F + z^l F' - z^l F / 2)
-    if l == 0:
-        dz = fp - 0.5 * f
-    else:
-        dz = l * z ** (l - 1) * f + z**l * (fp - 0.5 * f)
-    out = radial_normalization(n, l) * np.exp(-0.5 * z) * dz * (2.0 / (n + 1))
-    if out.shape == ():
-        return float(out)
+    """d/dr of radial_eigenfunction, from the differentiated Laguerre recurrence."""
+    return _radial_single(n, l, r, 1)
+
+
+def radial_table(n_max: int, r) -> np.ndarray:
+    """All radial eigenfunctions and their r-derivatives up to shell n_max.
+
+    Returns (U, dU) stacked, shape (2, n_max+1, n_max+1, len(r)), with
+    U[n, l] = u_n^l(r) for l <= n and zeros for l > n: the radial twin of
+    spherical_harmonic_table.  Unpack as ``U, dU = radial_table(n_max, r)``.
+    """
+    r = np.asarray(r, dtype=float).ravel()
+    out = np.zeros((2, n_max + 1, n_max + 1, r.size))
+    for n in range(n_max + 1):
+        out[:, n, : n + 1] = _radial_shell(n, np.arange(n + 1), r)
     return out
 
 

@@ -364,6 +364,11 @@ class CheckResult:
     bound: float
     detail: str = ""
 
+    @classmethod
+    def at_most(cls, name: str, measured: float, bound: float, detail: str = "") -> "CheckResult":
+        """The check that passes when measured <= bound."""
+        return cls(name, measured <= bound, measured, bound, detail)
+
 
 @dataclass(frozen=True)
 class FamilyValidation:
@@ -397,15 +402,8 @@ def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) ->
         dev = abs(quad - stored) / abs(stored)
         if dev > worst:
             worst, worst_n = dev, n
-    checks.append(
-        CheckResult(
-            name="moments",
-            passed=worst <= tol,
-            measured=worst,
-            bound=tol,
-            detail=f"worst relative deviation at moment n={worst_n}",
-        )
-    )
+    detail = f"worst relative deviation at moment n={worst_n}"
+    checks.append(CheckResult.at_most("moments", worst, tol, detail))
 
     u_grid = np.geomspace(family.u_range[0], family.u_range[1], 40)
     rho_vals = np.asarray(family.rho(u_grid), dtype=float)
@@ -414,15 +412,8 @@ def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) ->
     )
     scale = np.maximum(np.abs(rho_vals), 1e-300)
     fact_dev = float(np.max(np.abs(recon - rho_vals) / scale))
-    checks.append(
-        CheckResult(
-            name="factorization",
-            passed=fact_dev <= 1e-10,
-            measured=fact_dev,
-            bound=1e-10,
-            detail="max relative |rho - M^2 k| on log-spaced grid",
-        )
-    )
+    detail = "max relative |rho - M^2 k| on log-spaced grid"
+    checks.append(CheckResult.at_most("factorization", fact_dev, 1e-10, detail))
 
     k_vals = np.asarray(family.k_weight(u_grid), dtype=float)
     moments = np.array([family.moment(n) for n in range(n_max + 1)])

@@ -26,6 +26,13 @@ class TestEulerAngles:
         with pytest.raises(ValueError):
             EulerAngles(3.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "angles", [(math.nan, 0.0, 0.0), (0.5, math.nan, 0.0), (0.5, 0.0, math.inf), (0.5, -math.inf, 0.0)]
+    )
+    def test_non_finite_rejected(self, angles):
+        with pytest.raises(ValueError):
+            EulerAngles(*angles)
+
 
 def _brute_force_coeff(l, m, ob):
     # direct evaluation from integer combinatorics, no log-space shortcuts

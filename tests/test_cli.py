@@ -1,12 +1,16 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcs.cli import main
+from hcs.cli import _CONFIG_KEYS, _build_config, main
+from hcs.errors import ConfigurationError
 
 
 def _write_corrupt_family(path, bad_index=3, factor=1.01):
@@ -141,6 +145,55 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "configuration error: cannot write" in err and str(out) in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("verify", {"s": "abc"}, "s"),
+        ("eval", {"s": "abc"}, "s"),
+        ("evolve", {"s": "abc"}, "s"),
+        ("moments", {"s": "abc"}, "s"),
+        ("eval", {"gamma": None}, "gamma"),
+        ("verify", {"n_max": True}, "n_max"),
+        ("verify", {"radial_nodes": True}, "radial_nodes"),
+        ("verify", {"gamma_window": math.inf}, "gamma_window"),
+        ("eval", {"s": math.nan}, "s"),
+    ],
+)
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, config, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{field} must be", err) and "Traceback" not in err
+    assert not out.exists()
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["verify", "eval", "evolve", "moments"]),
+    file_cfg=st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)), _JSON_SCALARS, max_size=6),
+)
+def test_build_config_types_or_config_error(command, file_cfg):
+    try:
+        cfg = _build_config(command, file_cfg, {})
+    except ConfigurationError:
+        return
+    for name in ("n_max", "seed", "radial_nodes"):
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) >= 0
+    for name in ("theta_nodes", "phi_nodes", "psi_nodes"):
+        value = getattr(cfg, name)
+        assert value is None or (type(value) is int and value >= 1)
+    for name in ("s", "gamma", "theta_bar", "phi_bar", "psi_bar", "omega", "gamma_window"):
+        value = getattr(cfg, name)
+        assert type(value) in (int, float) and math.isfinite(value)
+    assert isinstance(cfg.family, str) and isinstance(cfg.out, str)
+    assert cfg.times and all(type(t) is float and math.isfinite(t) for t in cfg.times)
 
 
 def test_console_entry_point(tmp_path):

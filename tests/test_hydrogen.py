@@ -35,6 +35,16 @@ def sqrt_exponential():
 ANGLES = EulerAngles(1.1, 0.7, 2.3)
 
 
+class TestHydrogenLabel:
+    @pytest.mark.parametrize(
+        "s,gamma",
+        [(-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+    )
+    def test_negative_or_non_finite_rejected(self, s, gamma):
+        with pytest.raises(ValueError):
+            HydrogenLabel(s, gamma, ANGLES)
+
+
 class TestSpectrum:
     def test_examples(self):
         assert hydrogen_spectrum(1.0, 0) == -1.0

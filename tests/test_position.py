@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from hcs.angular import EulerAngles
 from hcs.cli import write_csv
 from hcs.fock1d import Spectrum
+from hcs import position
 from hcs.hydrogen import HydrogenExpansion, HydrogenLabel, hydrogen_cs, total_dimension
 from hcs.position import (
     DENSITY_CSV_HEADER,
@@ -208,6 +209,17 @@ class TestUncertaintyProduct:
         assert radial_uncertainty_product(a) == pytest.approx(
             radial_uncertainty_product(b), abs=1e-12
         )
+
+
+def test_radial_table_built_once_per_call(exponential, monkeypatch):
+    builds = []
+    table = position.radial_table
+    monkeypatch.setattr(position, "radial_table", lambda *args: builds.append(args[0]) or table(*args))
+    x = hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 12, check_tail=False)
+    radial_uncertainty_product(x)
+    assert builds == [12]
+    export_density_grid(x, GridSpec((0.5, 2.0), (1.2,), (0.3,)), [0.0, 1.0, 2.5])
+    assert builds == [12, 12]
 
 
 class TestExportDensityGrid:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,13 @@ from hcs.errors import ConfigurationError
 from hcs.specfun import (
     BasisIndex,
     confluent_polynomial,
-    confluent_polynomial_deriv,
     exp_decay_rule,
     log_factorial,
     make_quadrature,
     radial_eigenfunction,
     radial_eigenfunction_deriv,
     radial_normalization,
+    radial_table,
     spherical_harmonic,
     spherical_harmonic_table,
     sqrt_binomial_weight,
@@ -187,13 +188,6 @@ class TestConfluentPolynomial:
         above = _divided_difference(vals_c, pts_c)
         assert abs(above) <= 1e-9 * _divided_difference_scale(vals_c, pts_c)
 
-    def test_deriv_matches_finite_differences(self):
-        h = 1e-6
-        for n, l in [(1, 0), (4, 1), (7, 3), (10, 0)]:
-            for z in (0.3, 1.7, 4.2):
-                fd = (confluent_polynomial(n, l, z + h) - confluent_polynomial(n, l, z - h)) / (2 * h)
-                assert confluent_polynomial_deriv(n, l, z) == pytest.approx(fd, rel=1e-7, abs=1e-10)
-
 
 class TestRadialEigenfunction:
     def test_normalization_values(self):
@@ -240,6 +234,56 @@ class TestRadialEigenfunction:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             radial_eigenfunction(0, 0, -0.5)
+
+
+def _mpmath_radial(n, l, radii):
+    """u and du/dr from mpmath.hyp1f1 at 60 digits, differentiated by mp.diff."""
+    with mp.workdps(60):
+        norm = (
+            mp.sqrt(mp.factorial(n + l + 1) / (2 * (n + 1) * mp.factorial(n - l)))
+            / mp.factorial(2 * l + 1)
+            * (mp.mpf(2) / (n + 1)) ** 1.5
+        )
+
+        def u(r):
+            z = 2 * r / (n + 1)
+            return norm * z**l * mp.hyp1f1(l - n, 2 * l + 2, z) * mp.exp(-z / 2)
+
+        values = [float(u(mp.mpf(r))) for r in radii]
+        derivs = [float(mp.diff(u, mp.mpf(r))) for r in radii]
+    return np.array(values), np.array(derivs)
+
+
+class TestRadialOracle:
+    @pytest.mark.parametrize(
+        "n,l",
+        [(0, 0), (5, 2), (20, 3), (40, 0), (100, 10), (150, 149), (200, 0), (200, 100), (200, 200)],
+    )
+    def test_against_mpmath(self, n, l):
+        r = np.linspace(0.0, 2.5 * (n + 1) ** 2, 41)
+        u, du = radial_eigenfunction(n, l, r), radial_eigenfunction_deriv(n, l, r)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+        ref_u, ref_du = _mpmath_radial(n, l, r)
+        assert np.max(np.abs(u - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
+        assert np.max(np.abs(du - ref_du)) <= 1e-10 * np.max(np.abs(ref_du))
+
+    def test_finite_to_shell_200(self):
+        # radii at 0, 1/3, 2/3 and 1 of 3(n+1)^2 for shells spread over 0..200
+        r = np.unique([3.0 * (n + 1) ** 2 * q for n in range(0, 201, 50) for q in (0, 1 / 3, 2 / 3, 1)])
+        u, du = radial_table(200, r)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+
+    def test_table_rows_equal_single_functions(self):
+        r = np.linspace(0.0, 120.0, 57)
+        u, du = radial_table(12, r)
+        assert u.shape == du.shape == (13, 13, r.size)
+        for n in range(13):
+            for l in range(13):
+                if l <= n:
+                    assert np.array_equal(u[n, l], radial_eigenfunction(n, l, r))
+                    assert np.array_equal(du[n, l], radial_eigenfunction_deriv(n, l, r))
+                else:
+                    assert not np.any(u[n, l]) and not np.any(du[n, l])
 
 
 class TestMakeQuadrature:
