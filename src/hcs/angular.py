@@ -75,28 +75,32 @@ class ShellExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
+def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l, m) of every channel l <= l_max, in flat order channel_index(l, m)."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    return l, np.arange(l.size) - l * l - l
+
+
+def _theta_factor(l_max: int, theta_bar) -> np.ndarray:
+    """A_lm = sqrt(2l+1) sqrt((2l)!/((l+m)!(l-m)!)) sin(tb/2)^(l-m) cos(tb/2)^(l+m), channels first."""
+    l, m = _channels(l_max)
+    half = 0.5 * np.asarray(theta_bar, dtype=float)
+    # per-exponent power tables, each with a scalar exponent: numpy squares x ** 2
+    # as x*x but sends an exponent array through pow, which rounds differently
+    sin_pow, cos_pow = (np.array([x**k for k in range(2 * l_max + 1)]) for x in (np.sin(half), np.cos(half)))
+    weight = np.array([sqrt_binomial_weight(a, b) for a, b in zip(l.tolist(), m.tolist())])
+    col = (-1,) + (1,) * np.ndim(half)
+    return weight.reshape(col) * sin_pow[l - m] * cos_pow[l + m] * np.sqrt(2.0 * l + 1).reshape(col)
+
+
 def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray:
-    """Coefficient table for channels l <= l_max at (arrays of) Euler angles.
+    """coeff(l, m) = A_lm(theta_bar) exp(-i(m phi_bar + l psi_bar)) for every channel l <= l_max.
 
-    coeff(l, m) = sqrt((2l)!/((l+m)!(l-m)!)) sin(tb/2)^(l-m) cos(tb/2)^(l+m)
-                  * exp(-i(m phi_bar + l psi_bar)) sqrt(2l+1)
-
-    Angles may be scalars or aligned 1-D arrays; the result has shape
-    ((l_max+1)^2,) + angle shape.
+    Angles are scalars or aligned arrays; the result has shape ((l_max+1)^2,) + angle shape.
     """
-    tb = np.asarray(theta_bar, dtype=float)
-    pb = np.asarray(phi_bar, dtype=float)
-    sb = np.asarray(psi_bar, dtype=float)
-    tb, pb, sb = np.broadcast_arrays(tb, pb, sb)
-    half_sin = np.sin(0.5 * tb)
-    half_cos = np.cos(0.5 * tb)
-    out = np.zeros(((l_max + 1) ** 2,) + tb.shape, dtype=complex)
-    for l in range(l_max + 1):
-        root = math.sqrt(2 * l + 1)
-        for m in range(-l, l + 1):
-            amp = sqrt_binomial_weight(l, m) * half_sin ** (l - m) * half_cos ** (l + m)
-            out[channel_index(l, m)] = amp * root * np.exp(-1j * (m * pb + l * sb))
-    return out
+    tb, pb, sb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta_bar, phi_bar, psi_bar)))
+    l, m = (v.reshape((-1,) + (1,) * tb.ndim) for v in _channels(l_max))
+    return _theta_factor(l_max, tb) * np.exp(-1j * (m * pb + l * sb))
 
 
 def angular_cs(n: int, omega_bar: EulerAngles) -> ShellExpansion:
@@ -135,6 +139,14 @@ def exactness_threshold(n: int) -> int:
     return 2 * n + 1
 
 
+def _difference_means(k: np.ndarray, nodes: int) -> np.ndarray:
+    """Uniform-rule means of exp(-i(k_a - k_b)x) over one period, computed once per frequency."""
+    rule = make_quadrature("trapezoid", nodes)
+    span = int(k.max() - k.min())
+    means = np.exp(-1j * np.outer(np.arange(-span, span + 1), rule.nodes)) @ rule.weights / _TWO_PI
+    return means[np.subtract.outer(k, k) + span]
+
+
 def angular_resolution_check(
     n: int,
     theta_nodes: int | None = None,
@@ -145,35 +157,28 @@ def angular_resolution_check(
 
     Gauss-Legendre in cos(theta_bar) and uniform rules over the periodic
     azimuths; node counts below the exactness threshold 2n+1 raise instead
-    of silently degrading.  The result equals the (n+1)^2 identity to
-    machine precision.
+    of silently degrading.  The measure and every coefficient factor per
+    Euler angle, so the product rule is summed one axis at a time: the
+    theta_bar sum of A_a A_b times the azimuth means of
+    exp(-i(m_a - m_b) phi_bar) and exp(-i(l_a - l_b) psi_bar).  The result
+    equals the (n+1)^2 identity to machine precision.
     """
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
     needed = exactness_threshold(n)
-    theta_nodes = needed if theta_nodes is None else theta_nodes
-    phi_nodes = needed if phi_nodes is None else phi_nodes
-    psi_nodes = needed if psi_nodes is None else psi_nodes
-    for label, count in (("theta", theta_nodes), ("phi", phi_nodes), ("psi", psi_nodes)):
+    counts = [needed if count is None else count for count in (theta_nodes, phi_nodes, psi_nodes)]
+    for label, count in zip(("theta", "phi", "psi"), counts):
         if count < needed:
             raise ConfigurationError(
                 f"{label}-nodes = {count} below the exactness threshold {needed} for n = {n}"
             )
+    theta_nodes, phi_nodes, psi_nodes = counts
 
     x_rule = make_quadrature("legendre", theta_nodes)
-    theta = np.arccos(x_rule.nodes)
-    phi = make_quadrature("trapezoid", phi_nodes).nodes
-    psi = make_quadrature("trapezoid", psi_nodes).nodes
-
-    tb = np.repeat(theta, phi_nodes * psi_nodes)
-    pb = np.tile(np.repeat(phi, psi_nodes), theta_nodes)
-    sb = np.tile(psi, theta_nodes * phi_nodes)
-    weights = np.repeat(x_rule.weights, phi_nodes * psi_nodes) * (
-        (_TWO_PI / phi_nodes) * (_TWO_PI / psi_nodes) / (8.0 * math.pi**2)
-    )
-
-    table = _channel_coefficients(n, tb, pb, sb)  # (dim, npts)
-    gram = np.einsum("ap,p,bp->ab", table, weights, table.conj())
+    a = _theta_factor(n, np.arccos(x_rule.nodes))  # (channel, theta node)
+    l, m = _channels(n)
+    # sin(theta_bar) d(theta_bar) / 2 is half the Legendre weight in cos(theta_bar)
+    gram = 0.5 * (a * x_rule.weights) @ a.T * _difference_means(m, phi_nodes) * _difference_means(l, psi_nodes)
     dim = shell_dimension(n)
     dev = float(np.max(np.abs(gram - np.eye(dim))))
     return AngularResolutionReport(n=n, dimension=dim, gram=gram, max_identity_dev=dev)

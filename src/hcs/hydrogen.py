@@ -138,10 +138,7 @@ def hydrogen_cs(
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
     angular = angular_cs(n_max, label.omega_bar).coeffs
-    coeffs = np.empty(total_dimension(n_max), dtype=complex)
-    for n in range(n_max + 1):
-        size = shell_dimension(n)
-        coeffs[shell_offset(n) : shell_offset(n) + size] = amps[n] * angular[:size]
+    coeffs = np.concatenate([amps[n] * angular[: shell_dimension(n)] for n in range(n_max + 1)])
     return HydrogenExpansion(n_max=n_max, coeffs=coeffs, family=family, label=label)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import EulerAngles, angular_cs, channel_index
+from .angular import EulerAngles, _channels, angular_cs, channel_index
 from .fock1d import Spectrum
 from .hydrogen import HydrogenExpansion, shell_offset
 from .specfun import (
@@ -53,20 +53,18 @@ class GridSpec:
     phi: tuple[float, ...]
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if r.size == 0 or theta.size == 0 or phi.size == 0:
-            raise ValueError("grid axes must be nonempty")
+        axes = {name: np.asarray(getattr(self, name), dtype=float) for name in ("r", "theta", "phi")}
+        for name, axis in axes.items():
+            if axis.size == 0 or not np.all(np.isfinite(axis)):
+                raise ValueError(f"grid axis {name} must be nonempty and finite")
+            object.__setattr__(self, name, tuple(axis.tolist()))
+        r, theta, phi = axes.values()
         if np.any(r <= 0) or np.any(np.diff(r) <= 0):
             raise ValueError("radial grid must be positive and strictly increasing")
         if np.any((theta < 0) | (theta > math.pi)):
             raise ValueError("polar angles must lie in [0, pi]")
         if np.any((phi < 0) | (phi >= 2 * math.pi)):
             raise ValueError("azimuth angles must lie in [0, 2*pi)")
-        object.__setattr__(self, "r", tuple(float(v) for v in r))
-        object.__setattr__(self, "theta", tuple(float(v) for v in theta))
-        object.__setattr__(self, "phi", tuple(float(v) for v in phi))
 
 
 def eval_eigenstate(idx: BasisIndex, r, theta, phi):
@@ -80,8 +78,7 @@ def eval_angular_cs_position(n: int, omega_bar: EulerAngles, r, theta, phi):
     rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
     ylm = spherical_harmonic_table(n, tb.ravel(), pb.ravel())
     u = _radial_shell(n, np.arange(n + 1), rb.ravel())[0]  # (l, point)
-    l_of_channel = np.repeat(np.arange(n + 1), 2 * np.arange(n + 1) + 1)
-    out = np.einsum("c,cp,cp->p", shell.coeffs, u[l_of_channel], ylm).reshape(rb.shape)
+    out = np.einsum("c,cp,cp->p", shell.coeffs, u[_channels(n)[0]], ylm).reshape(rb.shape)
     if out.shape == ():
         return complex(out)
     return out

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from hcs.angular import (
     EulerAngles,
+    _channel_coefficients,
     angular_cs,
     angular_resolution_check,
     channel_index,
@@ -14,6 +15,7 @@ from hcs.angular import (
     shell_norm_squared,
 )
 from hcs.errors import ConfigurationError
+from hcs.specfun import make_quadrature, sqrt_binomial_weight
 
 
 class TestEulerAngles:
@@ -41,7 +43,40 @@ def _brute_force_coeff(l, m, ob):
     return amp * math.sqrt(2 * l + 1) * np.exp(-1j * (m * ob.phi_bar + l * ob.psi_bar))
 
 
+def _per_channel_coeffs(n, ob):
+    # one round of numpy work per (l, m) channel, scalar exponents throughout
+    half_sin, half_cos = np.sin(0.5 * np.float64(ob.theta_bar)), np.cos(0.5 * np.float64(ob.theta_bar))
+    out = np.zeros((n + 1) ** 2, dtype=complex)
+    for l in range(n + 1):
+        for m in range(-l, l + 1):
+            amp = sqrt_binomial_weight(l, m) * half_sin ** (l - m) * half_cos ** (l + m)
+            phase = np.exp(-1j * (m * ob.phi_bar + l * ob.psi_bar))
+            out[channel_index(l, m)] = amp * math.sqrt(2 * l + 1) * phase
+    return out
+
+
+def _tensor_product_gram(n, theta_nodes, phi_nodes, psi_nodes):
+    # every channel on the full (theta, phi, psi) point table, weighted by the product rule
+    x_rule = make_quadrature("legendre", theta_nodes)
+    theta = np.arccos(x_rule.nodes)
+    phi = make_quadrature("trapezoid", phi_nodes).nodes
+    psi = make_quadrature("trapezoid", psi_nodes).nodes
+    tb = np.repeat(theta, phi_nodes * psi_nodes)
+    pb = np.tile(np.repeat(phi, psi_nodes), theta_nodes)
+    sb = np.tile(psi, theta_nodes * phi_nodes)
+    weights = np.repeat(x_rule.weights, phi_nodes * psi_nodes) * (
+        (2 * math.pi / phi_nodes) * (2 * math.pi / psi_nodes) / (8.0 * math.pi**2)
+    )
+    table = _channel_coefficients(n, tb, pb, sb)
+    return np.einsum("ap,p,bp->ab", table, weights, table.conj())
+
+
 class TestAngularCS:
+    @pytest.mark.parametrize("n", [0, 3, 14, 48])
+    def test_bit_identical_to_per_channel_loop(self, n):
+        for ob in (EulerAngles(1.234, 0.56, 4.1), EulerAngles(0.0, 0.9, 1.7), EulerAngles(math.pi, 6.0, 0.3)):
+            assert np.array_equal(angular_cs(n, ob).coeffs, _per_channel_coeffs(n, ob))
+
     def test_shell_zero(self):
         shell = angular_cs(0, EulerAngles(1.0, 2.0, 3.0))
         assert shell.coeffs.shape == (1,)
@@ -116,6 +151,13 @@ class TestAngularResolution:
             assert rep.max_identity_dev <= 1e-12, f"shell {n}"
             assert rep.dimension == shell_dimension(n)
             assert np.linalg.matrix_rank(rep.gram) == shell_dimension(n)
+
+    @pytest.mark.parametrize(
+        "n,nodes", [(n, (2 * n + 1,) * 3) for n in range(6)] + [(3, (9, 12, 10)), (6, (20, 13, 17))]
+    )
+    def test_matches_tensor_product_quadrature(self, n, nodes):
+        rep = angular_resolution_check(n, *nodes)
+        assert np.max(np.abs(rep.gram - _tensor_product_gram(n, *nodes))) <= 1e-13
 
     def test_threshold_enforced(self):
         assert exactness_threshold(5) == 11

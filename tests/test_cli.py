@@ -43,6 +43,14 @@ class TestVerify:
         assert main(["verify", "--out", str(b), "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_deep_shells_pass(self, tmp_path):
+        # the angular Gram at n_max 24 works per axis, with no (2n+1)^3 point table
+        out = tmp_path / "report.json"
+        assert main(["verify", "--n-max", "24", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n_max"] == 24
+        assert all(c["pass"] for c in report["checks"])
+
     def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["verify", "--out", str(a), "--seed", "3"]) == 0

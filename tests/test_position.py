@@ -50,6 +50,10 @@ class TestGridSpec:
             ((1.0, 0.5), (0.5,), (0.0,)),
             ((0.5,), (4.0,), (0.0,)),
             ((0.5,), (0.5,), (6.5,)),
+            ((1.0, math.inf), (0.5,), (0.0,)),
+            ((0.5, math.nan), (0.5,), (0.0,)),
+            ((0.5,), (math.nan,), (0.0,)),
+            ((0.5,), (0.5,), (math.nan,)),
         ],
     )
     def test_invalid(self, r, theta, phi):
@@ -150,6 +154,22 @@ class TestRadialExpectation:
         # pairwise oracle: adaptive quadrature of every radial overlap
         from hcs.hydrogen import shell_offset
 
+        def overlap(n, n2, l, power):
+            return quad(
+                lambda r: radial_eigenfunction(n, l, r) * radial_eigenfunction(n2, l, r) * r**power,
+                0,
+                300,
+                limit=200,
+            )[0]
+
+        # each radial overlap depends only on (l, {n, n2}, power): integrate it once
+        overlaps = {
+            (n, n2, l, power): overlap(n, n2, l, power)
+            for l in range(7)
+            for n in range(l, 7)
+            for n2 in range(n, 7)
+            for power in (2, 3)
+        }
         num = den = 0.0
         for l in range(7):
             for m in range(-l, l + 1):
@@ -158,24 +178,9 @@ class TestRadialExpectation:
                 for n, cn in amps.items():
                     for n2, cn2 in amps.items():
                         w = (np.conj(cn) * cn2).real
-                        v3, _ = quad(
-                            lambda r: radial_eigenfunction(n, l, r)
-                            * radial_eigenfunction(n2, l, r)
-                            * r**3,
-                            0,
-                            300,
-                            limit=200,
-                        )
-                        v2, _ = quad(
-                            lambda r: radial_eigenfunction(n, l, r)
-                            * radial_eigenfunction(n2, l, r)
-                            * r**2,
-                            0,
-                            300,
-                            limit=200,
-                        )
-                        num += w * v3
-                        den += w * v2
+                        key = (min(n, n2), max(n, n2), l)
+                        num += w * overlaps[key + (3,)]
+                        den += w * overlaps[key + (2,)]
         assert got == pytest.approx(num / den, rel=1e-9)
         assert den == pytest.approx(x.norm_squared(), rel=1e-9)
 
