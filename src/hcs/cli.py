@@ -13,7 +13,6 @@ results.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -463,7 +462,7 @@ def run_moments(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def run_eval(cfg: RunConfig) -> tuple[list, int]:
+def run_eval(cfg: RunConfig) -> tuple[np.ndarray, int]:
     family = _resolve_family(cfg.family)
     state = hydrogen.hydrogen_cs(cfg.label(), family, cfg.n_max)
     grid = position.GridSpec(cfg.grid_r, cfg.grid_theta, cfg.grid_phi)
@@ -495,14 +494,28 @@ def _write_json(path: str, payload: dict) -> None:
         raise ConfigurationError(f"cannot write report to {path}: {exc}") from exc
 
 
+# rows per formatting block: large enough to share formatted values, small
+# enough that the block's template and text stay a few hundred kB
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a header and float rows as CSV: CRLF line ends, 17 significant digits."""
+    """Write a header and float rows as CSV: CRLF line ends, 17 significant digits.
+
+    Each block of rows formats every distinct value once with ``%.17g``.
+    Values are told apart by bit pattern, not by float comparison, so
+    ``-0.0`` and ``0.0`` keep their own text ("-0" and "0").
+    """
+    data = np.asarray(rows, dtype=float)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, len(data), _CSV_BLOCK_ROWS):
+                block = data[start : start + _CSV_BLOCK_ROWS]
+                bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+                text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+                template = ("%s," * (block.shape[1] - 1) + "%s\r\n") * len(block)
+                fh.write(template % tuple(map(text.__getitem__, inverse.ravel().tolist())))
     except OSError as exc:
         raise ConfigurationError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -203,14 +203,17 @@ def export_density_grid(
     grid: GridSpec,
     t_values: Sequence[float],
     spectrum: Spectrum | None = None,
-) -> list[tuple[float, ...]]:
-    """Wavefunction samples on the grid at each time.
+) -> np.ndarray:
+    """Wavefunction samples on the grid at each time, one float64 row per sample.
 
     Evolution applies the spectrum's shell phases to the coefficients (the
     default inverse-square spectrum with omega = 1 realizes the gamma
-    shift).  Rows are (t, r, theta, phi, Re psi, Im psi, |psi|^2) in
-    deterministic t-major order, then r, theta, phi.
+    shift).  Columns are (t, r, theta, phi, Re psi, Im psi, |psi|^2); rows
+    run in deterministic t-major order, then r, theta, phi.
     """
+    times = np.asarray(t_values, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"t_values must be finite, got {t_values!r}")
     if spectrum is None:
         spectrum = Spectrum("inverse-square", 1.0)
     r = np.asarray(grid.r)
@@ -218,14 +221,17 @@ def export_density_grid(
     pb = np.tile(grid.phi, len(grid.theta))
     ylm = spherical_harmonic_table(x.n_max, tb, pb)
     u = radial_table(x.n_max, r)[0]
+
+    rows = np.empty((times.size, r.size * tb.size, 7))
+    rows[:, :, 0] = times[:, None]
     # (r, theta, phi) columns in r-major, then angle order; the same at every time
-    points = [np.repeat(r, tb.size).tolist(), np.tile(tb, r.size).tolist(), np.tile(pb, r.size).tolist()]
-
-    rows: list[tuple[float, ...]] = []
-    for t in t_values:
-        evolved = x.phased(spectrum.evolution_phases(x.n_max + 1, float(t)), x.label)
+    rows[:, :, 1] = np.repeat(r, tb.size)
+    rows[:, :, 2] = np.tile(tb, r.size)
+    rows[:, :, 3] = np.tile(pb, r.size)
+    for rows_t, t in zip(rows, times.tolist()):
+        evolved = x.phased(spectrum.evolution_phases(x.n_max + 1, t), x.label)
         psi = (_channel_radial_sums(evolved, u).T @ ylm).ravel()
-        values = [psi.real.tolist(), psi.imag.tolist(), (np.abs(psi) ** 2).tolist()]
-        rows.extend(zip([float(t)] * psi.size, *points, *values))
-    return rows
-
+        rows_t[:, 4] = psi.real
+        rows_t[:, 5] = psi.imag
+        rows_t[:, 6] = np.abs(psi) ** 2
+    return rows.reshape(-1, 7)

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcs.cli import _CONFIG_KEYS, _build_config, main
+import hcs
+from hcs.angular import EulerAngles
+from hcs.cli import _CONFIG_KEYS, _build_config, main, write_csv
 from hcs.errors import ConfigurationError
+from hcs.fock1d import Spectrum
+from hcs.hydrogen import HydrogenLabel, hydrogen_cs
+from hcs.position import DENSITY_CSV_HEADER, GridSpec, export_density_grid
+from hcs.weights import builtin_family
 
 
 def _write_corrupt_family(path, bad_index=3, factor=1.01):
@@ -128,10 +136,75 @@ class TestEval:
             fields = [float(v) for v in line.split(",")]
             assert fields[6] == pytest.approx(math.exp(-2 * fields[1]) / math.pi, rel=1e-12)
 
+    def test_file_matches_reference_writer(self, tmp_path):
+        # 2 times x 24 x 16 x 16 points = 12,288 rows, three formatting blocks
+        grid = {
+            "r": np.linspace(0.25, 20.0, 24).tolist(),
+            "theta": np.linspace(0.0, math.pi, 16).tolist(),
+            "phi": (2 * math.pi * np.arange(16) / 16).tolist(),
+        }
+        config = {"n_max": 24, "s": 0.9, "gamma": 0.4, "theta_bar": 1.1, "phi_bar": 0.7}
+        config.update({"psi_bar": 2.3, "omega": 1.3, "times": [0.0, 3.7], "grid": grid})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "density.csv"
+        assert main(["eval", "--config", str(path), "--out", str(out)]) == 0
+
+        label = HydrogenLabel(0.9, 0.4, EulerAngles(1.1, 0.7, 2.3))
+        state = hydrogen_cs(label, builtin_family("exponential"), 24)
+        axes = GridSpec(grid["r"], grid["theta"], grid["phi"])
+        rows = export_density_grid(state, axes, [0.0, 3.7], Spectrum("inverse-square", 1.3))
+        assert rows.shape == (12288, 7)
+        _reference_csv(tmp_path / "reference.csv", DENSITY_CSV_HEADER, rows)
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_truncation_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "density.csv"
         assert main(["eval", "--s", "2.5", "--n-max", "8", "--out", str(out)]) == 3
         assert "truncation" in capsys.readouterr().err.lower()
+
+
+def _reference_csv(path, header, rows):
+    """The per-row CSV writer whose bytes ``write_csv`` keeps: csv.writer, %.17g per value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_AWKWARD += [math.nan, math.inf, -math.inf, 1.0, 0.1, -2.5, 1e-300, 123456789.0]
+
+
+def _awkward_rows(n_rows, n_cols, seed=5):
+    """Rows over a small value pool (repeats within and across rows) plus random fill."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([_AWKWARD, rng.standard_normal(64) * 10.0 ** rng.integers(-20, 20, 64)])
+    values = rng.choice(pool, size=(n_rows, n_cols))
+    values[:, -1] = rng.standard_normal(n_rows)
+    # both zeros in one column of one block, and again across the block boundary
+    values[:4, 0] = [-0.0, 0.0, 0.0, -0.0]
+    values[4094:4098, 1] = [0.0, -0.0, -0.0, 0.0]
+    return values
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("kind", ["array", "tuples"])
+    def test_bytes_match_reference_writer(self, tmp_path, kind):
+        values = _awkward_rows(5000, 7 if kind == "array" else 5)
+        rows = values if kind == "array" else [tuple(row) for row in values.tolist()]
+        header = [f"c{i}" for i in range(values.shape[1])]
+        write_csv(tmp_path / "block.csv", header, rows)
+        _reference_csv(tmp_path / "reference.csv", header, rows)
+        written = (tmp_path / "block.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        for text in (b"\r\n-0,", b"\r\n0,", b",-0,", b"4.9406564584124654e-324", b"e+308", b"nan", b"-inf"):
+            assert text in written
+
+    def test_header_only(self, tmp_path):
+        write_csv(tmp_path / "empty.csv", ("t", "x"), [])
+        assert (tmp_path / "empty.csv").read_bytes() == b"t,x\r\n"
 
 
 class TestEvolve:
@@ -206,10 +279,14 @@ def test_build_config_types_or_config_error(command, file_cfg):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "m.json"
+    # the child imports the same hcs as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(hcs.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hcs.cli", "moments", "--family", "exponential", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["passed"] is True

@@ -248,6 +248,22 @@ class TestExportDensityGrid:
         assert rs == sorted(rs)
         assert len(rows) == 2 * 2 * 2 * 2
 
+    def test_one_float_array_with_t_major_axes(self, exponential):
+        x = hydrogen_cs(HydrogenLabel(0.8, 0.4, ANGLES), exponential, 6, check_tail=False)
+        grid = GridSpec((0.5, 1.0, 2.5), (0.4, 1.2), (0.0, 2.0, 4.0, 5.5))
+        times = [0.0, 1.25, 3.0]
+        rows = export_density_grid(x, grid, times)
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.shape == (3 * 3 * 2 * 4, 7)
+        axes = np.meshgrid(times, grid.r, grid.theta, grid.phi, indexing="ij")
+        for col, axis in enumerate(axes):
+            assert np.array_equal(rows[:, col], axis.ravel())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, exponential, bad):
+        with pytest.raises(ValueError, match="t_values"):
+            export_density_grid(_ground(exponential), GridSpec((1.0,), (0.5,), (0.0,)), [0.0, bad])
+
     def test_oscillator_spectrum_period_rows_identical(self, exponential):
         x = hydrogen_cs(HydrogenLabel(0.8, 0.4, ANGLES), exponential, 6, check_tail=False)
         grid = GridSpec((0.5, 1.5), (0.9,), (0.2,))
@@ -256,7 +272,7 @@ class TestExportDensityGrid:
         rows_a = export_density_grid(x, grid, [t0], spectrum=spec)
         rows_b = export_density_grid(x, grid, [t0 + 2 * math.pi], spectrum=spec)
         for a, b in zip(rows_a, rows_b):
-            assert a[1:] == b[1:]
+            assert np.array_equal(a[1:], b[1:])
 
     def test_gamma_shift_consistency(self, exponential):
         omega, t = 1.0, 2.2
