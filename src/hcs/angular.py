@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .specfun import make_quadrature, sqrt_binomial_weight
+from .specfun import log_factorial, make_quadrature
 
 __all__ = [
     "EulerAngles",
@@ -88,7 +88,12 @@ def _theta_factor(l_max: int, theta_bar) -> np.ndarray:
     # per-exponent power tables, each with a scalar exponent: numpy squares x ** 2
     # as x*x but sends an exponent array through pow, which rounds differently
     sin_pow, cos_pow = (np.array([x**k for k in range(2 * l_max + 1)]) for x in (np.sin(half), np.cos(half)))
-    weight = np.array([sqrt_binomial_weight(a, b) for a, b in zip(l.tolist(), m.tolist())])
+    # sqrt_binomial_weight per channel from one log-factorial table; the same
+    # subtraction order and math.exp keep every weight bit-identical to it
+    log_fact = np.array([log_factorial(k) for k in range(2 * l_max + 1)])
+    hi, lo = l + np.abs(m), l - np.abs(m)
+    exponent = 0.5 * (log_fact[2 * l] - log_fact[hi] - log_fact[lo])
+    weight = np.array([math.exp(v) for v in exponent.tolist()])
     col = (-1,) + (1,) * np.ndim(half)
     return weight.reshape(col) * sin_pow[l - m] * cos_pow[l + m] * np.sqrt(2.0 * l + 1).reshape(col)
 

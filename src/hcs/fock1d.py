@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ConfigurationError, TruncationError
+from .specfun import logsumexp
 from .weights import WeightFamily
 
 __all__ = [
@@ -123,7 +123,8 @@ def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> FockExpans
         coeffs = np.zeros(n_max + 1, dtype=complex)
         coeffs[0] = 1.0
     else:
-        log_amp = -0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * gammaln(n + 1.0)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+        log_amp = -0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * log_fact
         coeffs = np.exp(log_amp + 1j * (n * cmath.phase(z)))
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, abs(z), "oscillator_cs")

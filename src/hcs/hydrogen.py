@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .angular import (
     AngularResolutionReport,
@@ -24,7 +23,7 @@ from .angular import (
     shell_dimension,
 )
 from .fock1d import ResolutionReport, Spectrum, degen_cs, resolution_check_1d, tail_guard
-from .specfun import BasisIndex
+from .specfun import BasisIndex, logsumexp
 from .weights import WeightFamily
 
 __all__ = [
@@ -175,7 +174,8 @@ def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
 
     norm^2 = M^2(s^2) sum_{n<=n_max} s^{2n} (n+1)^2 / rho_n; the shell
     degeneracy (n+1)^2 makes this exceed 1 whenever s > 0, because the
-    defining sum is not renormalized over shells.
+    defining sum is not renormalized over shells.  Raises NumericalError
+    when M^2(s^2) is not a positive double (it underflows at large s).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -185,7 +185,7 @@ def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
     log_mom = np.array([family.log_moment(int(k)) for k in n])
     log_terms = 2.0 * n * math.log(label.s) + 2.0 * np.log(n + 1.0) - log_mom
     log_sum = float(logsumexp(log_terms))
-    return math.exp(0.5 * (math.log(family.M_squared(label.s * label.s)) + log_sum))
+    return family.m_value(label.s * label.s) * math.exp(0.5 * log_sum)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,16 +3,17 @@
 Everything here is a pure function of its arguments.  Factorial ratios go
 through log-gamma so that large quantum numbers never overflow; direct
 integer products are used only where they are exact in double precision
-(k <= 20).
+(k <= 20).  The module needs numpy alone: the Gauss rules, ``logsumexp``
+and the PCHIP interpolant are written here once for the whole package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre, roots_legendre, xlogy
 
 from .errors import ConfigurationError
 
@@ -30,6 +31,8 @@ __all__ = [
     "radial_table",
     "make_quadrature",
     "exp_decay_rule",
+    "logsumexp",
+    "pchip",
 ]
 
 
@@ -233,10 +236,17 @@ def _radial_shell(n: int, l: np.ndarray, r: np.ndarray) -> np.ndarray:
     z = 2.0 * r / (n + 1)
     p, dp = _laguerre(n, l, z)
     col = l[:, None]
-    base = 1.5 * math.log(2.0 / (n + 1)) - 0.5 * (math.log(2.0 * (n + 1)) + gammaln(2.0 * col + 2.0) + z)
-    s0 = np.exp(base + xlogy(col, z))  # prefactor of P
-    s1 = col * np.exp(base + xlogy(np.maximum(col - 1, 0), z))  # l z^(l-1) part of its z-derivative
+    log_fact = np.array([log_factorial(2 * k + 1) for k in l.tolist()])[:, None]
+    base = 1.5 * math.log(2.0 / (n + 1)) - 0.5 * (math.log(2.0 * (n + 1)) + log_fact + z)
+    s0 = np.exp(base + _xlogy(col, z))  # prefactor of P
+    s1 = col * np.exp(base + _xlogy(np.maximum(col - 1, 0), z))  # l z^(l-1) part of its z-derivative
     return np.stack((s0 * p, (s1 * p + s0 * (dp - 0.5 * p)) * (2.0 / (n + 1))))
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y, with 0 wherever x == 0 (so 0 log 0 = 0) and -inf for x > 0, y = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # the x == 0 entries are replaced
+        return np.where(x == 0, 0.0, x * np.log(y))
 
 
 def _radial_single(n: int, l: int, r, which: int):
@@ -286,6 +296,7 @@ def make_quadrature(kind: str, m: int, **params) -> QuadratureRule:
     kind 'trapezoid': uniform rule on one period (default 2*pi) of a
     periodic function, nodes k*period/m; exact for trigonometric
     polynomials of frequency < m.
+    Both Gauss rules are built once per process for each node count.
     """
     if not isinstance(m, int) or m < 1:
         raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
@@ -295,14 +306,13 @@ def make_quadrature(kind: str, m: int, **params) -> QuadratureRule:
         _reject_extra(kind, params)
         if not b > a:
             raise ConfigurationError(f"need b > a, got [{a}, {b}]")
-        x, w = roots_legendre(m)
+        x, w = _gauss_rule("legendre", m)
         nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
         weights = 0.5 * (b - a) * w
     elif kind == "laguerre":
         _reject_extra(kind, params)
-        if m > 128:
-            raise ConfigurationError(f"laguerre rule supported up to 128 nodes, got {m}")
-        nodes, weights = roots_laguerre(m)
+        nodes, scaled = _laguerre_rule(m)
+        weights = scaled * np.exp(-nodes)
     elif kind == "trapezoid":
         period = params.pop("period", 2.0 * math.pi)
         _reject_extra(kind, params)
@@ -325,11 +335,136 @@ def exp_decay_rule(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Maps an m-point Gauss-Laguerre rule through t = alpha * r so that
     int_0^inf f(r) dr ~= sum_i w_i f(r_i); exact whenever f is a polynomial
-    times e^{-alpha r}.  Weights are exponentiated in log space because the
-    raw factor w_i e^{t_i} would overflow for large rules.
+    times e^{-alpha r}.  The rule's weights come already scaled as
+    w_i e^{t_i}, which stays in double range at every supported m.
     """
     if not alpha > 0:
         raise ConfigurationError(f"decay rate must be positive, got {alpha}")
-    rule = make_quadrature("laguerre", m)
-    t, w = rule.nodes, rule.weights
-    return t / alpha, np.exp(np.log(w) + t - math.log(alpha))
+    t, scaled = _laguerre_rule(m)
+    return t / alpha, scaled / alpha
+
+
+def _laguerre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and scaled weights w e^x for a checked node count."""
+    if not isinstance(m, int) or m < 1:
+        raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
+    if m > 128:
+        raise ConfigurationError(f"laguerre rule supported up to 128 nodes, got {m}")
+    return _gauss_rule("laguerre", m)
+
+
+def _recurrence_top(kind: str, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_{m-1}, p_m) at x by the three-term recurrence in degree (DLMF 18.9.1).
+
+    p_k is the Legendre P_k(x) or the scaled Laguerre q_k = L_k(x) e^{-x/2};
+    the scaling keeps q in range out to the largest node at m = 128.
+    """
+    if kind == "legendre":
+        prev, cur = np.ones_like(x), x
+    else:
+        prev = np.exp(-0.5 * x)
+        cur = (1.0 - x) * prev
+    for k in range(1, m):
+        step = (2 * k + 1) * x if kind == "legendre" else (2 * k + 1) - x
+        prev, cur = cur, (step * cur - k * prev) / (k + 1)
+    return prev, cur
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(kind: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre (x, w) on [-1, 1] or Gauss-Laguerre (x, w e^x), m nodes.
+
+    Golub & Welsch (Math. Comp. 23, 221 (1969)): the nodes are the
+    eigenvalues of the symmetric Jacobi matrix of the recurrence.  Two
+    Newton steps on the recurrence polish them, and the weights come from
+    the same recurrence at the polished nodes: w = 2(1-x^2)/(m P_{m-1})^2
+    and w e^x = x/(m q_{m-1})^2.  Polish and weights run in np.longdouble
+    (64-bit mantissa on x86_64), which puts both below the error of a
+    float64 polish; the oracle tests in test_specfun check the result
+    against 45-digit mpmath rules.  Each (kind, m) is built once per
+    process; the arrays are shared, so they are read-only.
+    """
+    k = np.arange(1, m, dtype=float)
+    if kind == "legendre":
+        diagonal, off = np.zeros(m), k / np.sqrt(4.0 * k * k - 1.0)
+    else:
+        diagonal, off = 2.0 * np.arange(m) + 1.0, k
+    x = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, -1)).astype(np.longdouble)
+    for _ in range(2):
+        prev, cur = _recurrence_top(kind, m, x)
+        if kind == "legendre":
+            x = x - cur * (x * x - 1) / (m * (x * cur - prev))
+        else:
+            x = x - x * cur / (m * (cur - prev))
+    prev, _ = _recurrence_top(kind, m, x)
+    if kind == "legendre":
+        w = 2 * (1 - x * x) / (m * prev) ** 2
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])  # exact symmetry about 0
+    else:
+        w = x / (m * prev) ** 2
+    x, w = x.astype(float), w.astype(float)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (all entries when None), without overflow.
+
+    The largest entry is factored out and the rest summed through log1p,
+    as in scipy.special.logsumexp, whose results this reproduces.  A row
+    whose entries are all -inf (an empty sum) gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    count = np.sum(is_top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in the masked-out entries
+        rest = np.sum(np.where(is_top, 0.0, np.exp(a - top)), axis=axis, keepdims=True)
+    out = np.log1p(rest / count) + np.log(count) + top
+    return out.item() if axis is None else np.squeeze(out, axis=axis)
+
+
+def pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant of the table (x, y).
+
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 238 (1980)) with the
+    slopes of scipy.interpolate.PchipInterpolator: the weighted harmonic
+    mean of the neighbouring secants inside, zero at a local extremum or
+    flat secant, and a shape-limited one-sided three-point formula at the
+    ends.  ``x`` must be strictly increasing.  Returns a function of u
+    that is NaN outside [x[0], x[-1]].
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    if x.size == 2:
+        d = np.full(2, secant[0])
+    else:
+        d = np.zeros_like(y)
+        flat = (np.sign(secant[1:]) != np.sign(secant[:-1])) | (secant[1:] == 0) | (secant[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the flat entries are replaced
+            inner = 1.0 / ((w1 / secant[:-1] + w2 / secant[1:]) / (w1 + w2))
+        d[1:-1] = np.where(flat, 0.0, inner)
+        d[0] = _pchip_end_slope(h[0], h[1], secant[0], secant[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], secant[-1], secant[-2])
+    t = (d[:-1] + d[1:] - 2 * secant) / h
+    c3, c2 = t / h, (secant - d[:-1]) / h - t
+
+    def interpolant(u):
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, h.size - 1)
+        s = u - x[i]
+        out = ((c3[i] * s + c2[i]) * s + d[i]) * s + y[i]
+        return np.where((u >= x[0]) & (u <= x[-1]), out, np.nan)
+
+    return interpolant
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d

@@ -17,11 +17,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError, NumericalError, TruncationError
-from .specfun import log_factorial, make_quadrature
+from .specfun import exp_decay_rule, log_factorial, logsumexp, make_quadrature, pchip
 
 __all__ = [
     "WeightFamily",
@@ -56,8 +54,7 @@ class WeightFamily:
         name: str,
         rho: Callable[[np.ndarray], np.ndarray],
         *,
-        moment_closed: Callable[[int], float] | None = None,
-        log_moment_closed: Callable[[int], float] | None = None,
+        factorial_moment: Callable[[int], int] | None = None,
         m_squared_closed: Callable[[np.ndarray], np.ndarray] | None = None,
         k_closed: Callable[[np.ndarray], np.ndarray] | None = None,
         subst_power: int = 1,
@@ -68,8 +65,7 @@ class WeightFamily:
     ):
         self.name = name
         self.rho = rho
-        self._moment_closed = moment_closed
-        self._log_moment_closed = log_moment_closed
+        self._factorial_moment = factorial_moment
         self._m_squared_closed = m_squared_closed
         self._k_closed = k_closed
         if subst_power not in (1, 2):
@@ -93,15 +89,21 @@ class WeightFamily:
 
     def moment(self, n: int) -> float:
         """n-th moment rho_n, from the stored table or closed form when
-        available, otherwise by quadrature (memoized)."""
+        available, otherwise by quadrature (memoized).
+
+        The closed form of the built-ins is a factorial, rho_n = k! with
+        k = factorial_moment(n): the nearest double here, inf beyond the
+        double range, and log_factorial(k) in ``log_moment``.
+        """
         if n < 0:
             raise ValueError(f"moment order must be >= 0, got {n}")
         if self._declared is not None and n < self._declared.size:
             return float(self._declared[n])
-        if self._moment_closed is not None:
-            return self._moment_closed(n)
-        if self._log_moment_closed is not None:
-            return math.exp(self._log_moment_closed(n))
+        if self._factorial_moment is not None:
+            try:
+                return float(math.factorial(self._factorial_moment(n)))
+            except OverflowError:
+                return math.inf
         if n not in self._moment_memo:
             self._moment_memo[n] = self.moment_by_quadrature(n)
         return self._moment_memo[n]
@@ -113,8 +115,8 @@ class WeightFamily:
             if value <= 0:
                 raise NumericalError(f"{self.name}: declared moment rho_{n} = {value} is not positive")
             return math.log(value)
-        if self._log_moment_closed is not None:
-            return self._log_moment_closed(n)
+        if self._factorial_moment is not None:
+            return log_factorial(self._factorial_moment(n))
         return math.log(self.moment(n))
 
     def moment_by_quadrature(self, n: int, nodes: int | None = None) -> float:
@@ -141,17 +143,13 @@ class WeightFamily:
 
     def M_squared(self, u):
         """M^2(u): closed form when available, else the truncated series
-        [sum_n u^n / rho_n]^{-1}."""
-        if self._m_squared_closed is not None:
-            return self._m_squared_closed(np.asarray(u, dtype=float))
-        return self._series_m_squared(u)
-
-    def _series_m_squared(self, u):
+        [sum_n u^n / rho_n]^{-1} at series_n_max without the tail check of
+        ``normalization_m``."""
         u = np.asarray(u, dtype=float)
-        scalar = u.shape == ()
-        log_s = self._log_norm_sum(np.atleast_1d(u), self.series_n_max)[0]
-        out = np.exp(-log_s)
-        return float(out[0]) if scalar else out.reshape(u.shape)
+        if self._m_squared_closed is not None:
+            return self._m_squared_closed(u)
+        out = np.exp(-self._log_norm_sum(u.reshape(-1), self.series_n_max)[0])
+        return float(out[0]) if u.shape == () else out.reshape(u.shape)
 
     def _log_norm_sum(self, u: np.ndarray, n_max: int):
         """log sum_{n<=n_max} u^n/rho_n and the log of its last term."""
@@ -184,8 +182,18 @@ class WeightFamily:
         return math.exp(-0.5 * log_s[0])
 
     def m_value(self, u: float) -> float:
-        """sqrt(M^2(u)), the amplitude prefactor used by state constructors."""
-        return math.sqrt(float(self.M_squared(float(u))))
+        """sqrt(M^2(u)), the amplitude prefactor used by state constructors.
+
+        Raises NumericalError when M^2(u) is not a positive finite double,
+        e.g. e^{-u} underflowing to 0 for the exponential family at u = 2500.
+        """
+        m2 = float(self.M_squared(float(u)))
+        if not 0.0 < m2 < math.inf:
+            raise NumericalError(
+                f"{self.name}: M^2(s^2) at s^2 = {float(u):g} is {m2:g}, not a positive "
+                f"finite double, so the state amplitudes are not representable"
+            )
+        return math.sqrt(m2)
 
     def k_weight(self, u):
         """Measure density k(u) = rho(u) / M^2(u)."""
@@ -212,10 +220,9 @@ class WeightFamily:
         """
         if self._grid is not None:
             return self._composite_grid_rule()
-        rule = make_quadrature("laguerre", m)
-        x, w = rule.nodes, rule.weights
+        x, scaled = exp_decay_rule(1.0, m)  # weights w e^x
         p = self._subst_power
-        log_w = np.log(w) + x
+        log_w = np.log(scaled)
         if p == 2:
             log_w = log_w + math.log(2.0) + np.log(x)
             return x * x, log_w
@@ -242,8 +249,7 @@ def builtin_family(name: str) -> WeightFamily:
         return WeightFamily(
             "exponential",
             rho=lambda u: np.exp(-np.asarray(u, dtype=float)),
-            moment_closed=lambda n: _float_factorial(n),
-            log_moment_closed=lambda n: log_factorial(n),
+            factorial_moment=lambda n: n,
             m_squared_closed=lambda u: np.exp(-np.asarray(u, dtype=float)),
             k_closed=lambda u: np.ones_like(np.asarray(u, dtype=float)),
             subst_power=1,
@@ -252,22 +258,13 @@ def builtin_family(name: str) -> WeightFamily:
         return WeightFamily(
             "sqrt-exponential",
             rho=lambda u: 0.5 * np.exp(-np.sqrt(np.asarray(u, dtype=float))),
-            moment_closed=lambda n: _float_factorial(2 * n + 1),
-            log_moment_closed=lambda n: log_factorial(2 * n + 1),
+            factorial_moment=lambda n: 2 * n + 1,
             m_squared_closed=lambda u: _x_over_sinh(np.sqrt(np.asarray(u, dtype=float))),
             subst_power=2,
         )
     raise ConfigurationError(
         f"unknown weight family {name!r}; built-ins are {', '.join(BUILTIN_NAMES)}"
     )
-
-
-def _float_factorial(k: int) -> float:
-    """k! as the nearest double; inf beyond the double range."""
-    try:
-        return float(math.factorial(k))
-    except OverflowError:
-        return math.inf
 
 
 def _x_over_sinh(x: np.ndarray) -> np.ndarray:
@@ -289,9 +286,10 @@ def tabulated_family(
 ) -> WeightFamily:
     """Custom family from a tabulated weight.
 
-    The weight is interpolated monotonically (PCHIP) on the grid and treated
-    as zero outside it; moments up to ``n_max`` are either taken from the
-    declared table or computed by quadrature over the grid support.
+    The weight is interpolated monotonically (``specfun.pchip``) on the
+    grid and treated as zero outside it; moments up to ``n_max`` are either
+    taken from the declared table or computed by quadrature over the grid
+    support.
     """
     grid = np.asarray(grid_u, dtype=float)
     vals = np.asarray(rho_values, dtype=float)
@@ -309,7 +307,7 @@ def tabulated_family(
         raise ConfigurationError(
             f"declared moment table must have n_max+1 = {n_max + 1} entries, got {len(moments)}"
         )
-    interp = PchipInterpolator(grid, vals, extrapolate=False)
+    interp = pchip(grid, vals)
 
     def rho(u):
         u = np.asarray(u, dtype=float)

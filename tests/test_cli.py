@@ -163,6 +163,13 @@ class TestEval:
         assert main(["eval", "--s", "2.5", "--n-max", "8", "--out", str(out)]) == 3
         assert "truncation" in capsys.readouterr().err.lower()
 
+    def test_underflowing_m_squared_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "density.csv"
+        assert main(["eval", "--s", "50", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "M^2(s^2)" in err
+        assert not out.exists()
+
 
 def _reference_csv(path, header, rows):
     """The per-row CSV writer whose bytes ``write_csv`` keeps: csv.writer, %.17g per value."""
@@ -279,14 +286,50 @@ def test_build_config_types_or_config_error(command, file_cfg):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "m.json"
-    # the child imports the same hcs as this process, installed or not
-    package_root = os.path.dirname(os.path.dirname(hcs.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hcs.cli", "moments", "--family", "exponential", "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["passed"] is True
+
+
+def _child_env():
+    """Environment whose python imports the same hcs as this process, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(hcs.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+_SCIPY_BLOCKED_CHILD = """
+import json, sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+import numpy as np
+import hcs, hcs.cli
+codes = [
+    hcs.cli.main(["verify", "--out", "v.json"]),
+    hcs.cli.main(["eval", "--out", "e.csv"]),
+    hcs.cli.main(["evolve", "--out", "t.csv"]),
+    hcs.cli.main(["moments", "--out", "m.json"]),
+]
+grid = np.linspace(0.0, 40.0, 200)
+family = hcs.tabulated_family("tab", grid, np.exp(-grid), 4)
+codes.append(0 if abs(family.moment(2) - 2.0) < 1e-4 else 1)
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded, "blocked": sys.modules["scipy"] is None}))
+"""
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_CHILD],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": ["scipy"], "blocked": True}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hcs.angular import EulerAngles, angular_cs, shell_dimension
-from hcs.errors import TruncationError
+from hcs.errors import NumericalError, TruncationError
 from hcs.fock1d import radial_factor_matrix
 from hcs.hydrogen import (
     HydrogenLabel,
@@ -132,6 +132,14 @@ class TestStateNorm:
         assert state_norm(label, sqrt_exponential, 16) ** 2 == pytest.approx(
             x.norm_squared(), rel=1e-10
         )
+
+    def test_underflowing_m_squared_is_numerical_error(self, exponential):
+        # M^2(2500) = e^{-2500} underflows to 0; the norm and the state refuse
+        label = HydrogenLabel(50.0, 0.0, ANGLES)
+        with pytest.raises(NumericalError, match=r"M\^2\(s\^2\)"):
+            state_norm(label, exponential, 24)
+        with pytest.raises(NumericalError, match=r"M\^2\(s\^2\)"):
+            hydrogen_cs(label, exponential, 24)
 
 
 class TestEvolution:

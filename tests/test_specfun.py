@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import sph_harm_y
+from scipy.interpolate import PchipInterpolator
+from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import roots_laguerre, roots_legendre, sph_harm_y
 
 from hcs.errors import ConfigurationError
 from hcs.specfun import (
@@ -14,7 +16,9 @@ from hcs.specfun import (
     confluent_polynomial,
     exp_decay_rule,
     log_factorial,
+    logsumexp,
     make_quadrature,
+    pchip,
     radial_eigenfunction,
     radial_eigenfunction_deriv,
     radial_normalization,
@@ -344,3 +348,117 @@ class TestMakeQuadrature:
             make_quadrature("chebyshev", 4)
         with pytest.raises(ConfigurationError):
             make_quadrature("laguerre", 4, period=1.0)
+
+    def test_rules_are_shared_and_read_only(self):
+        first, second = make_quadrature("laguerre", 96), make_quadrature("laguerre", 96)
+        assert first.nodes is second.nodes
+        r, w = exp_decay_rule(1.0, 96)
+        assert np.array_equal(r, first.nodes)
+        assert np.array_equal(w * np.exp(-r), first.weights)
+        with pytest.raises(ValueError):
+            first.nodes[0] = 0.0
+        with pytest.raises(ConfigurationError):
+            exp_decay_rule(1.0, 129)
+
+
+def _mp_gauss_rule(kind, m, start):
+    """40-digit Gauss rule by Newton from the float nodes ``start``.
+
+    Returns the nodes and w (Legendre) or w e^x (Laguerre), from the
+    three-term recurrence evaluated in mpmath.
+    """
+    with mp.workdps(45):
+        nodes, weights = [], []
+        for x in start:
+            x = mp.mpf(float(x))
+            for step in range(4):
+                prev, cur = mp.mpf(1), (x if kind == "legendre" else 1 - x)
+                for k in range(1, m):
+                    factor = (2 * k + 1) * x if kind == "legendre" else 2 * k + 1 - x
+                    prev, cur = cur, (factor * cur - k * prev) / (k + 1)
+                if step == 3:
+                    break
+                if kind == "legendre":
+                    x -= cur * (x * x - 1) / (m * (x * cur - prev))
+                else:
+                    x -= x * cur / (m * (cur - prev))
+            nodes.append(x)
+            if kind == "legendre":
+                weights.append(2 * (1 - x * x) / (m * prev) ** 2)
+            else:
+                weights.append(x * mp.exp(x) / (m * prev) ** 2)
+        return nodes, weights
+
+
+def _rule_errors(kind, nodes, weights, ref_nodes, ref_weights):
+    """(node error, max relative weight error); Laguerre node errors are relative."""
+    node_err = weight_err = 0.0
+    for x, w, rx, rw in zip(nodes, weights, ref_nodes, ref_weights):
+        dx = abs(mp.mpf(float(x)) - rx)
+        node_err = max(node_err, float(dx if kind == "legendre" else dx / rx))
+        weight_err = max(weight_err, float(abs(mp.mpf(float(w)) - rw) / rw))
+    return node_err, weight_err
+
+
+class TestGaussRuleOracle:
+    """Node and weight errors against 40-digit rules, no worse than scipy's at the same m."""
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 65, 129])
+    def test_legendre(self, m):
+        sx, sw = roots_legendre(m)
+        ref = _mp_gauss_rule("legendre", m, sx)
+        rule = make_quadrature("legendre", m)
+        ours = _rule_errors("legendre", rule.nodes, rule.weights, *ref)
+        theirs = _rule_errors("legendre", sx, sw, *ref)
+        assert ours[0] <= theirs[0] and ours[1] <= theirs[1], (ours, theirs)
+
+    @pytest.mark.parametrize("m", [1, 2, 16, 64, 96, 128])
+    def test_laguerre_scaled_weights(self, m):
+        sx, sw = roots_laguerre(m)
+        ref = _mp_gauss_rule("laguerre", m, sx)
+        x, scaled = exp_decay_rule(1.0, m)
+        ours = _rule_errors("laguerre", x, scaled, *ref)
+        theirs = _rule_errors("laguerre", sx, [mp.mpf(float(w)) * mp.exp(float(v)) for v, w in zip(sx, sw)], *ref)
+        assert ours[0] <= theirs[0] and ours[1] <= theirs[1], (ours, theirs)
+
+
+class TestPchip:
+    TABLES = {
+        "monotone": (np.array([0.0, 0.3, 1.1, 1.2, 2.5, 4.0, 7.5]), np.array([0.0, 0.1, 0.9, 0.95, 2.0, 2.0, 5.0])),
+        "non-monotone": (np.array([0.0, 0.5, 0.7, 1.6, 2.0, 3.1, 3.3, 5.0]), np.array([1.0, 3.0, -1.0, -0.5, 2.0, 2.0, 0.1, 4.0])),
+        "decaying": (np.linspace(0.0, 60.0, 600), np.exp(-np.linspace(0.0, 60.0, 600))),
+        "two points": (np.array([1.0, 3.0]), np.array([2.0, -1.0])),
+        "steep ends": (np.array([0.0, 1.0, 1.1, 3.0, 3.05]), np.array([0.0, 5.0, 5.2, -3.0, -2.0])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_matches_scipy(self, name):
+        x, y = self.TABLES[name]
+        u = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 997)])
+        ours = pchip(x, y)(u)
+        theirs = PchipInterpolator(x, y, extrapolate=False)(u)
+        inside = (u >= x[0]) & (u <= x[-1])
+        assert np.array_equal(np.isnan(ours), ~inside)
+        assert np.array_equal(np.isnan(theirs), ~inside)
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(ours[inside] - theirs[inside])) <= 1e-14 * scale
+        assert np.array_equal(pchip(x, y)(x[:-1]), y[:-1])  # each cubic starts at its knot value
+
+
+class TestLogsumexp:
+    ROWS = np.array(
+        [
+            [0.5, -1.0, 3.0, 3.0, -np.inf],
+            [-np.inf] * 5,
+            [-700.0, -745.0, -800.0, -np.inf, -710.0],
+            [1e3, 2.0, -np.inf, 1e3 - 1e-9, 0.0],
+        ]
+    )
+
+    @pytest.mark.parametrize("rows", [ROWS, ROWS[1:2], ROWS[2:]])
+    def test_matches_scipy(self, rows):
+        for axis in (None, 1):
+            ours = logsumexp(rows, axis=axis)
+            theirs = scipy_logsumexp(rows, axis=axis)
+            np.testing.assert_allclose(ours, theirs, rtol=1e-15, atol=0)
+        assert np.isneginf(logsumexp(self.ROWS, axis=1)[1])

@@ -142,8 +142,7 @@ class TestValidateFamily:
         fam = WeightFamily(
             "skewed",
             rho=lambda u: np.exp(-np.asarray(u, dtype=float)),
-            moment_closed=lambda n: float(math.factorial(n)),
-            log_moment_closed=lambda n: math.lgamma(n + 1),
+            factorial_moment=lambda n: n,
             m_squared_closed=lambda u: np.exp(-1.5 * np.asarray(u, dtype=float)),
             k_closed=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         )
