@@ -55,7 +55,6 @@ from .specfun import (
     log_factorial,
     make_quadrature,
     radial_eigenfunction,
-    radial_normalization,
     spherical_harmonic,
     sqrt_binomial_weight,
 )

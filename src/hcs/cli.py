@@ -255,12 +255,10 @@ def _checks_angular(cfg, family, rng):
 def _checks_shell_norms(cfg, family, rng):
     worst = 0.0
     for n in range(min(cfg.n_max, 6) + 1):
-        target = (n + 1) ** 2
-        for _ in range(100):
-            ob = angular.EulerAngles(
-                rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
-            )
-            worst = max(worst, abs(angular.shell_norm_squared(n, ob) - target))
+        # the same numbers, in the same order, as 100 scalar (theta, phi, psi) draws
+        labels = rng.uniform(low=(0.0, 0.0, 0.0), high=(math.pi, 2 * math.pi, 2 * math.pi), size=(100, 3))
+        norms = np.sum(np.abs(angular._channel_coefficients(n, *labels.T)) ** 2, axis=0)
+        worst = max(worst, float(np.max(np.abs(norms - (n + 1) ** 2))))
     return [CheckResult.at_most("shell-norms", worst, 1e-12, "100 random labels per shell")]
 
 

@@ -9,6 +9,7 @@ incoherently after the exact angular integral.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .angular import EulerAngles, _channels, angular_cs, channel_index
+from .errors import NumericalError
 from .fock1d import Spectrum
 from .hydrogen import HydrogenExpansion, shell_offset
 from .specfun import (
@@ -84,19 +86,23 @@ def eval_angular_cs_position(n: int, omega_bar: EulerAngles, r, theta, phi):
     return out
 
 
+def _channel_blocks(x: HydrogenExpansion):
+    """(l, channel slice, coefficients (shell, m) of shells n >= l) for every l."""
+    for l in range(x.n_max + 1):
+        lo, hi = channel_index(l, -l), channel_index(l, l) + 1
+        starts = [shell_offset(n) + lo for n in range(l, x.n_max + 1)]
+        yield l, slice(lo, hi), x.coeffs[np.add.outer(starts, np.arange(hi - lo))]
+
+
 def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
     """g[..., ch, :] = sum_n coeff(n, ch) table[..., n, l, :] over shells n >= l.
 
     ``table`` is a radial table (or a stack of them) of shape (..., shell,
     l, r) from radial_table; each l block is one matmul over shells.
     """
-    n_max = x.n_max
-    g = np.empty(table.shape[:-3] + ((n_max + 1) ** 2, table.shape[-1]), dtype=complex)
-    for l in range(n_max + 1):
-        lo, hi = channel_index(l, -l), channel_index(l, l) + 1
-        starts = [shell_offset(n) + lo for n in range(l, n_max + 1)]
-        coeffs = x.coeffs[np.add.outer(starts, np.arange(hi - lo))]  # (shell, m)
-        g[..., lo:hi, :] = coeffs.T @ table[..., l:, l, :]
+    g = np.empty(table.shape[:-3] + ((x.n_max + 1) ** 2, table.shape[-1]), dtype=complex)
+    for l, channels, coeffs in _channel_blocks(x):
+        g[..., channels, :] = coeffs.T @ table[..., l:, l, :]
     return g
 
 
@@ -115,31 +121,62 @@ def eval_hydrogen_cs_position(x: HydrogenExpansion, r, theta, phi):
     return out
 
 
-def _radial_rule(x: HydrogenExpansion, radial_nodes: int):
-    # decay rate of the slowest basis function present
-    return exp_decay_rule(2.0 / (x.n_max + 1.0), radial_nodes)
+@functools.lru_cache(maxsize=8)
+def _radial_operators(n_max: int, top: int = 2) -> tuple[np.ndarray, ...]:
+    """Exact radial operator tables O[l][t, n - l, n' - l], shells n, n' >= l, per (n_max, top).
+
+    t <= top + 2: int u_n^l u_n'^l r^t dr, the table of <r^(t-2)>; then
+    int h_n h'_n' dr and int h'_n h'_n' dr, h = r u.  Shell pair (n, n') has
+    its own Gauss-Laguerre rule, decay 1/(n+1) + 1/(n'+1) and
+    ceil((n+n'+3+top)/2) nodes: exact for polynomials of degree <= n+n'+2+top
+    times that exponential.  The radial equation h'' = (l(l+1)/r^2 - 2/r +
+    1/N^2) h, N = n+1, gives int h'_n h'_n' = -int h_n h''_n', and the
+    commutator h' = -[H, r] h gives int h_n h'_n' = (E_n' - E_n) int h_n r h_n'
+    with E = -1/(2N^2).  The rules do not depend on l, so each channel samples
+    every shell at its pairs' nodes in one recurrence.  Each u is rescaled to
+    the unit norm its own rule measures, which drops the ~1e-13 scale error
+    of the log-space normalization.  Shared, so read-only.
+    """
+    # pairs n <= n' by descending n, so the pairs of channel l are a prefix
+    pairs = np.array([(a, b) for a in range(n_max, -1, -1) for b in range(a, n_max + 1)])
+    rules = [exp_decay_rule(1.0 / (a + 1) + 1.0 / (b + 1), (a + b + 4 + top) // 2) for a, b in pairs.tolist()]
+    sizes = np.array([r.size for r, _ in rules])
+    ends = np.cumsum(sizes)
+    radius, weight = (np.concatenate(part) for part in zip(*rules))
+    shells = np.concatenate(np.repeat(pairs, sizes, axis=0).T)  # each node for its lower, then its upper shell
+    order = np.argsort(-shells, kind="stable")  # the recurrence takes shells descending
+    u = np.empty(shells.size)
+    tables = []
+    for l in range(n_max + 1):
+        count = (n_max + 1 - l) * (n_max + 2 - l) // 2  # pairs of shells >= l
+        nodes = ends[count - 1]
+        pick = order[order % radius.size < nodes]
+        u[pick] = _radial_shell(shells[pick], np.array([l]), radius[pick % radius.size, None], False)[:, 0]
+        products = weight[:nodes] * u[:nodes] * u[radius.size : radius.size + nodes]  # w u_n u_n' per node
+        terms = products * radius[:nodes] ** np.arange(top + 3)[:, None]
+        inv_sq = 1.0 / np.arange(l + 1, n_max + 2) ** 2
+        table = np.empty((top + 5, inv_sq.size, inv_sq.size))
+        a, b = pairs[:count].T - l
+        table[: top + 3, a, b] = np.add.reduceat(terms, ends[:count] - sizes[:count], axis=1)
+        table[: top + 3, b, a] = table[: top + 3, a, b]
+        norm = np.sqrt(np.diagonal(table[2]))
+        table[: top + 3] /= np.multiply.outer(norm, norm)
+        table[-2] = 0.5 * np.subtract.outer(inv_sq, inv_sq) * table[3]
+        table[-1] = 2.0 * table[1] - l * (l + 1) * table[0] - 0.5 * np.add.outer(inv_sq, inv_sq) * table[2]
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
-def _radial_samples(x: HydrogenExpansion, radial_nodes: int):
-    """(r, w, g, g') at the radial rule nodes: channel sums and their r-derivatives."""
-    r, w = _radial_rule(x, radial_nodes)
-    g, gp = _channel_radial_sums(x, radial_table(x.n_max, r))
-    return r, w, g, gp
-
-
-def _r_moment(r, w, g, power: int) -> float:
-    density = np.sum(np.abs(g) ** 2, axis=0)
-    norm_sq = float(np.dot(w, density * r * r))
-    return float(np.dot(w, density * r ** (2 + power))) / norm_sq
-
-
-def _p_moments(r, w, g, gp) -> tuple[float, float]:
-    h = g * r[None, :]
-    hp = g + gp * r[None, :]
-    norm_sq = float(np.dot(w, np.sum(np.abs(h) ** 2, axis=0)))
-    p_sq = float(np.dot(w, np.sum(np.abs(hp) ** 2, axis=0))) / norm_sq
-    p_mean = float(np.dot(w, np.sum(np.imag(np.conj(h) * hp), axis=0))) / norm_sq
-    return p_mean, p_sq
+def _normalized_forms(x: HydrogenExpansion, top: int = 2) -> np.ndarray:
+    """sum over channels of c^H O c for each table O, over the r^0 form (c: the channel's shells)."""
+    tables = _radial_operators(x.n_max, top)
+    forms = 0.0
+    for l, _, coeffs in _channel_blocks(x):
+        forms = forms + np.einsum("sm,tsm->t", coeffs.conj(), tables[l] @ coeffs)
+    if not forms[2].real > 0:
+        raise ValueError("radial moments need a state with a nonzero norm")
+    return forms / forms[2].real
 
 
 def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> float:
@@ -148,54 +185,50 @@ def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> flo
     Radial Gauss-Laguerre with substitution matched to the slowest decay,
     Gauss-Legendre in cos(theta), uniform azimuth rule at the trig-
     polynomial exactness threshold.  Independent of the coefficient-space
-    norm, which it must reproduce.
+    norm, which it must reproduce to 1e-8 relative: the radial error is
+    estimated against a rule with 32 more nodes (32 fewer above 96), and a
+    larger estimate raises ``NumericalError``.
     """
-    r, wr = _radial_rule(x, radial_nodes)
-    l_max = x.n_max
-    x_rule = make_quadrature("legendre", l_max + 1)
-    theta = np.arccos(x_rule.nodes)
-    n_phi = 2 * l_max + 1
-    phi = make_quadrature("trapezoid", n_phi).nodes
-
-    tb = np.repeat(theta, n_phi)
-    pb = np.tile(phi, theta.size)
+    x_rule = make_quadrature("legendre", x.n_max + 1)
+    n_phi = 2 * x.n_max + 1
+    tb = np.repeat(np.arccos(x_rule.nodes), n_phi)
+    pb = np.tile(make_quadrature("trapezoid", n_phi).nodes, x_rule.nodes.size)
     w_ang = np.repeat(x_rule.weights, n_phi) * (2.0 * math.pi / n_phi)
+    ylm = spherical_harmonic_table(x.n_max, tb, pb)
 
-    g = _channel_radial_sums(x, radial_table(l_max, r)[0])
-    ylm = spherical_harmonic_table(l_max, tb, pb)
-    psi = g.T @ ylm  # (n_r, n_ang)
-    return float(np.einsum("r,a,ra->", wr * r * r, w_ang, np.abs(psi) ** 2))
+    values = []
+    for nodes in (radial_nodes, radial_nodes + 32 if radial_nodes <= 96 else radial_nodes - 32):
+        r, wr = exp_decay_rule(2.0 / (x.n_max + 1.0), nodes)  # the slowest decay present
+        psi = _channel_radial_sums(x, radial_table(x.n_max, r)[0]).T @ ylm  # (n_r, n_ang)
+        values.append(float(np.einsum("r,a,ra->", wr * r * r, w_ang, np.abs(psi) ** 2)))
+    error = abs(values[0] - values[1])
+    if not error <= 1e-8 * values[0]:
+        raise NumericalError(f"radial rule of {radial_nodes} nodes: norm error {error:.2g} of {values[0]:.6g}")
+    return values[0]
 
 
-def radial_expectation(x: HydrogenExpansion, power: int, radial_nodes: int = 96) -> float:
-    """Normalized radial moment <r^power> for power >= -1.
-
-    The angular integral is exact by orthonormality, leaving the channel
-    density sum_ch |g_ch(r)|^2 against r^(2+power) dr.
-    """
+def radial_expectation(x: HydrogenExpansion, power: int) -> float:
+    """Normalized radial moment <r^power> for power >= -1: a quadratic form per channel."""
     if power < -1 or power != int(power):
         raise ValueError(f"power must be an integer >= -1, got {power}")
-    r, w, g, _ = _radial_samples(x, radial_nodes)
-    return _r_moment(r, w, g, int(power))
+    return float(_normalized_forms(x, max(int(power), 2))[int(power) + 2].real)
 
 
-def radial_momentum_moments(x: HydrogenExpansion, radial_nodes: int = 96) -> tuple[float, float]:
+def radial_momentum_moments(x: HydrogenExpansion) -> tuple[float, float]:
     """(<p_r>, <p_r^2>) for the self-adjoint radial momentum -i(d/dr + 1/r).
 
     With h_ch = r g_ch, <p_r^2> = sum_ch int |h_ch'|^2 dr and <p_r> =
-    sum_ch int Im(conj(h_ch) h_ch') dr, normalized; h' comes from the
-    analytic derivative of the radial eigenfunctions, not finite
-    differences.
+    sum_ch int Im(conj(h_ch) h_ch') dr, normalized: forms of the momentum tables.
     """
-    return _p_moments(*_radial_samples(x, radial_nodes))
+    forms = _normalized_forms(x)
+    return float(forms[-2].imag), float(forms[-1].real)
 
 
-def radial_uncertainty_product(x: HydrogenExpansion, radial_nodes: int = 96) -> float:
+def radial_uncertainty_product(x: HydrogenExpansion) -> float:
     """Var(r) * Var(p_r); dimensionless, bounded below by 1/4."""
-    r, w, g, gp = _radial_samples(x, radial_nodes)
-    r_mean, r_sq = _r_moment(r, w, g, 1), _r_moment(r, w, g, 2)
-    p_mean, p_sq = _p_moments(r, w, g, gp)
-    return (r_sq - r_mean**2) * (p_sq - p_mean**2)
+    forms = _normalized_forms(x)
+    r_mean, r_sq, p_mean, p_sq = forms[3].real, forms[4].real, forms[-2].imag, forms[-1].real
+    return float((r_sq - r_mean**2) * (p_sq - p_mean**2))
 
 
 def export_density_grid(

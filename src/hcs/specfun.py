@@ -25,7 +25,6 @@ __all__ = [
     "spherical_harmonic",
     "spherical_harmonic_table",
     "confluent_polynomial",
-    "radial_normalization",
     "radial_eigenfunction",
     "radial_eigenfunction_deriv",
     "radial_table",
@@ -162,30 +161,35 @@ def _check_shell(n: int, l: int) -> None:
         raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
 
 
-def _laguerre(n: int, l: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Scaled Laguerre values P and dP/dz for shell n and ascending l.
+def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray, derivative: bool = True) -> np.ndarray:
+    """Scaled Laguerre values P and dP/dz for rows of non-increasing degree k.
 
-    P = L_k^(a)(z) / sqrt(C(k+a, k)) with k = n - l and a = 2l + 1, from the
-    three-term recurrence in degree (DLMF 18.9.1) in its symmetric form
-    b_j P_j = (2j-1+a-z) P_{j-1} - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)), and
-    its z-derivative.  The scaling keeps P in double range for large n; no
-    step divides by z.  Returns (P, dP/dz) stacked, shape (2, len(l), len(z)).
+    P = L_k^(a)(z) / sqrt(C(k+a, k)), from the three-term recurrence in
+    degree (DLMF 18.9.1) in its symmetric form b_j P_j = (2j-1+a-z) P_{j-1}
+    - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)), and its z-derivative.  The
+    scaling keeps P in double range for large degrees; no step divides by z.
+    a is per row or one value; z is shared (points,) or per row (rows,
+    points).  Returns shape (2, rows, points), or (1, ...) with P alone.
     """
-    a = 2.0 * l[:, None] + 1.0
-    j = np.arange(n - int(l[0]) + 2)
+    a = np.asarray(a, dtype=float)[:, None]
+    j = np.arange(int(k[0]) + 2)
     b = np.sqrt(j * (j + a))  # b[:, j] = b_j
     c = 2.0 * j - 1.0 + a  # c[:, j] - z multiplies P_{j-1}
-    # l ascending, so the rows of degree >= j are a prefix; rows of degree j
-    # are [live[j+1], live[j]) and are read off after step j
-    live = np.searchsorted(l, n - j, side="right")
-    out = np.zeros((2, l.size, z.size))  # (P, dP/dz)
+    # degrees do not increase, so the rows of degree >= j are a prefix; rows
+    # of degree j are [live[j+1], live[j]) and are read off after step j
+    live = np.searchsorted(-k, -j, side="right")
+    z = np.broadcast_to(z, k.shape + z.shape[-1:])
+    out = np.zeros((1 + derivative,) + z.shape)  # (P, dP/dz)
     out[0] = 1.0
     q_prev, q = np.zeros_like(out), out
     for i in range(1, j.size - 1):
         m, done = live[i], live[i + 1]
-        q_next = (c[:m, i, None] - z) * q[:, :m] - b[:m, i - 1, None] * q_prev[:, :m]
-        q_next[1] -= q[0, :m]
-        q_prev, q = q[:, :m], q_next / b[:m, i, None]
+        q_next = (c[:m, i, None] - z[:m]) * q[:, :m]
+        q_next -= b[:m, i - 1, None] * q_prev[:, :m]
+        if derivative:
+            q_next[1] -= q[0, :m]
+        q_next /= b[:m, i, None]
+        q_prev, q = q[:, :m], q_next
         out[:, done:m] = q[:, done:]
     return out
 
@@ -198,8 +202,8 @@ def confluent_polynomial(n: int, l: int, z):
     """
     _check_shell(n, l)
     z = np.asarray(z, dtype=float)
-    p, _ = _laguerre(n, np.array([l]), z.ravel())
     k, a = n - l, 2 * l + 1
+    p, _ = _laguerre(np.array([k]), np.array([a]), z.ravel())
     scale = math.exp(0.5 * (math.lgamma(k + 1) + math.lgamma(a + 1) - math.lgamma(k + a + 1)))
     out = (scale * p[0]).reshape(z.shape)
     if out.shape == ():
@@ -207,40 +211,35 @@ def confluent_polynomial(n: int, l: int, z):
     return out
 
 
-def radial_normalization(n: int, l: int) -> float:
-    """Normalization constant of the bound-state radial eigenfunction.
-
-    Equals [1/(2l+1)!] sqrt((n+l+1)! / (2(n+1)(n-l)!)) (2/(n+1))^(3/2),
-    assembled in log space.
-    """
-    _check_shell(n, l)
-    lg = (
-        -log_factorial(2 * l + 1)
-        + 0.5 * (log_factorial(n + l + 1) - math.log(2.0 * (n + 1)) - log_factorial(n - l))
-        + 1.5 * math.log(2.0 / (n + 1))
-    )
-    return math.exp(lg)
-
-
-def _radial_shell(n: int, l: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """u_n^l(r) and du/dr for shell n, ascending l and a vector of r >= 0.
+def _radial_shell(n: int | np.ndarray, l: np.ndarray, r: np.ndarray, derivative: bool = True) -> np.ndarray:
+    """u_n^l(r) and du/dr for rows (n, l) and radii r >= 0.
 
     u = N k!/(a+1)_k z^l e^{-z/2} L_k^(a)(z) with z = 2r/(n+1); the prefactor
     of the scaled Laguerre value P is sqrt(1/(2(n+1)(2l+1)!)) (2/(n+1))^(3/2)
     z^l e^{-z/2}, assembled in log space, so neither z^l nor (2l+1)! has to
-    be representable on its own.  Returns (u, du/dr) stacked, shape
-    (2, len(l), len(r)).
+    be representable on its own.  ``n`` is one shell with ascending ``l``,
+    or a shell per row with one ``l``, so that n - l does not increase down
+    the rows; ``r`` is shared (points,) or per row (rows, points).  Returns
+    shape (2, rows, points) with du/dr, or u alone as (rows, points).
     """
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    z = 2.0 * r / (n + 1)
-    p, dp = _laguerre(n, l, z)
+    shell = np.asarray(n)[..., None]  # (1,) for one shell, (rows, 1) per row
+    z = 2.0 * r / (shell + 1)
+    p = _laguerre(np.asarray(n) - l, 2.0 * l + 1.0, z, derivative)
     col = l[:, None]
     log_fact = np.array([log_factorial(2 * k + 1) for k in l.tolist()])[:, None]
-    base = 1.5 * math.log(2.0 / (n + 1)) - 0.5 * (math.log(2.0 * (n + 1)) + log_fact + z)
+    # math.log per shell, looked up per row: the bits of the one-shell path
+    shells = range(int(shell.max()) + 1)
+    lead = np.array([1.5 * math.log(2.0 / (s + 1)) for s in shells])[shell]
+    half = np.array([math.log(2.0 * (s + 1)) for s in shells])[shell]
+    base = lead - 0.5 * (half + log_fact + z)
     s0 = np.exp(base + _xlogy(col, z))  # prefactor of P
+    if not derivative:
+        return s0 * p[0]
+    p, dp = p
     s1 = col * np.exp(base + _xlogy(np.maximum(col - 1, 0), z))  # l z^(l-1) part of its z-derivative
-    return np.stack((s0 * p, (s1 * p + s0 * (dp - 0.5 * p)) * (2.0 / (n + 1))))
+    return np.stack((s0 * p, (s1 * p + s0 * (dp - 0.5 * p)) * (2.0 / (shell + 1))))
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -66,6 +66,34 @@ class TestVerify:
         assert main(["verify", "--out", str(b), "--seed", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_shell_norm_labels_are_the_scalar_draws(self, monkeypatch):
+        from hcs import angular, cli
+
+        seen = []
+        coefficients = angular._channel_coefficients
+
+        def record(n, *angles):
+            seen.append(np.stack(angles, axis=1))
+            return coefficients(n, *angles)
+
+        monkeypatch.setattr(angular, "_channel_coefficients", record)
+        cfg = _build_config("verify", {}, {})
+        cli._checks_shell_norms(cfg, None, np.random.default_rng([0, 4]))
+        rng = np.random.default_rng([0, 4])
+        assert len(seen) == 7
+        for labels in seen:
+            scalar = [
+                [rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)]
+                for _ in range(100)
+            ]
+            assert labels.tobytes() == np.array(scalar).tobytes()
+
+    def test_coarse_radial_rule_is_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"radial_nodes": 12}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 3
+        assert "radial rule of 12 nodes" in capsys.readouterr().err
+
     def test_corrupted_moments_fail_named(self, tmp_path):
         family = tmp_path / "corrupt.json"
         _write_corrupt_family(family)

@@ -1,14 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hcs.angular import EulerAngles
+from hcs.errors import NumericalError
 from hcs.cli import write_csv
 from hcs.fock1d import Spectrum
 from hcs import position
-from hcs.hydrogen import HydrogenExpansion, HydrogenLabel, hydrogen_cs, total_dimension
+from hcs.hydrogen import HydrogenExpansion, HydrogenLabel, hydrogen_cs, shell_offset, total_dimension
 from hcs.position import (
     DENSITY_CSV_HEADER,
     GridSpec,
@@ -188,6 +190,12 @@ class TestRadialExpectation:
         with pytest.raises(ValueError):
             radial_expectation(_ground(exponential), -2)
 
+    def test_zero_state_rejected(self, exponential):
+        x = _ground(exponential)
+        zero = HydrogenExpansion(n_max=0, coeffs=0 * x.coeffs, family=exponential, label=GROUND_LABEL)
+        with pytest.raises(ValueError, match="nonzero norm"):
+            radial_uncertainty_product(zero)
+
 
 class TestUncertaintyProduct:
     def test_ground_state_value(self, exponential):
@@ -216,15 +224,135 @@ class TestUncertaintyProduct:
         )
 
 
-def test_radial_table_built_once_per_call(exponential, monkeypatch):
+def test_operator_tables_built_once_per_n_max(exponential, monkeypatch):
     builds = []
     table = position.radial_table
     monkeypatch.setattr(position, "radial_table", lambda *args: builds.append(args[0]) or table(*args))
+    position._radial_operators.cache_clear()
     x = hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 12, check_tail=False)
+    y = hydrogen_cs(HydrogenLabel(0.4, 1.9, EulerAngles(0.3, 2.0, 5.1)), exponential, 12, check_tail=False)
     radial_uncertainty_product(x)
-    assert builds == [12]
+    radial_expectation(y, 1)
+    radial_momentum_moments(y)
+    assert position._radial_operators.cache_info().misses == 1
+    radial_uncertainty_product(hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 10, check_tail=False))
+    assert position._radial_operators.cache_info().misses == 2
+    # the moments never sample wavefunctions; the export builds its table once per call
+    assert builds == []
     export_density_grid(x, GridSpec((0.5, 2.0), (1.2,), (0.3,)), [0.0, 1.0, 2.5])
-    assert builds == [12, 12]
+    assert builds == [12]
+
+
+def _mpmath_pair_integrals(l, a, b):
+    """int u_a u_b r^3, int u_a u_b r^4, int h_a h_b' and int h_a' h_b' (h = r u) by 40-digit mpmath.quad."""
+    with mp.workdps(40):
+
+        def shell(n):
+            k = n - l
+            norm = mp.sqrt((mp.mpf(2) / (n + 1)) ** 3 * mp.factorial(k) / (2 * (n + 1) * mp.factorial(n + l + 1)))
+
+            def h_and_derivative(r):
+                rho = 2 * r / (n + 1)
+                lag = mp.laguerre(k, 2 * l + 1, rho)
+                dlag = -mp.laguerre(k - 1, 2 * l + 2, rho) if k else 0  # d/drho L_k^(a) = -L_{k-1}^(a+1)
+                u = norm * rho**l * mp.exp(-rho / 2) * lag
+                du_drho = norm * mp.exp(-rho / 2) * (l * rho ** (l - 1) * lag if l else 0)
+                du_drho += norm * mp.exp(-rho / 2) * rho**l * (dlag - lag / 2)
+                return r * u, u + r * du_drho * 2 / (n + 1)
+
+            return h_and_derivative
+
+        ha, hb = shell(a), shell(b)
+        cache = {}
+
+        def samples(r):  # every integrand runs on the same quadrature nodes
+            if r not in cache:
+                cache[r] = ha(r) + hb(r)
+            return cache[r]
+
+        scale = 1 / (mp.mpf(1) / (a + 1) + mp.mpf(1) / (b + 1))
+        points = [0, 10 * scale, 40 * scale, 150 * scale, mp.inf]
+        integrands = (
+            lambda r: samples(r)[0] * samples(r)[2] * r,
+            lambda r: samples(r)[0] * samples(r)[2] * r * r,
+            lambda r: samples(r)[0] * samples(r)[3],
+            lambda r: samples(r)[1] * samples(r)[3],
+        )
+        return [float(mp.quad(f, points)) for f in integrands]
+
+
+class TestRadialOperators:
+    def test_closed_form_moments(self):
+        # Bethe & Salpeter (1957), section 3, with N = n + 1; <1/r> = 1/N^2 and
+        # <p_r^2> = 1/N^2 - l(l+1) <1/r^2> from the virial theorem
+        tables = position._radial_operators(40)
+        for l, table in enumerate(tables):
+            big_n = np.arange(l + 1, 42.0)
+            ell = l * (l + 1)
+            for t, closed in (
+                (1, 1 / big_n**2),
+                (3, (3 * big_n**2 - ell) / 2),
+                (4, big_n**2 * (5 * big_n**2 + 1 - 3 * ell) / 2),
+                (-1, 1 / big_n**2 - ell / (big_n**3 * (l + 0.5))),
+            ):
+                assert np.allclose(np.diagonal(table[t]), closed, rtol=1e-12, atol=0), (l, t)
+
+    def test_norm_table_is_identity_at_n_max_48(self):
+        for table in position._radial_operators(48):
+            assert np.max(np.abs(table[2] - np.eye(table.shape[1]))) <= 1e-13
+
+    def test_tables_are_read_only(self):
+        table = position._radial_operators(3)[0]
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("l,a,b", [(0, 0, 48), (2, 7, 12), (10, 30, 31)])
+    def test_off_diagonal_pairs_match_mpmath(self, l, a, b):
+        table = position._radial_operators(48)[l]
+        got = [table[t, a - l, b - l] for t in (3, 4, -2, -1)]
+        for value, reference in zip(got, _mpmath_pair_integrals(l, a, b)):
+            assert value == pytest.approx(reference, rel=1e-12)
+
+    def test_momentum_tables_are_antisymmetric_and_symmetric(self):
+        for table in position._radial_operators(12):
+            assert np.array_equal(table[-2], -table[-2].T)
+            assert np.array_equal(table[-1], table[-1].T)
+
+    @pytest.mark.parametrize("n,l", [(0, 0), (13, 4), (30, 29), (47, 21), (48, 48)])
+    def test_eigenstate_moments_at_n_max_48(self, exponential, n, l):
+        coeffs = np.zeros(total_dimension(48), dtype=complex)
+        coeffs[shell_offset(n) + l * l + l] = 0.6 - 0.8j
+        x = HydrogenExpansion(n_max=48, coeffs=coeffs, family=exponential, label=GROUND_LABEL)
+        big_n, ell = n + 1, l * (l + 1)
+        r_mean = (3 * big_n**2 - ell) / 2
+        r_sq = big_n**2 * (5 * big_n**2 + 1 - 3 * ell) / 2
+        p_sq = 1 / big_n**2 - ell / (big_n**3 * (l + 0.5))
+        assert radial_expectation(x, 1) == pytest.approx(r_mean, rel=1e-12)
+        assert radial_expectation(x, 2) == pytest.approx(r_sq, rel=1e-12)
+        assert radial_momentum_moments(x) == pytest.approx((0.0, p_sq), rel=1e-12, abs=1e-15)
+        assert radial_uncertainty_product(x) == pytest.approx((r_sq - r_mean**2) * p_sq, rel=1e-12)
+
+    def test_product_independent_of_truncation(self, exponential):
+        # 14 is the smallest truncation the tail guard accepts for this state;
+        # at 12 the state itself differs (its shells 13 and 14 are cut off)
+        label = HydrogenLabel(0.5, 0.3, ANGLES)
+        products = [radial_uncertainty_product(hydrogen_cs(label, exponential, n)) for n in (14, 34, 48)]
+        assert products == pytest.approx([products[-1]] * 3, rel=1e-10)
+
+
+class TestQuadratureNormContract:
+    def test_meets_parseval_or_raises(self, exponential):
+        x = hydrogen_cs(HydrogenLabel(2.0, 0.3, ANGLES), exponential, 34, check_tail=False)
+        try:
+            value = quadrature_norm_squared(x)
+        except NumericalError:
+            return
+        assert abs(value - x.norm_squared()) <= 1e-8 * x.norm_squared()
+
+    def test_coarse_rule_raises(self, exponential):
+        x = hydrogen_cs(HydrogenLabel(1.0, 0.4, ANGLES), exponential, 8, check_tail=False)
+        with pytest.raises(NumericalError, match="norm error"):
+            quadrature_norm_squared(x, radial_nodes=12)
 
 
 class TestExportDensityGrid:

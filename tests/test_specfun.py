@@ -21,7 +21,6 @@ from hcs.specfun import (
     pchip,
     radial_eigenfunction,
     radial_eigenfunction_deriv,
-    radial_normalization,
     radial_table,
     spherical_harmonic,
     spherical_harmonic_table,
@@ -195,9 +194,10 @@ class TestConfluentPolynomial:
 
 class TestRadialEigenfunction:
     def test_normalization_values(self):
-        assert radial_normalization(0, 0) == pytest.approx(2.0, rel=1e-14)
-        assert radial_normalization(1, 0) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
-        assert radial_normalization(1, 1) == pytest.approx(0.20412414523193151, rel=1e-13)
+        # the normalization constant N is u(0) for l = 0 and du/dr(0) for (n, l) = (1, 1)
+        assert radial_eigenfunction(0, 0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert radial_eigenfunction(1, 0, 0.0) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+        assert radial_eigenfunction_deriv(1, 1, 0.0) == pytest.approx(0.20412414523193151, rel=1e-13)
 
     def test_ground_state_origin(self):
         assert radial_eigenfunction(0, 0, 0.0) == pytest.approx(2.0, abs=1e-12)
