@@ -13,6 +13,7 @@ results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,6 +54,17 @@ _CONFIG_KEYS = {
 }
 
 _NUMBER_FIELDS = ("s", "gamma", "theta_bar", "phi_bar", "psi_bar", "omega", "gamma_window")
+
+# a run whose largest arrays (estimated_bytes) would pass this is refused
+# before any math: 2 GiB admits verify up to n_max 80
+MEMORY_BUDGET_BYTES = 2 * 2**30
+# eval and evolve refuse phases gamma + omega t whose roundoff, eps times
+# the phase, passes this many radians: they carry no usable digits
+PHASE_ACCURACY_RAD = 1e-6
+# an evolve row fails when its stability residual passes this many eps per
+# radian of max(1, |gamma + omega t|); measured ratios stay below 0.56
+RESIDUAL_EPS_PER_RAD = 4.0
+_EPS = sys.float_info.epsilon
 
 _DEFAULT_N_MAX = {"verify": 8, "moments": 12, "eval": 24, "evolve": 24}
 _DEFAULT_OUT = {
@@ -177,9 +189,39 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
                     f"{name} = {value} below the exactness threshold {threshold} "
                     f"for the configured n_max"
                 )
+    if command in ("eval", "evolve") and numbers_ok["gamma"] and numbers_ok["omega"]:
+        drift = max(abs(cfg.omega * t) for t in cfg.times)
+        phase = max(abs(cfg.gamma + cfg.omega * t) for t in cfg.times)
+        if _EPS * phase > PHASE_ACCURACY_RAD:
+            name = "gamma" if abs(cfg.gamma) >= drift else "omega"
+            errors.append(
+                f"{name} too large: the phase gamma + omega t reaches {phase:.3g} rad, whose "
+                f"roundoff {_EPS * phase:.2g} rad passes the {PHASE_ACCURACY_RAD:g} rad phase accuracy"
+            )
+    if not errors and estimated_bytes(cfg) > MEMORY_BUDGET_BYTES:
+        errors.append(
+            f"run too large: its largest arrays need about {estimated_bytes(cfg) / 2**30:.2f} GiB, "
+            f"past the memory budget of {MEMORY_BUDGET_BYTES / 2**30:g} GiB"
+        )
     if errors:
         raise ConfigurationError("invalid configuration:\n  " + "\n  ".join(errors))
     return cfg
+
+
+def estimated_bytes(cfg: RunConfig) -> int:
+    """Bytes of a run's largest arrays, from its validated config alone.
+
+    verify: six (n_max+1)^2-square float64 arrays, the angular Gram with its
+    factors and the hydrogen report's block maxima (estimated 817 MiB at
+    n_max 64, where the peak RSS measured 734 MiB).  eval: its rows of 7
+    float64.  eval and evolve: four complex state vectors over all shells.
+    """
+    if cfg.command == "verify":
+        return 6 * 8 * (cfg.n_max + 1) ** 4
+    states = 4 * 16 * hydrogen.total_dimension(cfg.n_max) if cfg.command in ("eval", "evolve") else 0
+    if cfg.command == "eval":
+        return states + 7 * 8 * len(cfg.grid_r) * len(cfg.grid_theta) * len(cfg.grid_phi) * len(cfg.times)
+    return states
 
 
 def _resolve_family(name: str) -> weights.WeightFamily:
@@ -470,17 +512,27 @@ def run_eval(cfg: RunConfig) -> tuple[np.ndarray, int]:
 
 
 def run_evolve(cfg: RunConfig) -> tuple[list, int]:
+    """Trace rows (t, residual, autocorrelation) and the exit code.
+
+    A row whose residual passes RESIDUAL_EPS_PER_RAD eps max(1, |gamma +
+    omega t|) is named on stderr, and the code is 1.
+    """
     family = _resolve_family(cfg.family)
     label = cfg.label()
     state = hydrogen.hydrogen_cs(label, family, cfg.n_max)
     norm_sq = state.norm_squared()
-    rows = []
+    rows, code = [], EXIT_OK
     for t in cfg.times:
         residual = hydrogen.hydrogen_stability_residual(label, family, cfg.omega, t, cfg.n_max)
         evolved = hydrogen.evolve_hydrogen(state, cfg.omega, t)
         auto = complex(np.vdot(state.coeffs, evolved.coeffs)) / norm_sq
         rows.append((float(t), residual, auto.real, auto.imag, abs(auto)))
-    return rows, EXIT_OK
+        bound = RESIDUAL_EPS_PER_RAD * _EPS * max(1.0, abs(cfg.gamma + cfg.omega * t))
+        if not residual <= bound:
+            row = f"evolve: row {len(rows)} (t = {t:g})"
+            print(f"{row}: residual {residual:.3g} above its bound {bound:.3g}", file=sys.stderr)
+            code = EXIT_CHECK_FAILED
+    return rows, code
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -493,27 +545,123 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 # rows per formatting block: large enough to share formatted values, small
-# enough that the block's template and text stay a few hundred kB
+# enough that the block's text stays about 1.4 MB
 _CSV_BLOCK_ROWS = 4096
+# bytes of one value's text: sign, "0.000", 17 (digit, point) pairs, "e",
+# exponent sign and 3 digits, then the "," or CRLF that follows it
+_FIELD = 47
+
+
+@functools.lru_cache(maxsize=None)
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pow10, chunks, masks) of the exact %.17g; built on first use, read-only.
+
+    pow10[300 + j] = (hi, lo), the doubles nearest 10^j and 10^j - hi;
+    chunks[i], the 4-digit text of i as a uint32; masks[17 kind + last], the
+    field of a value whose last nonzero digit is digit ``last`` (255 keeps
+    what is put there, 0 drops it).  Kinds 0-20 are fixed notation at
+    exponent kind - 4, kinds 21 and 22 exponent notation with 2 and 3 digits.
+    """
+    pow10 = np.empty((601, 2))
+    for j in range(-300, 301):
+        num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
+        p, q = (num / den).as_integer_ratio()
+        pow10[j + 300] = num / den, (num * q - p * den) / (den * q)
+    chunks = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+    kind, last, slot = np.ogrid[:23, :17, :17]
+    point = np.where(kind < 21, kind - 4, 0)  # the digit the point follows
+    masks = np.zeros((23, 17, _FIELD), np.uint8)
+    lead = np.frombuffer(b"0.000", np.uint8)  # "0." and the zeros before a small value's digits
+    masks[..., 1:6] = np.where((point < 0) & (np.arange(5) < 1 - point), lead, 0)
+    masks[..., 6:40:2] = np.where(slot <= np.maximum(last, point), 255, 0)
+    masks[..., 7:40:2] = np.where((slot == point) & (point < last), 46, 0)
+    masks[21:, :, 40:45] = 101, 255, 255, 255, 255  # "e", sign, 3 digits
+    masks[21, :, 42] = 0
+    pow10.flags.writeable = masks.flags.writeable = False
+    return pow10, chunks, masks.reshape(-1, _FIELD)
+
+
+def _scaled(x: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(y) as int64 and y - floor(y) for y = x 10^(16-k), good to about 1e-14.
+
+    Dekker's two-product (Numer. Math. 18, 224 (1971)) gives x hi exactly.
+    """
+    hi, lo = pow10[316 - k].T
+    head = x * hi
+    xh, hh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (x, hi))  # high 26 bits
+    xl, hl = x - xh, hi - hh
+    whole = np.floor(head)
+    rest = head - whole + (((xh * hh - head) + xh * hl + xl * hh) + xl * hl + x * lo)
+    step = np.floor(rest)
+    return whole.astype(np.int64) + step.astype(np.int64), rest - step
+
+
+def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, k, certified): |v| rounds half-even to n 10^(k-16), 10^16 <= n < 10^17.
+
+    Only where ``certified``: v is finite with |v| in [1e-280, 1e280], and
+    the scaled fraction is not within 1e-6 of 1/2 (exact ties included).
+    """
+    pow10 = _format_tables()[0]
+    x = np.abs(values)
+    fast = (x >= 1e-280) & (x <= 1e280)
+    x[~fast] = 1.0
+    k = np.floor(np.log10(x)).astype(np.int64)
+    n, frac = _scaled(x, k, pow10)
+    off = (n < 10**16) | (n >= 10**17)  # log10 can miss by one next to a power of ten
+    k[off] += np.where(n[off] < 10**16, -1, 1)
+    n[off], frac[off] = _scaled(x[off], k[off], pow10)
+    n += frac > 0.5
+    carry = n == 10**17  # rounded up into the next decade
+    n[carry], k[carry] = 10**16, k[carry] + 1
+    return n, k, fast & (np.abs(frac - 0.5) > 1e-6) & (n >= 10**16) & (n < 10**17)
+
+
+def _text_fields(values: np.ndarray) -> np.ndarray:
+    """The %.17g text of each value in a row of _FIELD bytes, NUL where %g drops one.
+
+    Values without certified digits take Python's own "%.17g" % v.
+    """
+    _, chunks, masks = _format_tables()
+    n, k, certified = _decimal_digits(values)
+    # the leading digit, then four 4-digit groups (two 8-digit halves in int32)
+    lead = n // 10**16
+    halves = np.stack(np.divmod(n - lead * 10**16, 10**8), axis=1).astype(np.int32)
+    quads = np.column_stack([lead, np.stack(np.divmod(halves, 10**4), axis=2).reshape(-1, 4)])
+    digits = chunks[quads].view(np.uint8)[:, 3:]
+    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)
+    kind = np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
+    text = np.take(masks, 17 * kind + last, axis=0)
+    text[:, 6:40:2] &= digits
+    exponent = chunks[np.abs(k)].view(np.uint8).reshape(-1, 4)
+    exponent[:, 0] = np.where(k < 0, 45, 43)
+    text[:, 41:45] &= exponent
+    text[:, 0] = np.where(np.signbit(values), 45, 0)
+    for i in np.flatnonzero(~certified).tolist():
+        word = ("%.17g" % values[i]).encode()
+        text[i] = 0
+        text[i, : len(word)] = np.frombuffer(word, np.uint8)
+    return text
 
 
 def write_csv(path, header, rows) -> None:
     """Write a header and float rows as CSV: CRLF line ends, 17 significant digits.
 
-    Each block of rows formats every distinct value once with ``%.17g``.
-    Values are told apart by bit pattern, not by float comparison, so
-    ``-0.0`` and ``0.0`` keep their own text ("-0" and "0").
+    Each block of rows formats every distinct value once, with the bytes of
+    ``%.17g``.  Values are told apart by bit pattern, not by float
+    comparison, so ``-0.0`` and ``0.0`` keep their own text ("-0" and "0").
     """
     data = np.asarray(rows, dtype=float)
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
             for start in range(0, len(data), _CSV_BLOCK_ROWS):
                 block = data[start : start + _CSV_BLOCK_ROWS]
                 bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-                text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-                template = ("%s," * (block.shape[1] - 1) + "%s\r\n") * len(block)
-                fh.write(template % tuple(map(text.__getitem__, inverse.ravel().tolist())))
+                text = np.take(_text_fields(bits.view(np.float64)), inverse.reshape(block.shape), axis=0)
+                text[:, :-1, -2] = 44  # ","
+                text[:, -1, -2:] = 13, 10  # CRLF
+                fh.write(text.tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise ConfigurationError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -17,10 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .angular import EulerAngles, _channels, angular_cs, channel_index
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 from .fock1d import Spectrum
 from .hydrogen import HydrogenExpansion, shell_offset
 from .specfun import (
+    _LAGUERRE_MAX_NODES,
     BasisIndex,
     _radial_shell,
     exp_decay_rule,
@@ -170,6 +171,12 @@ def _radial_operators(n_max: int, top: int = 2) -> tuple[np.ndarray, ...]:
 
 def _normalized_forms(x: HydrogenExpansion, top: int = 2) -> np.ndarray:
     """sum over channels of c^H O c for each table O, over the r^0 form (c: the channel's shells)."""
+    nodes = (2 * x.n_max + 4 + top) // 2  # the rule of the top shell pair
+    if nodes > _LAGUERRE_MAX_NODES:
+        raise ConfigurationError(
+            f"exact radial moments up to power {top} at n_max = {x.n_max} need a {nodes}-node "
+            f"Gauss-Laguerre rule, past the limit of {_LAGUERRE_MAX_NODES} nodes"
+        )
     tables = _radial_operators(x.n_max, top)
     forms = 0.0
     for l, _, coeffs in _channel_blocks(x):

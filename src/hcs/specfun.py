@@ -343,12 +343,16 @@ def exp_decay_rule(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return t / alpha, scaled / alpha
 
 
+# the largest Gauss-Laguerre rule served; a policy, not a numerical limit
+_LAGUERRE_MAX_NODES = 128
+
+
 def _laguerre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and scaled weights w e^x for a checked node count."""
     if not isinstance(m, int) or m < 1:
         raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
-    if m > 128:
-        raise ConfigurationError(f"laguerre rule supported up to 128 nodes, got {m}")
+    if m > _LAGUERRE_MAX_NODES:
+        raise ConfigurationError(f"laguerre rule supported up to {_LAGUERRE_MAX_NODES} nodes, got {m}")
     return _gauss_rule("laguerre", m)
 
 

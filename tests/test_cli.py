@@ -1,4 +1,5 @@
 import csv
+import decimal
 import json
 import math
 import os
@@ -13,7 +14,18 @@ from hypothesis import strategies as st
 
 import hcs
 from hcs.angular import EulerAngles
-from hcs.cli import _CONFIG_KEYS, _build_config, main, write_csv
+from hcs.cli import (
+    _CONFIG_KEYS,
+    MEMORY_BUDGET_BYTES,
+    RESIDUAL_EPS_PER_RAD,
+    RunConfig,
+    _build_config,
+    _decimal_digits,
+    _text_fields,
+    estimated_bytes,
+    main,
+    write_csv,
+)
 from hcs.errors import ConfigurationError
 from hcs.fock1d import Spectrum
 from hcs.hydrogen import HydrogenLabel, hydrogen_cs
@@ -242,6 +254,79 @@ class TestWriteCsv:
         assert (tmp_path / "empty.csv").read_bytes() == b"t,x\r\n"
 
 
+def _vector_text(values):
+    """The formatter's text of each value, field padding dropped."""
+    text = _text_fields(np.asarray(values, dtype=float))
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def _mismatches(values):
+    values = np.asarray(values, dtype=float)
+    mismatched = []
+    for start in range(0, len(values), 100_000):  # bounded memory at a million values
+        chunk = values[start : start + 100_000].tolist()
+        mismatched += [(v, t) for v, t in zip(chunk, _vector_text(chunk)) if t != "%.17g" % v]
+    return mismatched
+
+
+def _powers_of_ten():
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    return np.concatenate([powers, below, above, -powers, -below, -above])
+
+
+_FORMAT_EDGES = [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 9999999999999998.0, 0.0001, 0.00001]
+_FORMAT_EDGES += [123456789012345678.0, 1234567890123456.7, 0.5, 100.0, 1e100, 1e-100, 1e280, 1e-280]
+# exact ties: 18 significant digits, the last a 5
+_TIES = [1 + 2**-17, 1 + 3 * 2**-17, -(1 + 77 * 2**-17), 9 + 2**-17]
+
+
+class TestFormatter:
+    """Every text the vector formatter writes is byte for byte that of "%.17g" % v."""
+
+    def test_powers_of_ten_and_neighbours(self):
+        values = _powers_of_ten()
+        assert _mismatches(values) == []
+        certified = _decimal_digits(values)[2]
+        assert certified.any() and not certified.all()
+
+    def test_notation_edges(self):
+        edges = np.array(_FORMAT_EDGES)
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        assert _mismatches(np.concatenate([values, -values])) == []
+
+    def test_exact_ties_take_the_fallback(self):
+        values = np.array(_TIES)
+        for v in _TIES:
+            digits = decimal.Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert _vector_text([1 + 2**-17]) == ["1.0000076293945312"]
+        assert not _decimal_digits(values)[2].any()
+        assert _mismatches(values) == []
+
+    def test_special_values(self):
+        nan_with_sign = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        special += [math.inf, -math.inf, math.nan, *nan_with_sign.tolist()]
+        assert _vector_text(special) == ["0", "-0", "4.9406564584124654e-324", "-4.9406564584124654e-324",
+                                         "1.7976931348623157e+308", "-1.7976931348623157e+308",
+                                         "inf", "-inf", "nan", "nan", "nan"]
+        assert not _decimal_digits(np.array(special))[2].any()
+
+    def test_million_random_bit_patterns(self):
+        values = np.random.default_rng(2024).integers(0, 2**64, 10**6, dtype=np.uint64).view(float)
+        certified = _decimal_digits(values)[2]
+        # the vector path carries most patterns; NaN, inf and subnormals fall back
+        assert 0.85 < certified.mean() < 0.95
+        assert _mismatches(values) == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    def test_any_floats(self, values):
+        assert _mismatches(values) == []
+
+
 class TestEvolve:
     def test_residual_column_within_contract(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -252,6 +337,70 @@ class TestEvolve:
         assert all(row[1] <= 5e-15 for row in rows)
         assert rows[0][4] == pytest.approx(1.0, abs=1e-12)
         assert all(row[4] <= 1.0 + 1e-12 for row in rows)
+
+    def test_large_phase_stays_within_its_bound(self, tmp_path):
+        # eps |gamma + omega t| = 2.2e-8 rad: usable phases, a residual far above 5e-15
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--gamma", "1e8", "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        bounds = [RESIDUAL_EPS_PER_RAD * np.finfo(float).eps * abs(1e8 + t) for t, *_ in rows]
+        assert all(row[1] <= bound for row, bound in zip(rows, bounds))
+        assert max(row[1] for row in rows) > 5e-15
+
+    def test_residual_breach_exits_one_and_names_the_row(self, tmp_path, capsys, monkeypatch):
+        from hcs import hydrogen
+
+        residual = hydrogen.hydrogen_stability_residual
+
+        def breach_at_one(label, family, omega, t, n_max):
+            return 1e-9 if t == 1.0 else residual(label, family, omega, t, n_max)
+
+        monkeypatch.setattr(hydrogen, "hydrogen_stability_residual", breach_at_one)
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "row 3 (t = 1): residual 1e-09 above its bound" in err and err.count("evolve: row") == 1
+        assert len(out.read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("command", ["evolve", "eval"])
+    @pytest.mark.parametrize("flag", ["--gamma=1e17", "--omega=1e300", "--gamma=-5e9"])
+    def test_phase_without_digits_is_config_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.csv"
+        times = tmp_path / "config.json"
+        times.write_text(json.dumps({"times": [0.0, 5.0]}))
+        assert main([command, flag, "--config", str(times), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:flag.index('=')]} too large" in err and "phase accuracy" in err
+        assert not out.exists()
+
+
+class TestMemoryBudget:
+    def test_estimates_stay_below_the_budget_for_default_runs(self):
+        for command in ("verify", "eval", "evolve", "moments"):
+            assert estimated_bytes(_build_config(command, {}, {})) < 2**20
+
+    def test_verify_budget_admits_n_max_80(self):
+        # 734 MiB measured at n_max 64
+        assert 734 * 2**20 < estimated_bytes(_build_config("verify", {}, {"n_max": 64})) < 2**30
+        assert estimated_bytes(_build_config("verify", {}, {"n_max": 80})) <= MEMORY_BUDGET_BYTES
+        with pytest.raises(ConfigurationError, match="memory budget"):
+            _build_config("verify", {}, {"n_max": 81})
+
+    def test_deep_verify_refused_before_any_math(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--n-max", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "run too large" in err and "72.97 GiB" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_rows_count_against_the_budget(self, tmp_path, capsys):
+        grid = {"r": [1.0] * 1000, "theta": [0.5] * 1000, "phi": [0.0] * 50}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        run = RunConfig("eval", grid_r=grid["r"], grid_theta=grid["theta"], grid_phi=grid["phi"], times=(0.0,))
+        assert estimated_bytes(run) > 7 * 8 * 5e7
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+        assert "memory budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "moments", "eval", "evolve"])
@@ -361,3 +510,19 @@ def test_runs_with_scipy_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0, 0], "scipy": ["scipy"], "blocked": True}
+
+
+_IMPORT_CHILD = """
+import json, sys
+import hcs
+lazy = "hcs.cli" not in sys.modules
+import hcs.cli
+print(json.dumps({"cli_lazy": lazy, "tables": hcs.cli._format_tables.cache_info().currsize}))
+"""
+
+
+def test_import_builds_no_formatter_table():
+    child = [sys.executable, "-c", _IMPORT_CHILD]
+    proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": 0}

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hcs.angular import EulerAngles
-from hcs.errors import NumericalError
+from hcs.errors import ConfigurationError, NumericalError
 from hcs.cli import write_csv
 from hcs.fock1d import Spectrum
 from hcs import position
@@ -189,6 +189,17 @@ class TestRadialExpectation:
     def test_power_validation(self, exponential):
         with pytest.raises(ValueError):
             radial_expectation(_ground(exponential), -2)
+
+    @pytest.mark.parametrize("n_max,power,nodes", [(126, 1, 129), (126, 2, 129), (20, 300, 172)])
+    def test_rule_cap_names_n_max_and_power(self, exponential, n_max, power, nodes):
+        # the top shell pair needs (2 n_max + 4 + max(power, 2)) // 2 nodes; the cap is 128
+        x = hydrogen_cs(GROUND_LABEL, exponential, n_max, check_tail=False)
+        message = f"up to power {max(power, 2)} at n_max = {n_max} need a {nodes}-node .* limit of 128 nodes"
+        with pytest.raises(ConfigurationError, match=message):
+            radial_expectation(x, power)
+        if n_max == 126:
+            with pytest.raises(ConfigurationError, match=message):
+                radial_uncertainty_product(x)
 
     def test_zero_state_rejected(self, exponential):
         x = _ground(exponential)
