@@ -23,7 +23,6 @@ from .fock1d import (
     evolve_spectral,
     generalized_cs,
     oscillator_cs,
-    overlap,
     resolution_check_1d,
     stability_residual,
 )

@@ -5,9 +5,7 @@ with one {name, measured, bound, pass} entry per check; ``moments``
 validates a weight family; ``eval`` exports a wavefunction density grid;
 ``evolve`` traces stability residuals and the autocorrelation over time.
 Configuration comes from an optional JSON file plus flag overrides (flags
-win).  Reports are byte-reproducible for a fixed config and seed; the
-HCS_THREADS environment variable caps check parallelism without affecting
-results.
+win).  Reports are byte-reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -357,7 +354,7 @@ def stability_sweep(family, rng, count=50, n_max=12) -> float:
 def _checks_radial(cfg, family, rng):
     n_top = 8
     r, w = exp_decay_rule(2.0 / (n_top + 1.0), 96)
-    table, _ = radial_table(n_top, r)
+    table = radial_table(n_top, r)
     worst = 0.0
     for l in range(n_top + 1):
         funcs = table[l:, l]
@@ -446,20 +443,12 @@ _CHECK_REGISTRY = (
 
 def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     family = _resolve_family(cfg.family)
-    threads = max(1, int(os.environ.get("HCS_THREADS", "1")))
-
-    def run_group(item):
-        index, func = item
-        # per-group seed stream keeps results independent of thread count
-        return func(cfg, family, np.random.default_rng([cfg.seed, index]))
-
-    items = list(enumerate(_CHECK_REGISTRY))
-    if threads == 1:
-        groups = [run_group(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(run_group, items))
-    checks = [check for group in groups for check in group]
+    checks = [
+        check
+        # one seed stream per group: a group's draws do not depend on the others
+        for index, func in enumerate(_CHECK_REGISTRY)
+        for check in func(cfg, family, np.random.default_rng([cfg.seed, index]))
+    ]
     passed = all(c.passed for c in checks)
     report = {
         "command": "verify",

@@ -27,7 +27,6 @@ __all__ = [
     "oscillator_cs",
     "generalized_cs",
     "degen_cs",
-    "overlap",
     "evolve_spectral",
     "stability_residual",
     "resolution_check_1d",
@@ -56,12 +55,6 @@ class Spectrum:
     def energy(self, n: int) -> float:
         if n < 0:
             raise ValueError(f"level index must be >= 0, got {n}")
-        if self.kind == "oscillator":
-            return self.omega * n
-        return -self.omega / (n + 1.0) ** 2
-
-    def energies(self, count: int) -> np.ndarray:
-        n = np.arange(count)
         if self.kind == "oscillator":
             return self.omega * n
         return -self.omega / (n + 1.0) ** 2
@@ -181,16 +174,6 @@ def degen_cs(
     )
 
 
-def overlap(a: FockExpansion, b: FockExpansion) -> complex:
-    """Inner product <a|b> = sum conj(a_n) b_n, padding the shorter vector."""
-    size = max(len(a.coeffs), len(b.coeffs))
-    av = np.zeros(size, dtype=complex)
-    bv = np.zeros(size, dtype=complex)
-    av[: len(a.coeffs)] = a.coeffs
-    bv[: len(b.coeffs)] = b.coeffs
-    return complex(np.vdot(av, bv))
-
-
 def evolve_spectral(x: FockExpansion, spectrum: Spectrum, t: float) -> FockExpansion:
     """Apply e^{-i E_n t} to each coefficient; pure phases, norm preserved."""
     phases = spectrum.evolution_phases(len(x.coeffs), t)
@@ -248,9 +231,13 @@ def stability_residual(
 def radial_factor_matrix(family: WeightFamily, n_max: int, radial_nodes: int = 64) -> np.ndarray:
     """Normalized radial overlap factors R[n, n'].
 
-    R[n, n'] = int k(u) M^2(u) u^{(n+n')/2} du / sqrt(rho_n rho_n'),
-    evaluated with the family's substitution rule; the diagonal reduces to
-    the moment identity and equals 1 up to quadrature error.
+    R[n, n'] = int k(u) M^2(u) u^{(n+n')/2} du / sqrt(rho_n rho_n').  The
+    diagonal is the moment identity, evaluated with the family's
+    substitution rule: it equals 1 up to quadrature error.  Off the
+    diagonal, a factorial-moment family (rho_n = f(n)!) takes the closed
+    form Gamma(f(nu) + 1) / sqrt(rho_n rho_n'), nu = (n+n')/2, because an
+    odd n + n' leaves a factor sqrt(u) for which no Gauss-Laguerre rule is
+    exact; other families use the rule there too.
     """
     u, log_w = family.radial_log_rule(radial_nodes)
     k_vals = np.asarray(family.k_weight(u), dtype=float)
@@ -260,9 +247,31 @@ def radial_factor_matrix(family: WeightFamily, n_max: int, radial_nodes: int = 6
         log_u = np.log(u)
     log_mom = np.array([family.log_moment(n) for n in range(n_max + 1)])
     n = np.arange(n_max + 1)
-    half_power = 0.5 * (n[:, None] + n[None, :])
-    log_integrals = logsumexp(log_base[None, None, :] + half_power[:, :, None] * log_u[None, None, :], axis=-1)
-    return np.exp(log_integrals - 0.5 * (log_mom[:, None] + log_mom[None, :]))
+    factorial_moment = family._factorial_moment
+    if factorial_moment is None:
+        half_power = 0.5 * (n[:, None] + n[None, :])
+        log_integrals = logsumexp(log_base[None, None, :] + half_power[:, :, None] * log_u[None, None, :], axis=-1)
+        return np.exp(log_integrals - 0.5 * (log_mom[:, None] + log_mom[None, :]))
+    shells = range(n_max + 1)
+    out = np.array([[_factorial_ratio(factorial_moment, a, b) for b in shells] for a in shells])
+    out[n, n] = np.exp(logsumexp(log_base + n[:, None] * log_u, axis=-1) - log_mom)
+    return out
+
+
+def _factorial_ratio(f, n: int, n2: int) -> float:
+    """Gamma(f(nu) + 1) / sqrt(f(n)! f(n2)!) at nu = (n + n2)/2, from exact integers.
+
+    f(nu) is an integer or a half-integer m + 1/2, for which
+    Gamma(m + 3/2) = (2m + 2)! sqrt(pi) / (4^(m+1) (m + 1)!); only the one
+    quotient, the factor pi and the square root round.
+    """
+    top = f((n + n2) / 2)
+    den = math.factorial(f(n)) * math.factorial(f(n2))
+    if top == int(top):
+        return math.sqrt(math.factorial(int(top)) ** 2 / den)
+    m = int(top - 0.5)
+    den *= (4 ** (m + 1) * math.factorial(m + 1)) ** 2
+    return math.sqrt(math.pi * (math.factorial(2 * m + 2) ** 2 / den))
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,7 +80,7 @@ def eval_angular_cs_position(n: int, omega_bar: EulerAngles, r, theta, phi):
     shell = angular_cs(n, omega_bar)
     rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
     ylm = spherical_harmonic_table(n, tb.ravel(), pb.ravel())
-    u = _radial_shell(n, np.arange(n + 1), rb.ravel())[0]  # (l, point)
+    u = _radial_shell(n, np.arange(n + 1), rb.ravel())  # (l, point)
     out = np.einsum("c,cp,cp->p", shell.coeffs, u[_channels(n)[0]], ylm).reshape(rb.shape)
     if out.shape == ():
         return complex(out)
@@ -114,7 +114,7 @@ def eval_hydrogen_cs_position(x: HydrogenExpansion, r, theta, phi):
     spherical harmonic, organized by (l, m) channel.
     """
     rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
-    g = _channel_radial_sums(x, radial_table(x.n_max, rb.ravel())[0])
+    g = _channel_radial_sums(x, radial_table(x.n_max, rb.ravel()))
     ylm = spherical_harmonic_table(x.n_max, tb.ravel(), pb.ravel())
     out = np.einsum("cp,cp->p", g, ylm).reshape(rb.shape)
     if out.shape == ():
@@ -152,7 +152,7 @@ def _radial_operators(n_max: int, top: int = 2) -> tuple[np.ndarray, ...]:
         count = (n_max + 1 - l) * (n_max + 2 - l) // 2  # pairs of shells >= l
         nodes = ends[count - 1]
         pick = order[order % radius.size < nodes]
-        u[pick] = _radial_shell(shells[pick], np.array([l]), radius[pick % radius.size, None], False)[:, 0]
+        u[pick] = _radial_shell(shells[pick], l, radius[pick % radius.size, None])[:, 0]
         products = weight[:nodes] * u[:nodes] * u[radius.size : radius.size + nodes]  # w u_n u_n' per node
         terms = products * radius[:nodes] ** np.arange(top + 3)[:, None]
         inv_sq = 1.0 / np.arange(l + 1, n_max + 2) ** 2
@@ -206,7 +206,7 @@ def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> flo
     values = []
     for nodes in (radial_nodes, radial_nodes + 32 if radial_nodes <= 96 else radial_nodes - 32):
         r, wr = exp_decay_rule(2.0 / (x.n_max + 1.0), nodes)  # the slowest decay present
-        psi = _channel_radial_sums(x, radial_table(x.n_max, r)[0]).T @ ylm  # (n_r, n_ang)
+        psi = _channel_radial_sums(x, radial_table(x.n_max, r)).T @ ylm  # (n_r, n_ang)
         values.append(float(np.einsum("r,a,ra->", wr * r * r, w_ang, np.abs(psi) ** 2)))
     error = abs(values[0] - values[1])
     if not error <= 1e-8 * values[0]:
@@ -260,7 +260,7 @@ def export_density_grid(
     tb = np.repeat(grid.theta, len(grid.phi))
     pb = np.tile(grid.phi, len(grid.theta))
     ylm = spherical_harmonic_table(x.n_max, tb, pb)
-    u = radial_table(x.n_max, r)[0]
+    u = radial_table(x.n_max, r)
 
     rows = np.empty((times.size, r.size * tb.size, 7))
     rows[:, :, 0] = times[:, None]

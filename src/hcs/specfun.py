@@ -26,7 +26,6 @@ __all__ = [
     "spherical_harmonic_table",
     "confluent_polynomial",
     "radial_eigenfunction",
-    "radial_eigenfunction_deriv",
     "radial_table",
     "make_quadrature",
     "exp_decay_rule",
@@ -64,10 +63,6 @@ class QuadratureRule:
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        """Apply the rule to a callable: sum_i w_i f(x_i)."""
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def log_factorial(k: int) -> float:
@@ -161,36 +156,35 @@ def _check_shell(n: int, l: int) -> None:
         raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
 
 
-def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray, derivative: bool = True) -> np.ndarray:
-    """Scaled Laguerre values P and dP/dz for rows of non-increasing degree k.
+def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Scaled Laguerre values P for rows of non-increasing degree k.
 
     P = L_k^(a)(z) / sqrt(C(k+a, k)), from the three-term recurrence in
     degree (DLMF 18.9.1) in its symmetric form b_j P_j = (2j-1+a-z) P_{j-1}
-    - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)), and its z-derivative.  The
-    scaling keeps P in double range for large degrees; no step divides by z.
-    a is per row or one value; z is shared (points,) or per row (rows,
-    points).  Returns shape (2, rows, points), or (1, ...) with P alone.
+    - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)).  The scaling keeps P in double
+    range for large degrees.  a is one value or one per row, and the
+    recurrence coefficients are tabulated once per distinct a; z is shared
+    (points,) or per row (rows, points).  Returns shape (rows, points).
     """
-    a = np.asarray(a, dtype=float)[:, None]
+    values, row = np.unique(a, return_inverse=True)
+    row = row.reshape(-1, 1)
     j = np.arange(int(k[0]) + 2)
-    b = np.sqrt(j * (j + a))  # b[:, j] = b_j
-    c = 2.0 * j - 1.0 + a  # c[:, j] - z multiplies P_{j-1}
+    b = np.sqrt(j * (j + values[:, None]))  # b[:, j] = b_j
+    c = 2.0 * j - 1.0 + values[:, None]  # c[:, j] - z multiplies P_{j-1}
     # degrees do not increase, so the rows of degree >= j are a prefix; rows
     # of degree j are [live[j+1], live[j]) and are read off after step j
     live = np.searchsorted(-k, -j, side="right")
     z = np.broadcast_to(z, k.shape + z.shape[-1:])
-    out = np.zeros((1 + derivative,) + z.shape)  # (P, dP/dz)
-    out[0] = 1.0
+    out = np.ones(z.shape)
     q_prev, q = np.zeros_like(out), out
     for i in range(1, j.size - 1):
         m, done = live[i], live[i + 1]
-        q_next = (c[:m, i, None] - z[:m]) * q[:, :m]
-        q_next -= b[:m, i - 1, None] * q_prev[:, :m]
-        if derivative:
-            q_next[1] -= q[0, :m]
-        q_next /= b[:m, i, None]
-        q_prev, q = q[:, :m], q_next
-        out[:, done:m] = q[:, done:]
+        rows = row[:m]
+        q_next = (c[rows, i] - z[:m]) * q[:m]
+        q_next -= b[rows, i - 1] * q_prev[:m]
+        q_next /= b[rows, i]
+        q_prev, q = q[:m], q_next
+        out[done:m] = q[done:]
     return out
 
 
@@ -203,7 +197,7 @@ def confluent_polynomial(n: int, l: int, z):
     _check_shell(n, l)
     z = np.asarray(z, dtype=float)
     k, a = n - l, 2 * l + 1
-    p, _ = _laguerre(np.array([k]), np.array([a]), z.ravel())
+    p = _laguerre(np.array([k]), a, z.ravel())
     scale = math.exp(0.5 * (math.lgamma(k + 1) + math.lgamma(a + 1) - math.lgamma(k + a + 1)))
     out = (scale * p[0]).reshape(z.shape)
     if out.shape == ():
@@ -211,35 +205,29 @@ def confluent_polynomial(n: int, l: int, z):
     return out
 
 
-def _radial_shell(n: int | np.ndarray, l: np.ndarray, r: np.ndarray, derivative: bool = True) -> np.ndarray:
-    """u_n^l(r) and du/dr for rows (n, l) and radii r >= 0.
+def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np.ndarray:
+    """u_n^l(r) for rows (n, l) and radii r >= 0.
 
     u = N k!/(a+1)_k z^l e^{-z/2} L_k^(a)(z) with z = 2r/(n+1); the prefactor
     of the scaled Laguerre value P is sqrt(1/(2(n+1)(2l+1)!)) (2/(n+1))^(3/2)
     z^l e^{-z/2}, assembled in log space, so neither z^l nor (2l+1)! has to
-    be representable on its own.  ``n`` is one shell with ascending ``l``,
-    or a shell per row with one ``l``, so that n - l does not increase down
-    the rows; ``r`` is shared (points,) or per row (rows, points).  Returns
-    shape (2, rows, points) with du/dr, or u alone as (rows, points).
+    be representable on its own.  ``n`` and ``l`` are each one value or one
+    per row, with n - l not increasing down the rows; ``r`` is shared
+    (points,) or per row (rows, points).  Returns shape (rows, points).
     """
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    shell = np.asarray(n)[..., None]  # (1,) for one shell, (rows, 1) per row
+    n, l = np.asarray(n), np.asarray(l)
+    shell, col = n[..., None], l[..., None]  # (1,) for one value, (rows, 1) per row
     z = 2.0 * r / (shell + 1)
-    p = _laguerre(np.asarray(n) - l, 2.0 * l + 1.0, z, derivative)
-    col = l[:, None]
-    log_fact = np.array([log_factorial(2 * k + 1) for k in l.tolist()])[:, None]
-    # math.log per shell, looked up per row: the bits of the one-shell path
-    shells = range(int(shell.max()) + 1)
+    p = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, z)
+    # math.log per shell and l, looked up per row: the same bits for every caller
+    log_fact = np.array([log_factorial(2 * k + 1) for k in range(int(l.max()) + 1)])[col]
+    shells = range(int(n.max()) + 1)
     lead = np.array([1.5 * math.log(2.0 / (s + 1)) for s in shells])[shell]
     half = np.array([math.log(2.0 * (s + 1)) for s in shells])[shell]
     base = lead - 0.5 * (half + log_fact + z)
-    s0 = np.exp(base + _xlogy(col, z))  # prefactor of P
-    if not derivative:
-        return s0 * p[0]
-    p, dp = p
-    s1 = col * np.exp(base + _xlogy(np.maximum(col - 1, 0), z))  # l z^(l-1) part of its z-derivative
-    return np.stack((s0 * p, (s1 * p + s0 * (dp - 0.5 * p)) * (2.0 / (shell + 1))))
+    return np.exp(base + _xlogy(col, z)) * p
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -248,40 +236,33 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.where(x == 0, 0.0, x * np.log(y))
 
 
-def _radial_single(n: int, l: int, r, which: int):
-    _check_shell(n, l)
-    r = np.asarray(r, dtype=float)
-    out = _radial_shell(n, np.array([l]), r.ravel())[which, 0].reshape(r.shape)
-    if out.shape == ():
-        return float(out)
-    return out
-
-
 def radial_eigenfunction(n: int, l: int, r):
     """Radial eigenfunction u of the shell-n bound state, in Bohr units.
 
     u(r) = N [2r/(n+1)]^l F(-n+l, 2l+2, 2r/(n+1)) exp(-r/(n+1)), orthonormal
     under the measure r^2 dr.
     """
-    return _radial_single(n, l, r, 0)
-
-
-def radial_eigenfunction_deriv(n: int, l: int, r):
-    """d/dr of radial_eigenfunction, from the differentiated Laguerre recurrence."""
-    return _radial_single(n, l, r, 1)
+    _check_shell(n, l)
+    r = np.asarray(r, dtype=float)
+    out = _radial_shell(n, l, r.ravel())[0].reshape(r.shape)
+    if out.shape == ():
+        return float(out)
+    return out
 
 
 def radial_table(n_max: int, r) -> np.ndarray:
-    """All radial eigenfunctions and their r-derivatives up to shell n_max.
+    """All radial eigenfunctions up to shell n_max, from one recurrence.
 
-    Returns (U, dU) stacked, shape (2, n_max+1, n_max+1, len(r)), with
-    U[n, l] = u_n^l(r) for l <= n and zeros for l > n: the radial twin of
-    spherical_harmonic_table.  Unpack as ``U, dU = radial_table(n_max, r)``.
+    Returns U of shape (n_max+1, n_max+1, len(r)), with U[n, l] = u_n^l(r)
+    for l <= n and zeros for l > n: the radial twin of
+    spherical_harmonic_table.
     """
     r = np.asarray(r, dtype=float).ravel()
-    out = np.zeros((2, n_max + 1, n_max + 1, r.size))
-    for n in range(n_max + 1):
-        out[:, n, : n + 1] = _radial_shell(n, np.arange(n + 1), r)
+    n, l = np.tril_indices(n_max + 1)
+    order = np.argsort(l - n, kind="stable")  # n - l descending
+    n, l = n[order], l[order]
+    out = np.zeros((n_max + 1, n_max + 1, r.size))
+    out[n, l] = _radial_shell(n, l, r)
     return out
 
 
@@ -289,13 +270,12 @@ def make_quadrature(kind: str, m: int, **params) -> QuadratureRule:
     """Build a quadrature rule.
 
     kind 'legendre': Gauss-Legendre on [a, b] (defaults [-1, 1]); exact for
-    polynomials of degree <= 2m-1.
-    kind 'laguerre': Gauss-Laguerre on [0, inf) with weight e^{-u}; stable
-    node/weight computation up to m = 128.
+    polynomials of degree <= 2m-1.  The rule on [-1, 1] is built once per
+    process for each node count.
     kind 'trapezoid': uniform rule on one period (default 2*pi) of a
     periodic function, nodes k*period/m; exact for trigonometric
     polynomials of frequency < m.
-    Both Gauss rules are built once per process for each node count.
+    Gauss-Laguerre rules on [0, inf) come from ``exp_decay_rule``.
     """
     if not isinstance(m, int) or m < 1:
         raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
@@ -308,10 +288,6 @@ def make_quadrature(kind: str, m: int, **params) -> QuadratureRule:
         x, w = _gauss_rule("legendre", m)
         nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
         weights = 0.5 * (b - a) * w
-    elif kind == "laguerre":
-        _reject_extra(kind, params)
-        nodes, scaled = _laguerre_rule(m)
-        weights = scaled * np.exp(-nodes)
     elif kind == "trapezoid":
         period = params.pop("period", 2.0 * math.pi)
         _reject_extra(kind, params)
@@ -339,21 +315,16 @@ def exp_decay_rule(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not alpha > 0:
         raise ConfigurationError(f"decay rate must be positive, got {alpha}")
-    t, scaled = _laguerre_rule(m)
+    if not isinstance(m, int) or m < 1:
+        raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
+    if m > _LAGUERRE_MAX_NODES:
+        raise ConfigurationError(f"laguerre rule supported up to {_LAGUERRE_MAX_NODES} nodes, got {m}")
+    t, scaled = _gauss_rule("laguerre", m)
     return t / alpha, scaled / alpha
 
 
 # the largest Gauss-Laguerre rule served; a policy, not a numerical limit
 _LAGUERRE_MAX_NODES = 128
-
-
-def _laguerre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes and scaled weights w e^x for a checked node count."""
-    if not isinstance(m, int) or m < 1:
-        raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
-    if m > _LAGUERRE_MAX_NODES:
-        raise ConfigurationError(f"laguerre rule supported up to {_LAGUERRE_MAX_NODES} nodes, got {m}")
-    return _gauss_rule("laguerre", m)
 
 
 def _recurrence_top(kind: str, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

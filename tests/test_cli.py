@@ -71,13 +71,6 @@ class TestVerify:
         assert report["n_max"] == 24
         assert all(c["pass"] for c in report["checks"])
 
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--out", str(a), "--seed", "3"]) == 0
-        monkeypatch.setenv("HCS_THREADS", "4")
-        assert main(["verify", "--out", str(b), "--seed", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_shell_norm_labels_are_the_scalar_draws(self, monkeypatch):
         from hcs import angular, cli
 
@@ -459,6 +452,45 @@ def test_build_config_types_or_config_error(command, file_cfg):
         assert type(value) in (int, float) and math.isfinite(value)
     assert isinstance(cfg.family, str) and isinstance(cfg.out, str)
     assert cfg.times and all(type(t) is float and math.isfinite(t) for t in cfg.times)
+
+
+# plausible configs with edge values; poison then sets up to two keys, known or stray, to the
+# wrong type, NaN or inf
+_FLOAT = st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10)
+_AXIS = st.lists(st.floats(0.0, 50.0), max_size=4, unique=True).map(sorted) | st.lists(_FLOAT, max_size=4)
+_PLAUSIBLE = st.fixed_dictionaries(
+    {},
+    optional={
+        "family": st.sampled_from(["exponential", "sqrt-exponential", "no-such-family"]),
+        "n_max": st.integers(-1, 6),
+        "s": st.floats(0.0, 3.0) | _FLOAT,
+        "theta_bar": st.floats(0.0, math.pi) | _FLOAT,
+        **{name: _FLOAT for name in ("gamma", "phi_bar", "psi_bar")},
+        **{name: st.floats(1e-3, 1e3) | _FLOAT for name in ("omega", "gamma_window")},
+        **{name: st.integers(0, 140) for name in ("radial_nodes", "theta_nodes", "phi_nodes", "psi_nodes")},
+        "seed": st.integers(-1, 2**64),
+        "grid": st.fixed_dictionaries({}, optional={axis: _AXIS for axis in ("r", "theta", "phi")}),
+        "times": st.lists(st.floats(-50.0, 50.0) | _FLOAT, max_size=3),
+    },
+)
+_ODD = (
+    st.none() | st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=3)
+    | st.lists(st.integers(0, 3) | st.sampled_from([math.nan, True]), max_size=2) | st.just({})
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["verify", "eval", "evolve", "moments"]),
+    file_cfg=_PLAUSIBLE,
+    poison=st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS - {"out"})) | st.text(max_size=4), _ODD, max_size=2),
+)
+def test_main_exits_with_a_documented_code(tmp_path_factory, command, file_cfg, poison):
+    # the whole CLI on a hostile config: a documented exit code, never a traceback
+    folder = tmp_path_factory.mktemp("fuzz")
+    cfg = folder / "config.json"
+    cfg.write_text(json.dumps({**file_cfg, **poison}))
+    assert main([command, "--config", str(cfg), "--out", str(folder / "out")]) in (0, 1, 2, 3)
 
 
 def test_console_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from hcs.fock1d import (
     evolve_spectral,
     generalized_cs,
     oscillator_cs,
-    overlap,
     radial_factor_matrix,
     resolution_check_1d,
     stability_residual,
@@ -41,7 +41,7 @@ class TestSpectrum:
 
     def test_inverse_square_energies(self):
         spec = Spectrum("inverse-square", 1.0)
-        e = spec.energies(50)
+        e = np.array([spec.energy(n) for n in range(50)])
         assert e[0] == -1.0
         assert np.all(np.diff(e) > 0)
         assert np.all((e < 0) & (e > -1.0 - 1e-15))
@@ -68,7 +68,7 @@ class TestOscillatorCS:
     def test_overlap_modulus(self):
         a = oscillator_cs(1.0, 64)
         b = oscillator_cs(1 + 1j, 64)
-        assert abs(overlap(a, b)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-10)
+        assert abs(np.vdot(a.coeffs, b.coeffs)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
@@ -124,22 +124,24 @@ class TestDegenCS:
 class TestOverlap:
     def test_self_overlap(self, sqrt_exponential):
         x = generalized_cs(1.3, 0.4, sqrt_exponential, 48)
-        assert overlap(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(x.coeffs, x.coeffs) == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_labels(self):
-        got = overlap(oscillator_cs(1.0, 64), oscillator_cs(-1.0, 64))
+        got = np.vdot(oscillator_cs(1.0, 64).coeffs, oscillator_cs(-1.0, 64).coeffs)
         assert got == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_vacuum_against_displaced(self):
         vac = FockExpansion(np.array([1.0 + 0.0j]))
-        assert overlap(vac, oscillator_cs(2.0, 64)) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        displaced = oscillator_cs(2.0, 64)
+        # the vacuum has one level: <vac|b> reads the first coefficient of b
+        assert np.vdot(vac.coeffs, displaced.coeffs[:1]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_reproduces_analytic_kernel(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            got = overlap(oscillator_cs(z, 64, check_tail=False), oscillator_cs(w, 64, check_tail=False))
+            got = np.vdot(oscillator_cs(z, 64, check_tail=False).coeffs, oscillator_cs(w, 64, check_tail=False).coeffs)
             assert abs(got - _oscillator_kernel(z, w)) <= 1e-10
 
 
@@ -243,3 +245,18 @@ class TestResolution1D:
     def test_radial_factor_diagonal_is_unity(self, sqrt_exponential):
         radial = radial_factor_matrix(sqrt_exponential, 10, 64)
         assert np.max(np.abs(np.diag(radial) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["exponential", "sqrt-exponential"])
+    def test_radial_factors_against_gamma_ratios(self, name):
+        # rho_n = f(n)!, so R[n, n'] = Gamma(f(nu) + 1) / sqrt(f(n)! f(n')!) with nu = (n + n')/2;
+        # an odd n + n' (exponential) leaves a sqrt(u) that Gauss-Laguerre cannot integrate
+        f = {"exponential": lambda n: n, "sqrt-exponential": lambda n: 2 * n + 1}[name]
+        radial = radial_factor_matrix(builtin_family(name), 48)
+        with mp.workdps(40):
+
+            def ratio(a, b):
+                return mp.gamma(f(mp.mpf(a + b) / 2) + 1) / mp.sqrt(mp.factorial(f(a)) * mp.factorial(f(b)))
+
+            ref = np.array([[float(ratio(a, b)) for b in range(49)] for a in range(49)])
+        off = ~np.eye(49, dtype=bool)
+        assert np.max(np.abs(radial[off] / ref[off] - 1.0)) <= 1e-13

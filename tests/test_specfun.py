@@ -13,6 +13,7 @@ from scipy.special import roots_laguerre, roots_legendre, sph_harm_y
 from hcs.errors import ConfigurationError
 from hcs.specfun import (
     BasisIndex,
+    _gauss_rule,
     confluent_polynomial,
     exp_decay_rule,
     log_factorial,
@@ -20,7 +21,6 @@ from hcs.specfun import (
     make_quadrature,
     pchip,
     radial_eigenfunction,
-    radial_eigenfunction_deriv,
     radial_table,
     spherical_harmonic,
     spherical_harmonic_table,
@@ -194,10 +194,12 @@ class TestConfluentPolynomial:
 
 class TestRadialEigenfunction:
     def test_normalization_values(self):
-        # the normalization constant N is u(0) for l = 0 and du/dr(0) for (n, l) = (1, 1)
+        # the normalization constant N is u(0) for l = 0; for (n, l) = (1, 1), u = N r e^{-r/2}
         assert radial_eigenfunction(0, 0, 0.0) == pytest.approx(2.0, rel=1e-14)
         assert radial_eigenfunction(1, 0, 0.0) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
-        assert radial_eigenfunction_deriv(1, 1, 0.0) == pytest.approx(0.20412414523193151, rel=1e-13)
+        r = np.array([0.1, 1.0, 2.5, 7.0, 20.0])
+        expected = 0.20412414523193151 * r * np.exp(-r / 2)
+        assert radial_eigenfunction(1, 1, r) == pytest.approx(expected, rel=1e-13)
 
     def test_ground_state_origin(self):
         assert radial_eigenfunction(0, 0, 0.0) == pytest.approx(2.0, abs=1e-12)
@@ -206,9 +208,9 @@ class TestRadialEigenfunction:
         assert abs(radial_eigenfunction(1, 0, 2.0)) <= 1e-12
 
     def test_ground_state_norm_against_laguerre_oracle(self):
-        rule = make_quadrature("laguerre", 64)
+        t, scaled = exp_decay_rule(1.0, 64)
         # independent route: u1(r)^2 r^2 = 4 r^2 e^{-2r}; substitute t = 2r
-        val = float(np.sum(rule.weights * (rule.nodes / 2.0) ** 2)) / 2.0 * 4.0
+        val = float(np.sum(scaled * np.exp(-t) * (t / 2.0) ** 2)) / 2.0 * 4.0
         assert val == pytest.approx(1.0, rel=1e-13)
         r, w = exp_decay_rule(2.0, 64)
         assert np.dot(w, radial_eigenfunction(0, 0, r) ** 2 * r * r) == pytest.approx(1.0, rel=1e-12)
@@ -228,20 +230,13 @@ class TestRadialEigenfunction:
         val, _ = quad(lambda r: radial_eigenfunction(2, 0, r) * radial_eigenfunction(4, 0, r) * r * r, 0, 200)
         assert abs(val) <= 1e-10
 
-    def test_deriv_matches_finite_differences(self):
-        h = 1e-6
-        for n, l in [(0, 0), (3, 1), (6, 4)]:
-            for r in (0.4, 2.3, 9.0):
-                fd = (radial_eigenfunction(n, l, r + h) - radial_eigenfunction(n, l, r - h)) / (2 * h)
-                assert radial_eigenfunction_deriv(n, l, r) == pytest.approx(fd, rel=1e-7, abs=1e-10)
-
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             radial_eigenfunction(0, 0, -0.5)
 
 
 def _mpmath_radial(n, l, radii):
-    """u and du/dr from mpmath.hyp1f1 at 60 digits, differentiated by mp.diff."""
+    """u from mpmath.hyp1f1 at 60 digits."""
     with mp.workdps(60):
         norm = (
             mp.sqrt(mp.factorial(n + l + 1) / (2 * (n + 1) * mp.factorial(n - l)))
@@ -253,9 +248,7 @@ def _mpmath_radial(n, l, radii):
             z = 2 * r / (n + 1)
             return norm * z**l * mp.hyp1f1(l - n, 2 * l + 2, z) * mp.exp(-z / 2)
 
-        values = [float(u(mp.mpf(r))) for r in radii]
-        derivs = [float(mp.diff(u, mp.mpf(r))) for r in radii]
-    return np.array(values), np.array(derivs)
+        return np.array([float(u(mp.mpf(r))) for r in radii])
 
 
 class TestRadialOracle:
@@ -265,29 +258,26 @@ class TestRadialOracle:
     )
     def test_against_mpmath(self, n, l):
         r = np.linspace(0.0, 2.5 * (n + 1) ** 2, 41)
-        u, du = radial_eigenfunction(n, l, r), radial_eigenfunction_deriv(n, l, r)
-        assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
-        ref_u, ref_du = _mpmath_radial(n, l, r)
-        assert np.max(np.abs(u - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
-        assert np.max(np.abs(du - ref_du)) <= 1e-10 * np.max(np.abs(ref_du))
+        u = radial_eigenfunction(n, l, r)
+        assert np.all(np.isfinite(u))
+        ref = _mpmath_radial(n, l, r)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_finite_to_shell_200(self):
         # radii at 0, 1/3, 2/3 and 1 of 3(n+1)^2 for shells spread over 0..200
         r = np.unique([3.0 * (n + 1) ** 2 * q for n in range(0, 201, 50) for q in (0, 1 / 3, 2 / 3, 1)])
-        u, du = radial_table(200, r)
-        assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+        assert np.all(np.isfinite(radial_table(200, r)))
 
     def test_table_rows_equal_single_functions(self):
         r = np.linspace(0.0, 120.0, 57)
-        u, du = radial_table(12, r)
-        assert u.shape == du.shape == (13, 13, r.size)
+        u = radial_table(12, r)
+        assert u.shape == (13, 13, r.size)
         for n in range(13):
             for l in range(13):
                 if l <= n:
                     assert np.array_equal(u[n, l], radial_eigenfunction(n, l, r))
-                    assert np.array_equal(du[n, l], radial_eigenfunction_deriv(n, l, r))
                 else:
-                    assert not np.any(u[n, l]) and not np.any(du[n, l])
+                    assert not np.any(u[n, l])
 
 
 class TestMakeQuadrature:
@@ -297,15 +287,15 @@ class TestMakeQuadrature:
         assert rule.weights[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_laguerre_two_nodes_closed_form(self):
-        rule = make_quadrature("laguerre", 2)
-        assert rule.nodes == pytest.approx([2 - math.sqrt(2), 2 + math.sqrt(2)], rel=1e-14)
-        assert rule.weights == pytest.approx(
+        x, scaled = exp_decay_rule(1.0, 2)
+        assert x == pytest.approx([2 - math.sqrt(2), 2 + math.sqrt(2)], rel=1e-14)
+        assert scaled * np.exp(-x) == pytest.approx(
             [(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4], rel=1e-13
         )
 
     def test_legendre_monomial(self):
         rule = make_quadrature("legendre", 16)
-        assert rule.integrate(lambda x: x**14) == pytest.approx(2.0 / 15.0, rel=1e-13)
+        assert rule.weights @ rule.nodes**14 == pytest.approx(2.0 / 15.0, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -316,7 +306,7 @@ class TestMakeQuadrature:
         degree = min(len(coeffs) - 1, 2 * m - 1)
         coeffs = coeffs[: degree + 1]
         rule = make_quadrature("legendre", m)
-        got = rule.integrate(lambda x: sum(c * x**k for k, c in enumerate(coeffs)))
+        got = rule.weights @ sum(c * rule.nodes**k for k, c in enumerate(coeffs))
         exact = sum(2.0 * c / (k + 1) for k, c in enumerate(coeffs) if k % 2 == 0)
         assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
@@ -328,35 +318,35 @@ class TestMakeQuadrature:
         assert np.sum(rule.weights) == pytest.approx(2 * math.pi, rel=1e-15)
 
     def test_laguerre_stable_at_128(self):
-        rule = make_quadrature("laguerre", 128)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-        assert rule.integrate(lambda u: u**20) == pytest.approx(
-            math.factorial(20), rel=1e-13
-        )
+        x, scaled = exp_decay_rule(1.0, 128)
+        weights = scaled * np.exp(-x)
+        assert np.all(np.diff(x) > 0)
+        assert np.all(weights > 0)
+        assert weights @ x**20 == pytest.approx(math.factorial(20), rel=1e-13)
 
     def test_invariants_all_kinds(self):
-        for kind, kwargs in (("legendre", {"a": 0.0, "b": 3.0}), ("laguerre", {}), ("trapezoid", {})):
-            rule = make_quadrature(kind, 24, **kwargs)
-            assert np.all(np.diff(rule.nodes) > 0)
-            assert np.all(rule.weights > 0)
+        rules = [make_quadrature("legendre", 24, a=0.0, b=3.0), make_quadrature("trapezoid", 24)]
+        for nodes, weights in [(rule.nodes, rule.weights) for rule in rules] + [exp_decay_rule(1.0, 24)]:
+            assert np.all(np.diff(nodes) > 0)
+            assert np.all(weights > 0)
 
     def test_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             make_quadrature("legendre", 0)
+        for kind in ("chebyshev", "laguerre"):  # Gauss-Laguerre rules come from exp_decay_rule
+            with pytest.raises(ConfigurationError):
+                make_quadrature(kind, 4)
         with pytest.raises(ConfigurationError):
-            make_quadrature("chebyshev", 4)
-        with pytest.raises(ConfigurationError):
-            make_quadrature("laguerre", 4, period=1.0)
+            make_quadrature("legendre", 4, period=1.0)
 
     def test_rules_are_shared_and_read_only(self):
-        first, second = make_quadrature("laguerre", 96), make_quadrature("laguerre", 96)
-        assert first.nodes is second.nodes
+        (nodes, weights), (again, _) = _gauss_rule("laguerre", 96), _gauss_rule("laguerre", 96)
+        assert nodes is again
         r, w = exp_decay_rule(1.0, 96)
-        assert np.array_equal(r, first.nodes)
-        assert np.array_equal(w * np.exp(-r), first.weights)
+        assert np.array_equal(r, nodes)
+        assert np.array_equal(w, weights)
         with pytest.raises(ValueError):
-            first.nodes[0] = 0.0
+            nodes[0] = 0.0
         with pytest.raises(ConfigurationError):
             exp_decay_rule(1.0, 129)
 
