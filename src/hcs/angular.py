@@ -10,6 +10,7 @@ resolves the identity on the shell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,21 +82,31 @@ def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return l, np.arange(l.size) - l * l - l
 
 
+@functools.lru_cache(maxsize=8)
+def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
+    """(l - m, l + m, sqrt_binomial_weight, sqrt(2l+1)) per channel l <= l_max; built once, read-only.
+
+    One log-factorial table, the same subtraction order and math.exp keep
+    every weight bit-identical to sqrt_binomial_weight.
+    """
+    l, m = _channels(l_max)
+    log_fact = np.array([log_factorial(k) for k in range(2 * l_max + 1)])
+    exponent = 0.5 * (log_fact[2 * l] - log_fact[l + np.abs(m)] - log_fact[l - np.abs(m)])
+    table = (l - m, l + m, np.array([math.exp(v) for v in exponent.tolist()]), np.sqrt(2.0 * l + 1))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def _theta_factor(l_max: int, theta_bar) -> np.ndarray:
     """A_lm = sqrt(2l+1) sqrt((2l)!/((l+m)!(l-m)!)) sin(tb/2)^(l-m) cos(tb/2)^(l+m), channels first."""
-    l, m = _channels(l_max)
+    down, up, weight, root = _theta_weights(l_max)
     half = 0.5 * np.asarray(theta_bar, dtype=float)
     # per-exponent power tables, each with a scalar exponent: numpy squares x ** 2
     # as x*x but sends an exponent array through pow, which rounds differently
     sin_pow, cos_pow = (np.array([x**k for k in range(2 * l_max + 1)]) for x in (np.sin(half), np.cos(half)))
-    # sqrt_binomial_weight per channel from one log-factorial table; the same
-    # subtraction order and math.exp keep every weight bit-identical to it
-    log_fact = np.array([log_factorial(k) for k in range(2 * l_max + 1)])
-    hi, lo = l + np.abs(m), l - np.abs(m)
-    exponent = 0.5 * (log_fact[2 * l] - log_fact[hi] - log_fact[lo])
-    weight = np.array([math.exp(v) for v in exponent.tolist()])
     col = (-1,) + (1,) * np.ndim(half)
-    return weight.reshape(col) * sin_pow[l - m] * cos_pow[l + m] * np.sqrt(2.0 * l + 1).reshape(col)
+    return weight.reshape(col) * sin_pow[down] * cos_pow[up] * root.reshape(col)
 
 
 def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray:

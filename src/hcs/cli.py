@@ -271,16 +271,8 @@ def _checks_resolution_covering(cfg, family, rng):
     sinc_ok = all(r.certificate_satisfied for r in reports)
     ratios = [reports[i].certificate_bound / reports[i + 1].certificate_bound for i in range(2)]
     scaling_dev = max(abs(r / 10.0 - 1.0) for r in ratios)
-    return [
-        CheckResult(
-            "resolution-1d-covering",
-            sinc_ok and scaling_dev <= 0.01,
-            scaling_dev,
-            0.01,
-            "certificate bound must fall 10x per window decade; every off-diagonal "
-            "obeys the sinc bound",
-        )
-    ]
+    detail = "certificate bound must fall 10x per window decade; every off-diagonal obeys the sinc bound"
+    return [CheckResult("resolution-1d-covering", sinc_ok and scaling_dev <= 0.01, scaling_dev, 0.01, detail)]
 
 
 def _checks_angular(cfg, family, rng):
@@ -315,40 +307,22 @@ def stability_sweep(family, rng, count=50, n_max=12) -> float:
         kind = ("oscillator", "generalized", "degenerate", "hydrogen")[i % 4]
         if kind == "oscillator":
             z = rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-            res = fock1d.stability_residual(
-                "oscillator", z, fock1d.Spectrum("oscillator", omega), t, n_max=n_max
-            )
-        elif kind == "generalized":
-            res = fock1d.stability_residual(
-                "generalized",
-                (rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)),
-                fock1d.Spectrum("oscillator", omega),
-                t,
-                family=family,
-                n_max=n_max,
-            )
-        elif kind == "degenerate":
-            res = fock1d.stability_residual(
-                "degenerate",
-                (rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)),
-                fock1d.Spectrum("inverse-square", omega),
-                t,
-                family=family,
-                n_max=n_max,
-            )
+            res = fock1d.stability_residual(kind, z, fock1d.Spectrum("oscillator", omega), t, n_max=n_max)
+        elif kind in ("generalized", "degenerate"):
+            spectrum = fock1d.Spectrum("oscillator" if kind == "generalized" else "inverse-square", omega)
+            label = (rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
+            res = fock1d.stability_residual(kind, label, spectrum, t, family=family, n_max=n_max)
         else:
-            label = hydrogen.HydrogenLabel(
-                rng.uniform(0.0, 1.5),
-                rng.uniform(-math.pi, math.pi),
-                angular.EulerAngles(
-                    rng.uniform(0.0, math.pi),
-                    rng.uniform(0.0, 2 * math.pi),
-                    rng.uniform(0.0, 2 * math.pi),
-                ),
-            )
-            res = hydrogen.hydrogen_stability_residual(label, family, omega, t, n_max=n_max)
+            res = hydrogen.hydrogen_stability_residual(_random_label(rng, 1.5), family, omega, t, n_max=n_max)
         worst = max(worst, res)
     return worst
+
+
+def _random_label(rng, s_max: float) -> hydrogen.HydrogenLabel:
+    """A label from five uniform draws, in order: s, gamma, theta_bar, phi_bar, psi_bar."""
+    bounds = ((0.0, s_max), (-math.pi, math.pi), (0.0, math.pi), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
+    s, gamma, *angles = (rng.uniform(low, high) for low, high in bounds)
+    return hydrogen.HydrogenLabel(s, gamma, angular.EulerAngles(*angles))
 
 
 def _checks_radial(cfg, family, rng):
@@ -373,8 +347,9 @@ def _checks_parseval(cfg, family, rng):
     quad = position.quadrature_norm_squared(state, radial_nodes=cfg.radial_nodes)
     coeff = state.norm_squared()
     closed = hydrogen.state_norm(label, family, 8) ** 2
-    measured = max(abs(quad - coeff), abs(coeff - closed))
-    detail = "quadrature norm vs coefficient norm vs closed shell sum at s = 1"
+    # relative, as quadrature_norm_squared promises: the norm squared is about 5 here
+    measured = max(abs(quad - coeff), abs(coeff - closed)) / coeff
+    detail = "quadrature norm and closed shell sum vs coefficient norm at s = 1, relative"
     return [CheckResult.at_most("position-parseval", measured, 1e-8, detail)]
 
 
@@ -395,29 +370,15 @@ def _checks_ground_state(cfg, family, rng):
 def _checks_uncertainty_floor(cfg, family, rng):
     lowest = math.inf
     for _ in range(20):
-        label = hydrogen.HydrogenLabel(
-            rng.uniform(0.0, 1.2),
-            rng.uniform(-math.pi, math.pi),
-            angular.EulerAngles(
-                rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
-            ),
-        )
-        state = hydrogen.hydrogen_cs(label, family, n_max=12, check_tail=False)
+        state = hydrogen.hydrogen_cs(_random_label(rng, 1.2), family, n_max=12, check_tail=False)
         lowest = min(lowest, position.radial_uncertainty_product(state))
     detail = "20 random coherent states stay above the Heisenberg floor"
     return [CheckResult("uncertainty-floor", lowest >= 0.25, lowest, 0.25, detail)]
 
 
 def _checks_hydrogen_resolution(cfg, family, rng):
-    rep = hydrogen.hydrogen_resolution_check(
-        family,
-        n_max=cfg.n_max,
-        radial_nodes=64,
-        gamma_window=cfg.gamma_window,
-        theta_nodes=cfg.theta_nodes,
-        phi_nodes=cfg.phi_nodes,
-        psi_nodes=cfg.psi_nodes,
-    )
+    nodes = cfg.theta_nodes, cfg.phi_nodes, cfg.psi_nodes
+    rep = hydrogen.hydrogen_resolution_check(family, cfg.n_max, 64, cfg.gamma_window, *nodes)
     ok = rep.diag_max_dev <= 1e-10 and rep.certificate_satisfied
     detail = (
         f"diagonal deviation at gamma window {rep.gamma_window:g}; "
@@ -469,16 +430,9 @@ def run_moments(cfg: RunConfig) -> tuple[dict, int]:
     passed = all(c.passed for c in checks)
     table = []
     for n in range(cfg.n_max + 1):
-        stored = family.moment(n)
-        quad = family.moment_by_quadrature(n)
-        table.append(
-            {
-                "n": n,
-                "stored": stored,
-                "quadrature": quad,
-                "rel_dev": abs(quad - stored) / abs(stored),
-            }
-        )
+        stored, quad = family.moment(n), family.moment_by_quadrature(n)
+        rel_dev = abs(quad - stored) / abs(stored)
+        table.append({"n": n, "stored": stored, "quadrature": quad, "rel_dev": rel_dev})
     report = {
         "command": "moments",
         "family": cfg.family,

@@ -126,14 +126,13 @@ def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> FockExpans
 
 def _weighted_amplitudes(r: float, family: WeightFamily, n_max: int) -> np.ndarray:
     """Real amplitudes M(r^2) r^n / sqrt(rho_n) for n <= n_max."""
-    n = np.arange(n_max + 1)
-    log_mom = np.array([family.log_moment(int(k)) for k in n])
+    log_mom = family.log_moments(n_max)
     if r == 0.0:
         amp = np.zeros(n_max + 1)
         amp[0] = family.m_value(0.0) * math.exp(-0.5 * log_mom[0])
         return amp
     log_m = math.log(family.m_value(r * r))
-    return np.exp(log_m + n * math.log(r) - 0.5 * log_mom)
+    return np.exp(log_m + np.arange(n_max + 1) * math.log(r) - 0.5 * log_mom)
 
 
 def generalized_cs(
@@ -200,30 +199,25 @@ def stability_residual(
     itself scales like eps * |label angles + w t|; keep labels O(10) to
     resolve the 5e-15 contract.
     """
+    if kind not in ("oscillator", "generalized", "degenerate"):
+        raise ConfigurationError(f"unknown state kind {kind!r}")
+    needed = "inverse-square" if kind == "degenerate" else "oscillator"
+    if spectrum.kind != needed:
+        raise ConfigurationError(f"{kind} states are label-stable under the {needed} spectrum")
+    if kind != "oscillator" and family is None:
+        raise ConfigurationError(f"{kind} states need a weight family")
     if kind == "oscillator":
-        if spectrum.kind != "oscillator":
-            raise ConfigurationError("oscillator states are label-stable under the oscillator spectrum")
         z = complex(label)
         state = oscillator_cs(z, n_max, check_tail=False)
         shifted = oscillator_cs(z * cmath.exp(-1j * spectrum.omega * t), n_max, check_tail=False)
     elif kind == "generalized":
-        if spectrum.kind != "oscillator":
-            raise ConfigurationError("generalized states are label-stable under the oscillator spectrum")
-        if family is None:
-            raise ConfigurationError("generalized states need a weight family")
         r, theta = label
         state = generalized_cs(r, theta, family, n_max, check_tail=False)
         shifted = generalized_cs(r, theta - spectrum.omega * t, family, n_max, check_tail=False)
-    elif kind == "degenerate":
-        if spectrum.kind != "inverse-square":
-            raise ConfigurationError("degenerate states are label-stable under the inverse-square spectrum")
-        if family is None:
-            raise ConfigurationError("degenerate states need a weight family")
+    else:
         s, gamma = label
         state = degen_cs(s, gamma, family, n_max, check_tail=False)
         shifted = degen_cs(s, gamma + spectrum.omega * t, family, n_max, check_tail=False)
-    else:
-        raise ConfigurationError(f"unknown state kind {kind!r}")
     evolved = evolve_spectral(state, spectrum, t)
     return float(np.max(np.abs(evolved.coeffs - shifted.coeffs)))
 
@@ -245,7 +239,7 @@ def radial_factor_matrix(family: WeightFamily, n_max: int, radial_nodes: int = 6
     with np.errstate(divide="ignore"):
         log_base = log_w + np.log(k_vals) + np.log(m2_vals)
         log_u = np.log(u)
-    log_mom = np.array([family.log_moment(n) for n in range(n_max + 1)])
+    log_mom = family.log_moments(n_max)
     n = np.arange(n_max + 1)
     factorial_moment = family._factorial_moment
     if factorial_moment is None:

@@ -10,6 +10,7 @@ defining sum verbatim and are not unit-normalized (see ``state_norm``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,25 @@ class HydrogenExpansion:
         return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, family=self.family, label=label)
 
 
+@functools.lru_cache(maxsize=8)
+def _flat_channels(n_max: int) -> np.ndarray:
+    """Channel l^2 + l + m of every flat index below total_dimension(n_max); read-only."""
+    dims = (np.arange(n_max + 1) + 1) ** 2
+    channel = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
+    channel.flags.writeable = False
+    return channel
+
+
+def _product_state(label: HydrogenLabel, family: WeightFamily, amps: np.ndarray, angular: np.ndarray):
+    """The state with coefficient amps[n] * angular[i] at flat index i of shell n: one repeat-multiply.
+
+    ``angular`` is the shared angular factor gathered over the flat index.
+    """
+    coeffs = np.repeat(amps, (np.arange(amps.size) + 1) ** 2)
+    coeffs *= angular
+    return HydrogenExpansion(n_max=amps.size - 1, coeffs=coeffs, family=family, label=label)
+
+
 def hydrogen_cs(
     label: HydrogenLabel, family: WeightFamily, n_max: int, check_tail: bool = True
 ) -> HydrogenExpansion:
@@ -136,9 +156,8 @@ def hydrogen_cs(
     if check_tail:
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
-    angular = angular_cs(n_max, label.omega_bar).coeffs
-    coeffs = np.concatenate([amps[n] * angular[: shell_dimension(n)] for n in range(n_max + 1)])
-    return HydrogenExpansion(n_max=n_max, coeffs=coeffs, family=family, label=label)
+    angular = angular_cs(n_max, label.omega_bar).coeffs[_flat_channels(n_max)]
+    return _product_state(label, family, amps, angular)
 
 
 def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExpansion:
@@ -152,21 +171,19 @@ def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExp
 
 
 def hydrogen_stability_residual(
-    label: HydrogenLabel,
-    family: WeightFamily,
-    omega: float,
-    t: float,
-    n_max: int = 12,
+    label: HydrogenLabel, family: WeightFamily, omega: float, t: float, n_max: int = 12
 ) -> float:
     """Max coefficient deviation between evolution and the gamma shift.
 
     This is an exact label identity; the residual is pure roundoff and
-    scales like eps * |gamma + omega t|.
+    scales like eps * |gamma + omega t|.  Both states share one angular factor.
     """
-    state = hydrogen_cs(label, family, n_max, check_tail=False)
-    evolved = evolve_hydrogen(state, omega, t)
-    shifted = hydrogen_cs(label.shifted(omega, t), family, n_max, check_tail=False)
-    return float(np.max(np.abs(evolved.coeffs - shifted.coeffs)))
+    angular = angular_cs(n_max, label.omega_bar).coeffs[_flat_channels(n_max)]
+    state, shifted = (
+        _product_state(at, family, degen_cs(at.s, at.gamma, family, n_max, check_tail=False).coeffs, angular)
+        for at in (label, label.shifted(omega, t))
+    )
+    return float(np.max(np.abs(evolve_hydrogen(state, omega, t).coeffs - shifted.coeffs)))
 
 
 def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
@@ -182,8 +199,7 @@ def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
     if label.s == 0.0:
         return family.m_value(0.0) * math.exp(-0.5 * family.log_moment(0))
     n = np.arange(n_max + 1)
-    log_mom = np.array([family.log_moment(int(k)) for k in n])
-    log_terms = 2.0 * n * math.log(label.s) + 2.0 * np.log(n + 1.0) - log_mom
+    log_terms = 2.0 * n * math.log(label.s) + 2.0 * np.log(n + 1.0) - family.log_moments(n_max)
     log_sum = float(logsumexp(log_terms))
     return family.m_value(label.s * label.s) * math.exp(0.5 * log_sum)
 

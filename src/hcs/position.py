@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import EulerAngles, _channels, angular_cs, channel_index
+from .angular import EulerAngles, _channels, angular_cs
 from .errors import ConfigurationError, NumericalError
 from .fock1d import Spectrum
 from .hydrogen import HydrogenExpansion, shell_offset
@@ -87,12 +87,22 @@ def eval_angular_cs_position(n: int, omega_bar: EulerAngles, r, theta, phi):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _channel_gather(n_max: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Flat indices in channel-major order (l, shell n >= l, m) and where each l starts; read-only."""
+    offsets = np.array([shell_offset(n) for n in range(n_max + 1)])
+    blocks = [np.add.outer(offsets[l:], np.arange(l * l, (l + 1) ** 2)).ravel() for l in range(n_max + 1)]
+    order = np.concatenate(blocks)
+    order.flags.writeable = False
+    return order, tuple(np.cumsum([0] + [block.size for block in blocks]).tolist())
+
+
 def _channel_blocks(x: HydrogenExpansion):
-    """(l, channel slice, coefficients (shell, m) of shells n >= l) for every l."""
+    """(l, channel slice, coefficients (shell, m) of shells n >= l) for every l, from one gather."""
+    order, starts = _channel_gather(x.n_max)
+    flat = x.coeffs[order]
     for l in range(x.n_max + 1):
-        lo, hi = channel_index(l, -l), channel_index(l, l) + 1
-        starts = [shell_offset(n) + lo for n in range(l, x.n_max + 1)]
-        yield l, slice(lo, hi), x.coeffs[np.add.outer(starts, np.arange(hi - lo))]
+        yield l, slice(l * l, (l + 1) ** 2), flat[starts[l] : starts[l + 1]].reshape(-1, 2 * l + 1)
 
 
 def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
@@ -180,7 +190,10 @@ def _normalized_forms(x: HydrogenExpansion, top: int = 2) -> np.ndarray:
     tables = _radial_operators(x.n_max, top)
     forms = 0.0
     for l, _, coeffs in _channel_blocks(x):
-        forms = forms + np.einsum("sm,tsm->t", coeffs.conj(), tables[l] @ coeffs)
+        # c^H O c = sum O * G over the channel's Gram matrix G = conj(C) C^T, formed once
+        gram = (coeffs.conj() @ coeffs.T).reshape(-1)
+        forms = forms + tables[l].reshape(top + 5, -1) @ gram.view(float).reshape(-1, 2)
+    forms = forms[:, 0] + 1j * forms[:, 1]
     if not forms[2].real > 0:
         raise ValueError("radial moments need a state with a nonzero norm")
     return forms / forms[2].real

@@ -45,8 +45,8 @@ class WeightFamily:
     """A weight rho(u) >= 0 on [0, inf) with moments, M^2 and k.
 
     Instances are immutable after construction apart from the internal
-    moment memo, which is append-only; they are safe to share across
-    threads once validated.
+    moment caches, which never change a value; they are safe to share
+    across threads once validated.
     """
 
     def __init__(
@@ -81,6 +81,7 @@ class WeightFamily:
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self._grid = grid
         self._moment_memo: dict[int, float] = {}
+        self._log_moments = np.empty(0)
 
     def __repr__(self):
         return f"WeightFamily({self.name!r})"
@@ -119,6 +120,15 @@ class WeightFamily:
             return log_factorial(self._factorial_moment(n))
         return math.log(self.moment(n))
 
+    def log_moments(self, n_max: int) -> np.ndarray:
+        """[log rho_0, ..., log rho_n_max], read-only; the longest table yet is kept."""
+        table = self._log_moments
+        if table.size <= n_max:
+            table = np.array([self.log_moment(k) for k in range(n_max + 1)])
+            table.flags.writeable = False
+            self._log_moments = table
+        return table[: n_max + 1]
+
     def moment_by_quadrature(self, n: int, nodes: int | None = None) -> float:
         """rho_n computed numerically, independent of any stored table."""
         if n < 0:
@@ -154,7 +164,7 @@ class WeightFamily:
     def _log_norm_sum(self, u: np.ndarray, n_max: int):
         """log sum_{n<=n_max} u^n/rho_n and the log of its last term."""
         n = np.arange(n_max + 1)
-        log_mom = np.array([self.log_moment(int(k)) for k in n])
+        log_mom = self.log_moments(n_max)
         log_u = np.log(np.maximum(u, 1e-300))
         log_terms = n[None, :] * log_u[:, None] - log_mom[None, :]
         # u = 0 contributes only the n = 0 term

@@ -99,6 +99,15 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 3
         assert "radial rule of 12 nodes" in capsys.readouterr().err
 
+    def test_parseval_is_relative_to_the_norm(self, tmp_path):
+        # this rule misses the squared norm of about 5 by 1.9e-8: 3.9e-9 relative, inside 1e-8
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"radial_nodes": 56}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        entry = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "position-parseval")
+        assert 1e-9 < entry["measured"] <= 1e-8
+
     def test_corrupted_moments_fail_named(self, tmp_path):
         family = tmp_path / "corrupt.json"
         _write_corrupt_family(family)
@@ -549,12 +558,20 @@ import json, sys
 import hcs
 lazy = "hcs.cli" not in sys.modules
 import hcs.cli
-print(json.dumps({"cli_lazy": lazy, "tables": hcs.cli._format_tables.cache_info().currsize}))
+caches = (
+    hcs.cli._format_tables,
+    hcs.angular._theta_weights,
+    hcs.hydrogen._flat_channels,
+    hcs.position._channel_gather,
+    hcs.position._radial_operators,
+)
+print(json.dumps({"cli_lazy": lazy, "tables": [cache.cache_info().currsize for cache in caches]}))
 """
 
 
 def test_import_builds_no_formatter_table():
+    # nor any per-n_max table: each is built on first use
     child = [sys.executable, "-c", _IMPORT_CHILD]
     proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": 0}
+    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0]}

@@ -6,7 +6,7 @@ import pytest
 
 from hcs.angular import EulerAngles, angular_cs, shell_dimension
 from hcs.errors import NumericalError, TruncationError
-from hcs.fock1d import radial_factor_matrix
+from hcs.fock1d import Spectrum, degen_cs, radial_factor_matrix
 from hcs.hydrogen import (
     HydrogenLabel,
     evolve_hydrogen,
@@ -192,6 +192,40 @@ class TestStabilityResidual:
                 ),
             )
         assert worst <= 5e-15
+
+
+def _per_shell_state(label, family, n_max):
+    """Shell by shell: amplitude n times the first (n+1)^2 angular coefficients."""
+    amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False).coeffs
+    angular = angular_cs(n_max, label.omega_bar).coeffs
+    return np.concatenate([amps[n] * angular[: shell_dimension(n)] for n in range(n_max + 1)])
+
+
+def _per_shell_evolved(coeffs, n_max, omega, t):
+    phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
+    out = coeffs.copy()
+    for n in range(n_max + 1):
+        out[shell_offset(n) : shell_offset(n + 1)] *= phases[n]
+    return out
+
+
+@pytest.mark.parametrize("name", ["exponential", "sqrt-exponential"])
+@pytest.mark.parametrize("n_max", [0, 1, 12, 48])
+def test_shell_product_pipeline_is_bit_identical_to_per_shell(name, n_max):
+    family = builtin_family(name)
+    rng = np.random.default_rng([n_max, len(name)])
+    for s in (0.0, 0.4, 1.3):
+        angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
+        omega, t = rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0)
+        reference = _per_shell_state(label, family, n_max)
+        state = hydrogen_cs(label, family, n_max, check_tail=False)
+        assert state.coeffs.tobytes() == reference.tobytes()
+        evolved = _per_shell_evolved(reference, n_max, omega, t)
+        assert evolve_hydrogen(state, omega, t).coeffs.tobytes() == evolved.tobytes()
+        shifted = _per_shell_state(label.shifted(omega, t), family, n_max)
+        residual = float(np.max(np.abs(evolved - shifted)))
+        assert hydrogen_stability_residual(label, family, omega, t, n_max) == residual
 
 
 class TestHydrogenResolution:

@@ -8,9 +8,16 @@ from scipy.integrate import quad
 from hcs.angular import EulerAngles
 from hcs.errors import ConfigurationError, NumericalError
 from hcs.cli import write_csv
-from hcs.fock1d import Spectrum
+from hcs.fock1d import Spectrum, degen_cs
 from hcs import position
-from hcs.hydrogen import HydrogenExpansion, HydrogenLabel, hydrogen_cs, shell_offset, total_dimension
+from hcs.hydrogen import (
+    HydrogenExpansion,
+    HydrogenLabel,
+    evolve_hydrogen,
+    hydrogen_cs,
+    shell_offset,
+    total_dimension,
+)
 from hcs.position import (
     DENSITY_CSV_HEADER,
     GridSpec,
@@ -349,6 +356,40 @@ class TestRadialOperators:
         label = HydrogenLabel(0.5, 0.3, ANGLES)
         products = [radial_uncertainty_product(hydrogen_cs(label, exponential, n)) for n in (14, 34, 48)]
         assert products == pytest.approx([products[-1]] * 3, rel=1e-10)
+
+
+def _factored_forms(x, amps):
+    """Normalized forms of a product state from its shell amplitudes: sum_l (2l+1) a^H O_l a."""
+    tables = position._radial_operators(x.n_max)
+    forms = sum((2 * l + 1) * np.einsum("s,tsu,u->t", amps[l:].conj(), o, amps[l:]) for l, o in enumerate(tables))
+    return forms / forms[2].real
+
+
+class TestGramForms:
+    @pytest.mark.parametrize("n_max", [12, 48])
+    def test_product_states_match_the_factored_oracle(self, exponential, n_max):
+        rng = np.random.default_rng(n_max)
+        for s in (0.0, 0.5, 1.4):
+            angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+            label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
+            amps = degen_cs(label.s, label.gamma, exponential, n_max, check_tail=False).coeffs
+            state = hydrogen_cs(label, exponential, n_max, check_tail=False)
+            omega, t = rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0)
+            phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
+            for x, a in ((state, amps), (evolve_hydrogen(state, omega, t), amps * phases)):
+                got = position._normalized_forms(x)
+                np.testing.assert_allclose(got, _factored_forms(x, a), rtol=1e-13, atol=1e-15)
+
+    def test_non_product_state_matches_the_per_channel_products(self, exponential):
+        n_max = 12
+        rng = np.random.default_rng(3)
+        coeffs = rng.standard_normal(total_dimension(n_max)) + 1j * rng.standard_normal(total_dimension(n_max))
+        x = HydrogenExpansion(n_max=n_max, coeffs=coeffs, family=exponential, label=GROUND_LABEL)
+        forms = 0.0
+        for l, table in enumerate(position._radial_operators(n_max)):
+            c = np.array([coeffs[shell_offset(n) + l * l :][: 2 * l + 1] for n in range(l, n_max + 1)])
+            forms = forms + np.einsum("sm,tsm->t", c.conj(), table @ c)
+        np.testing.assert_allclose(position._normalized_forms(x), forms / forms[2].real, rtol=1e-13, atol=1e-15)
 
 
 class TestQuadratureNormContract:

@@ -66,6 +66,22 @@ class TestBuiltinFamilies:
         with pytest.raises(ValueError):
             exponential.moment(-1)
 
+    def test_log_moments_table_is_the_scalar_values(self):
+        grid = np.linspace(0.0, 40.0, 200)
+        for fam in (builtin_family("exponential"), builtin_family("sqrt-exponential")):
+            long = fam.log_moments(48)
+            assert long.tobytes() == np.array([fam.log_moment(n) for n in range(49)]).tobytes()
+            # a shorter table is a prefix of the kept one; a longer one replaces it
+            assert fam.log_moments(12).tobytes() == long[:13].tobytes()
+            assert fam.log_moments(60)[:49].tobytes() == long.tobytes()
+        tabulated = tabulated_family("tab", grid, np.exp(-grid), 4)
+        scalar = np.array([tabulated.log_moment(n) for n in range(7)])
+        assert tabulated.log_moments(6).tobytes() == scalar.tobytes()
+
+    def test_log_moments_are_read_only(self, exponential):
+        with pytest.raises(ValueError):
+            exponential.log_moments(5)[0] = 1.0
+
 
 class TestNormalization:
     def test_vacuum_limit(self, exponential):
