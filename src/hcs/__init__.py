@@ -33,7 +33,6 @@ from .hydrogen import (
     evolve_hydrogen,
     hydrogen_cs,
     hydrogen_resolution_check,
-    hydrogen_spectrum,
     hydrogen_stability_residual,
     state_norm,
 )

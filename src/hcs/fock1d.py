@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class FockExpansion:
     """Truncated coefficient vector over number states 0..n_max."""
 
     coeffs: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_max(self) -> int:
@@ -121,7 +120,7 @@ def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> FockExpans
         coeffs = np.exp(log_amp + 1j * (n * cmath.phase(z)))
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, abs(z), "oscillator_cs")
-    return FockExpansion(coeffs, meta={"kind": "oscillator", "z": z})
+    return FockExpansion(coeffs)
 
 
 def _weighted_amplitudes(r: float, family: WeightFamily, n_max: int) -> np.ndarray:
@@ -147,9 +146,7 @@ def generalized_cs(
     coeffs = _weighted_amplitudes(r, family, n_max) * np.exp(1j * n * theta)
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, r, "generalized_cs")
-    return FockExpansion(
-        coeffs, meta={"kind": "generalized", "r": r, "theta": theta, "family": family.name}
-    )
+    return FockExpansion(coeffs)
 
 
 def degen_cs(
@@ -168,17 +165,12 @@ def degen_cs(
     coeffs = _weighted_amplitudes(s, family, n_max) * np.exp(1j * (gamma / (n + 1.0) ** 2))
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, s, "degen_cs")
-    return FockExpansion(
-        coeffs, meta={"kind": "degenerate", "s": s, "gamma": gamma, "family": family.name}
-    )
+    return FockExpansion(coeffs)
 
 
 def evolve_spectral(x: FockExpansion, spectrum: Spectrum, t: float) -> FockExpansion:
     """Apply e^{-i E_n t} to each coefficient; pure phases, norm preserved."""
-    phases = spectrum.evolution_phases(len(x.coeffs), t)
-    meta = dict(x.meta)
-    meta["evolved_t"] = meta.get("evolved_t", 0.0) + t
-    return FockExpansion(x.coeffs * phases, meta=meta)
+    return FockExpansion(x.coeffs * spectrum.evolution_phases(len(x.coeffs), t))
 
 
 def stability_residual(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "HydrogenLabel",
     "HydrogenExpansion",
     "HydrogenResolutionReport",
-    "hydrogen_spectrum",
     "hydrogen_cs",
     "evolve_hydrogen",
     "hydrogen_stability_residual",
@@ -50,11 +49,6 @@ def shell_offset(n: int) -> int:
 def total_dimension(n_max: int) -> int:
     """Dimension of the truncated basis with shells 0..n_max."""
     return shell_offset(n_max + 1)
-
-
-def hydrogen_spectrum(omega: float, n: int) -> float:
-    """Bound-state energy -omega/(n+1)^2 of shell n (0-based)."""
-    return Spectrum("inverse-square", omega).energy(n)
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,25 @@ class HydrogenExpansion:
     """Coefficients over basis states (n, l, m), shells 0..n_max.
 
     Storage is shell-major with channel order (l ascending, m ascending
-    within l), i.e. flat index shell_offset(n) + l^2 + l + m.
+    within l), i.e. flat index shell_offset(n) + l^2 + l + m.  A coherent
+    state also carries its shell amplitudes ``amps`` (read-only): shell n
+    holds amps[n] times one shell coherent state, whose weights obey
+    sum_m |A_lm|^2 = 2l+1.  Other expansions have ``amps=None``.
     """
 
     n_max: int
     coeffs: np.ndarray
     family: WeightFamily
     label: HydrogenLabel
+    amps: np.ndarray | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if self.amps is not None:
+            amps = np.asarray(self.amps).view()
+            if amps.shape != (self.n_max + 1,):
+                raise ValueError(f"amps must have shape ({self.n_max + 1},), got {amps.shape}")
+            amps.flags.writeable = False
+            object.__setattr__(self, "amps", amps)
 
     def coeff(self, idx: BasisIndex) -> complex:
         if idx.n > self.n_max:
@@ -114,13 +120,14 @@ class HydrogenExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def phased(self, phases: np.ndarray, label: HydrogenLabel) -> "HydrogenExpansion":
-        """Copy with every coefficient of shell n multiplied by phases[n]."""
+        """Copy with every coefficient and amplitude of shell n multiplied by phases[n]."""
         coeffs = self.coeffs.copy()
         for n in range(self.n_max + 1):
             # one scalar per shell: numpy rounds a complex array-by-array
             # product differently, which would change exported digits
             coeffs[self.shell_slice(n)] *= phases[n]
-        return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, family=self.family, label=label)
+        amps = None if self.amps is None else self.amps * phases[: self.n_max + 1]
+        return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, family=self.family, label=label, amps=amps)
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,7 +146,7 @@ def _product_state(label: HydrogenLabel, family: WeightFamily, amps: np.ndarray,
     """
     coeffs = np.repeat(amps, (np.arange(amps.size) + 1) ** 2)
     coeffs *= angular
-    return HydrogenExpansion(n_max=amps.size - 1, coeffs=coeffs, family=family, label=label)
+    return HydrogenExpansion(n_max=amps.size - 1, coeffs=coeffs, family=family, label=label, amps=amps)
 
 
 def hydrogen_cs(

@@ -1,10 +1,11 @@
 """Configuration-space evaluation of eigenstates and coherent states.
 
 Wavefunctions are assembled from the radial eigenfunctions and spherical
-harmonics; radial expectation values and the radial uncertainty product
-use the (l, m)-channel decomposition: coefficients sharing a channel are
-summed over shells before squaring (they interfere), and channels add
-incoherently after the exact angular integral.
+harmonics, organized by (l, m) channel.  Radial expectation values and
+the radial uncertainty product are quadratic forms in the shell
+amplitudes of a coherent state: coefficients sharing a channel interfere
+across shells, channels add incoherently after the exact angular
+integral, and the shell coherent state gives channel l the weight 2l+1.
 """
 
 from __future__ import annotations
@@ -97,23 +98,19 @@ def _channel_gather(n_max: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return order, tuple(np.cumsum([0] + [block.size for block in blocks]).tolist())
 
 
-def _channel_blocks(x: HydrogenExpansion):
-    """(l, channel slice, coefficients (shell, m) of shells n >= l) for every l, from one gather."""
-    order, starts = _channel_gather(x.n_max)
-    flat = x.coeffs[order]
-    for l in range(x.n_max + 1):
-        yield l, slice(l * l, (l + 1) ** 2), flat[starts[l] : starts[l + 1]].reshape(-1, 2 * l + 1)
-
-
 def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
     """g[..., ch, :] = sum_n coeff(n, ch) table[..., n, l, :] over shells n >= l.
 
     ``table`` is a radial table (or a stack of them) of shape (..., shell,
-    l, r) from radial_table; each l block is one matmul over shells.
+    l, r) from radial_table.  The coefficients come from one channel-major
+    gather, and each l block is one matmul over shells.
     """
+    order, starts = _channel_gather(x.n_max)
+    flat = x.coeffs[order]
     g = np.empty(table.shape[:-3] + ((x.n_max + 1) ** 2, table.shape[-1]), dtype=complex)
-    for l, channels, coeffs in _channel_blocks(x):
-        g[..., channels, :] = coeffs.T @ table[..., l:, l, :]
+    for l in range(x.n_max + 1):
+        coeffs = flat[starts[l] : starts[l + 1]].reshape(-1, 2 * l + 1)
+        g[..., l * l : (l + 1) ** 2, :] = coeffs.T @ table[..., l:, l, :]
     return g
 
 
@@ -179,20 +176,43 @@ def _radial_operators(n_max: int, top: int = 2) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+@functools.lru_cache(maxsize=8)
+def _shell_operators(n_max: int, top: int = 2) -> np.ndarray:
+    """S[t, n, n'] = sum over l <= min(n, n') of (2l+1) O_l[t, n - l, n' - l], per (n_max, top).
+
+    The radial tables of _radial_operators summed over channels with the
+    weight sum_m |A_lm|^2 = 2l+1 that every shell coherent state gives
+    channel l.  It does not depend on the label.  Shared, so read-only.
+    """
+    table = np.zeros((top + 5, n_max + 1, n_max + 1))
+    for l, operator in enumerate(_radial_operators(n_max, top)):
+        table[:, l:, l:] += (2 * l + 1) * operator
+    table.flags.writeable = False
+    return table
+
+
 def _normalized_forms(x: HydrogenExpansion, top: int = 2) -> np.ndarray:
-    """sum over channels of c^H O c for each table O, over the r^0 form (c: the channel's shells)."""
+    """a^H S a for each shell table S of _shell_operators, over the r^0 form (a: the shell amplitudes).
+
+    Shell n of a coherent state is amps[n] times one shell coherent state
+    A_lm e^{-i(m phi_bar + l psi_bar)}, and sum_m |A_lm|^2 = 2l+1 exactly,
+    so every channel quadratic form sum_m c_lm^H O_l c_lm collapses to
+    (2l+1) a^H O_l a: one (n_max+1)^2 form per table, free of the Euler
+    angles.  Expansions without shell amplitudes are refused.
+    """
     nodes = (2 * x.n_max + 4 + top) // 2  # the rule of the top shell pair
     if nodes > _LAGUERRE_MAX_NODES:
         raise ConfigurationError(
             f"exact radial moments up to power {top} at n_max = {x.n_max} need a {nodes}-node "
             f"Gauss-Laguerre rule, past the limit of {_LAGUERRE_MAX_NODES} nodes"
         )
-    tables = _radial_operators(x.n_max, top)
-    forms = 0.0
-    for l, _, coeffs in _channel_blocks(x):
-        # c^H O c = sum O * G over the channel's Gram matrix G = conj(C) C^T, formed once
-        gram = (coeffs.conj() @ coeffs.T).reshape(-1)
-        forms = forms + tables[l].reshape(top + 5, -1) @ gram.view(float).reshape(-1, 2)
+    if x.amps is None:
+        raise ValueError(
+            "radial moments need the shell amplitudes of a coherent state (HydrogenExpansion.amps); "
+            "this expansion carries none"
+        )
+    pairs = np.outer(x.amps.conj(), x.amps).reshape(-1)
+    forms = _shell_operators(x.n_max, top).reshape(top + 5, -1) @ pairs.view(float).reshape(-1, 2)
     forms = forms[:, 0] + 1j * forms[:, 1]
     if not forms[2].real > 0:
         raise ValueError("radial moments need a state with a nonzero norm")
@@ -228,7 +248,7 @@ def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> flo
 
 
 def radial_expectation(x: HydrogenExpansion, power: int) -> float:
-    """Normalized radial moment <r^power> for power >= -1: a quadratic form per channel."""
+    """Normalized radial moment <r^power> for power >= -1: a quadratic form in the shell amplitudes."""
     if power < -1 or power != int(power):
         raise ValueError(f"power must be an integer >= -1, got {power}")
     return float(_normalized_forms(x, max(int(power), 2))[int(power) + 2].real)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from hcs.angular import (
     EulerAngles,
     _channel_coefficients,
+    _theta_factor,
     angular_cs,
     angular_resolution_check,
     channel_index,
@@ -133,6 +134,13 @@ class TestAngularCS:
             ]
             assert np.std(samples) <= 1e-12
             assert np.max(np.abs(np.array(samples) - target)) <= 1e-12
+
+    def test_channel_weights_sum_to_2l_plus_1(self):
+        # sum_m A_lm^2 = (2l+1) (sin^2 + cos^2)^(2l): the weight the radial forms use
+        theta_bar = np.random.default_rng(11).uniform(0.0, math.pi, 64)
+        l = np.arange(49)
+        sums = np.add.reduceat(_theta_factor(48, theta_bar) ** 2, l * l, axis=0)
+        assert np.max(np.abs(sums / (2 * l + 1.0)[:, None] - 1.0)) <= 1e-13
 
 
 class TestAngularResolution:

@@ -564,6 +564,7 @@ caches = (
     hcs.hydrogen._flat_channels,
     hcs.position._channel_gather,
     hcs.position._radial_operators,
+    hcs.position._shell_operators,
 )
 print(json.dumps({"cli_lazy": lazy, "tables": [cache.cache_info().currsize for cache in caches]}))
 """
@@ -574,4 +575,4 @@ def test_import_builds_no_formatter_table():
     child = [sys.executable, "-c", _IMPORT_CHILD]
     proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0]}
+    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0, 0]}

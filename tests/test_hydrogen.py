@@ -12,7 +12,6 @@ from hcs.hydrogen import (
     evolve_hydrogen,
     hydrogen_cs,
     hydrogen_resolution_check,
-    hydrogen_spectrum,
     hydrogen_stability_residual,
     shell_offset,
     state_norm,
@@ -47,21 +46,21 @@ class TestHydrogenLabel:
 
 class TestSpectrum:
     def test_examples(self):
-        assert hydrogen_spectrum(1.0, 0) == -1.0
-        assert hydrogen_spectrum(1.0, 1) == -0.25
-        assert hydrogen_spectrum(0.5, 2) == pytest.approx(-0.5 / 9.0, rel=1e-15)
+        assert Spectrum("inverse-square", 1.0).energy(0) == -1.0
+        assert Spectrum("inverse-square", 1.0).energy(1) == -0.25
+        assert Spectrum("inverse-square", 0.5).energy(2) == pytest.approx(-0.5 / 9.0, rel=1e-15)
 
     def test_accumulation(self):
         omega = 1.3
-        e = np.array([hydrogen_spectrum(omega, n) for n in range(40)])
+        e = np.array([Spectrum("inverse-square", omega).energy(n) for n in range(40)])
         assert np.all(np.diff(e) > 0)
         assert np.all((e >= -omega) & (e < 0))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            hydrogen_spectrum(-1.0, 0)
+            Spectrum("inverse-square", -1.0)
         with pytest.raises(ValueError):
-            hydrogen_spectrum(1.0, -1)
+            Spectrum("inverse-square", 1.0).energy(-1)
 
 
 class TestIndexing:
@@ -106,6 +105,18 @@ class TestHydrogenCS:
         block = x.coeffs[x.shell_slice(4)]
         ratio = block[np.abs(shell.coeffs) > 1e-12] / shell.coeffs[np.abs(shell.coeffs) > 1e-12]
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-14
+
+    def test_carries_read_only_shell_amplitudes(self, exponential):
+        label = HydrogenLabel(0.8, 0.3, ANGLES)
+        x = hydrogen_cs(label, exponential, 6, check_tail=False)
+        assert np.array_equal(x.amps, degen_cs(0.8, 0.3, exponential, 6, check_tail=False).coeffs)
+        with pytest.raises(ValueError):
+            x.amps[0] = 0.0
+        omega, t = 1.3, 2.1
+        evolved = evolve_hydrogen(x, omega, t)
+        phases = Spectrum("inverse-square", omega).evolution_phases(7, t)
+        assert np.array_equal(evolved.amps, x.amps * phases)
+        assert np.allclose(evolved.amps, hydrogen_cs(label.shifted(omega, t), exponential, 6, check_tail=False).amps)
 
     def test_truncation_guard(self, exponential):
         with pytest.raises(TruncationError):

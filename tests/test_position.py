@@ -210,9 +210,27 @@ class TestRadialExpectation:
 
     def test_zero_state_rejected(self, exponential):
         x = _ground(exponential)
-        zero = HydrogenExpansion(n_max=0, coeffs=0 * x.coeffs, family=exponential, label=GROUND_LABEL)
+        zero = HydrogenExpansion(
+            n_max=0, coeffs=0 * x.coeffs, family=exponential, label=GROUND_LABEL, amps=0 * x.amps
+        )
         with pytest.raises(ValueError, match="nonzero norm"):
             radial_uncertainty_product(zero)
+
+    def test_expansion_without_amplitudes_rejected(self, exponential):
+        x = _ground(exponential)
+        bare = HydrogenExpansion(n_max=0, coeffs=x.coeffs, family=exponential, label=GROUND_LABEL)
+        with pytest.raises(ValueError, match="shell amplitudes of a coherent state"):
+            radial_expectation(bare, 1)
+        with pytest.raises(ValueError, match="shell amplitudes of a coherent state"):
+            radial_uncertainty_product(bare)
+
+    def test_euler_angles_drop_out_bit_for_bit(self, exponential):
+        a = hydrogen_cs(HydrogenLabel(0.9, 0.4, ANGLES), exponential, 24, check_tail=False)
+        b = hydrogen_cs(HydrogenLabel(0.9, 0.4, EulerAngles(2.9, 0.1, 5.0)), exponential, 24, check_tail=False)
+        assert not np.array_equal(a.coeffs, b.coeffs)
+        for power in (-1, 1, 2, 3):
+            assert radial_expectation(a, power) == radial_expectation(b, power)
+        assert radial_uncertainty_product(a) == radial_uncertainty_product(b)
 
 
 class TestUncertaintyProduct:
@@ -247,14 +265,17 @@ def test_operator_tables_built_once_per_n_max(exponential, monkeypatch):
     table = position.radial_table
     monkeypatch.setattr(position, "radial_table", lambda *args: builds.append(args[0]) or table(*args))
     position._radial_operators.cache_clear()
+    position._shell_operators.cache_clear()
     x = hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 12, check_tail=False)
     y = hydrogen_cs(HydrogenLabel(0.4, 1.9, EulerAngles(0.3, 2.0, 5.1)), exponential, 12, check_tail=False)
     radial_uncertainty_product(x)
     radial_expectation(y, 1)
     radial_momentum_moments(y)
     assert position._radial_operators.cache_info().misses == 1
+    assert position._shell_operators.cache_info().misses == 1
     radial_uncertainty_product(hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 10, check_tail=False))
     assert position._radial_operators.cache_info().misses == 2
+    assert position._shell_operators.cache_info().misses == 2
     # the moments never sample wavefunctions; the export builds its table once per call
     assert builds == []
     export_density_grid(x, GridSpec((0.5, 2.0), (1.2,), (0.3,)), [0.0, 1.0, 2.5])
@@ -337,18 +358,17 @@ class TestRadialOperators:
             assert np.array_equal(table[-1], table[-1].T)
 
     @pytest.mark.parametrize("n,l", [(0, 0), (13, 4), (30, 29), (47, 21), (48, 48)])
-    def test_eigenstate_moments_at_n_max_48(self, exponential, n, l):
-        coeffs = np.zeros(total_dimension(48), dtype=complex)
-        coeffs[shell_offset(n) + l * l + l] = 0.6 - 0.8j
-        x = HydrogenExpansion(n_max=48, coeffs=coeffs, family=exponential, label=GROUND_LABEL)
-        big_n, ell = n + 1, l * (l + 1)
+    def test_eigenstate_moments_at_n_max_48(self, n, l):
+        # the moments of eigenstate (n, l) are the diagonal entries of channel l's tables
+        table = position._radial_operators(48, 2)[l]
+        big_n, ell, k = n + 1, l * (l + 1), n - l
         r_mean = (3 * big_n**2 - ell) / 2
         r_sq = big_n**2 * (5 * big_n**2 + 1 - 3 * ell) / 2
         p_sq = 1 / big_n**2 - ell / (big_n**3 * (l + 0.5))
-        assert radial_expectation(x, 1) == pytest.approx(r_mean, rel=1e-12)
-        assert radial_expectation(x, 2) == pytest.approx(r_sq, rel=1e-12)
-        assert radial_momentum_moments(x) == pytest.approx((0.0, p_sq), rel=1e-12, abs=1e-15)
-        assert radial_uncertainty_product(x) == pytest.approx((r_sq - r_mean**2) * p_sq, rel=1e-12)
+        assert table[3, k, k] == pytest.approx(r_mean, rel=1e-12)
+        assert table[4, k, k] == pytest.approx(r_sq, rel=1e-12)
+        assert table[-2, k, k] == 0.0
+        assert table[-1, k, k] == pytest.approx(p_sq, rel=1e-12)
 
     def test_product_independent_of_truncation(self, exponential):
         # 14 is the smallest truncation the tail guard accepts for this state;
@@ -360,8 +380,22 @@ class TestRadialOperators:
 
 def _factored_forms(x, amps):
     """Normalized forms of a product state from its shell amplitudes: sum_l (2l+1) a^H O_l a."""
-    tables = position._radial_operators(x.n_max)
+    tables = position._radial_operators(x.n_max, 2)
     forms = sum((2 * l + 1) * np.einsum("s,tsu,u->t", amps[l:].conj(), o, amps[l:]) for l, o in enumerate(tables))
+    return forms / forms[2].real
+
+
+def _channel_matrix(x, l):
+    """C_l[n - l, m + l] = coefficient (n, l, m) for shells n >= l."""
+    return np.array([x.coeffs[shell_offset(n) + l * l :][: 2 * l + 1] for n in range(l, x.n_max + 1)])
+
+
+def _gram_forms(x):
+    """Normalized forms from every coefficient: sum over l of sum O_l * G_l, G_l = conj(C_l) C_l^T."""
+    forms = 0.0
+    for l, table in enumerate(position._radial_operators(x.n_max, 2)):
+        c = _channel_matrix(x, l)
+        forms = forms + np.einsum("tsu,su->t", table, c.conj() @ c.T)
     return forms / forms[2].real
 
 
@@ -380,16 +414,28 @@ class TestGramForms:
                 got = position._normalized_forms(x)
                 np.testing.assert_allclose(got, _factored_forms(x, a), rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("n_max", [12, 48])
+    def test_product_states_match_the_per_channel_gram_oracle(self, exponential, n_max):
+        # the oracle reads every coefficient and never uses sum_m |A_lm|^2 = 2l+1
+        rng = np.random.default_rng(100 + n_max)
+        for s in (0.0, 0.5, 1.4):
+            angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+            label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
+            state = hydrogen_cs(label, exponential, n_max, check_tail=False)
+            for x in (state, evolve_hydrogen(state, rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0))):
+                np.testing.assert_allclose(position._normalized_forms(x), _gram_forms(x), rtol=1e-13, atol=1e-15)
+
     def test_non_product_state_matches_the_per_channel_products(self, exponential):
+        # checks the Gram oracle itself, on a state with no shell amplitudes
         n_max = 12
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(total_dimension(n_max)) + 1j * rng.standard_normal(total_dimension(n_max))
         x = HydrogenExpansion(n_max=n_max, coeffs=coeffs, family=exponential, label=GROUND_LABEL)
         forms = 0.0
-        for l, table in enumerate(position._radial_operators(n_max)):
-            c = np.array([coeffs[shell_offset(n) + l * l :][: 2 * l + 1] for n in range(l, n_max + 1)])
+        for l, table in enumerate(position._radial_operators(n_max, 2)):
+            c = _channel_matrix(x, l)
             forms = forms + np.einsum("sm,tsm->t", c.conj(), table @ c)
-        np.testing.assert_allclose(position._normalized_forms(x), forms / forms[2].real, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(_gram_forms(x), forms / forms[2].real, rtol=1e-13, atol=1e-15)
 
 
 class TestQuadratureNormContract:
