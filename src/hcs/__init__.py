@@ -12,7 +12,6 @@ from .angular import (
     ShellExpansion,
     angular_cs,
     angular_resolution_check,
-    shell_norm_squared,
 )
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .fock1d import (
@@ -38,8 +37,6 @@ from .hydrogen import (
 )
 from .position import (
     GridSpec,
-    eval_angular_cs_position,
-    eval_eigenstate,
     eval_hydrogen_cs_position,
     export_density_grid,
     quadrature_norm_squared,
@@ -47,13 +44,10 @@ from .position import (
     radial_uncertainty_product,
 )
 from .specfun import (
-    BasisIndex,
     QuadratureRule,
-    confluent_polynomial,
     log_factorial,
     make_quadrature,
     radial_eigenfunction,
-    spherical_harmonic,
     sqrt_binomial_weight,
 )
 from .weights import (

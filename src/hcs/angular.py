@@ -24,10 +24,8 @@ __all__ = [
     "ShellExpansion",
     "AngularResolutionReport",
     "angular_cs",
-    "shell_norm_squared",
     "angular_resolution_check",
     "shell_dimension",
-    "channel_index",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -36,11 +34,6 @@ _TWO_PI = 2.0 * math.pi
 def shell_dimension(n: int) -> int:
     """Degeneracy of shell n: sum_{l<=n} (2l+1) = (n+1)^2."""
     return (n + 1) ** 2
-
-
-def channel_index(l: int, m: int) -> int:
-    """Flat storage index of channel (l, m): l^2 + l + m."""
-    return l * l + l + m
 
 
 @dataclass(frozen=True)
@@ -67,17 +60,12 @@ class ShellExpansion:
     n: int
     coeffs: np.ndarray
 
-    def coeff(self, l: int, m: int) -> complex:
-        if not 0 <= l <= self.n or abs(m) > l:
-            raise ValueError(f"channel (l={l}, m={m}) outside shell n={self.n}")
-        return complex(self.coeffs[channel_index(l, m)])
-
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(l, m) of every channel l <= l_max, in flat order channel_index(l, m)."""
+    """(l, m) of every channel l <= l_max, at flat index l^2 + l + m."""
     l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
     return l, np.arange(l.size) - l * l - l
 
@@ -128,11 +116,6 @@ def angular_cs(n: int, omega_bar: EulerAngles) -> ShellExpansion:
         raise ValueError(f"shell index must be >= 0, got {n}")
     coeffs = _channel_coefficients(n, omega_bar.theta_bar, omega_bar.phi_bar, omega_bar.psi_bar)
     return ShellExpansion(n=n, coeffs=coeffs)
-
-
-def shell_norm_squared(n: int, omega_bar: EulerAngles) -> float:
-    """Squared norm of the shell coherent state; equals (n+1)^2 for every label."""
-    return angular_cs(n, omega_bar).norm_squared()
 
 
 @dataclass(frozen=True, eq=False)

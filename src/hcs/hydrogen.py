@@ -24,7 +24,7 @@ from .angular import (
     shell_dimension,
 )
 from .fock1d import ResolutionReport, Spectrum, degen_cs, resolution_check_1d, tail_guard
-from .specfun import BasisIndex, logsumexp
+from .specfun import logsumexp
 from .weights import WeightFamily
 
 __all__ = [
@@ -100,32 +100,19 @@ class HydrogenExpansion:
             amps.flags.writeable = False
             object.__setattr__(self, "amps", amps)
 
-    def coeff(self, idx: BasisIndex) -> complex:
-        if idx.n > self.n_max:
-            raise ValueError(f"shell {idx.n} beyond truncation n_max={self.n_max}")
-        return complex(self.coeffs[shell_offset(idx.n) + idx.l * idx.l + idx.l + idx.m])
-
-    def shell_slice(self, n: int) -> slice:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"shell {n} outside 0..{self.n_max}")
-        return slice(shell_offset(n), shell_offset(n + 1))
-
-    def shell_weights(self) -> np.ndarray:
-        """Per-shell squared norms sum_{l,m} |coeff(n,l,m)|^2."""
-        return np.array(
-            [float(np.sum(np.abs(self.coeffs[self.shell_slice(n)]) ** 2)) for n in range(self.n_max + 1)]
-        )
-
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def phased(self, phases: np.ndarray, label: HydrogenLabel) -> "HydrogenExpansion":
         """Copy with every coefficient and amplitude of shell n multiplied by phases[n]."""
         coeffs = self.coeffs.copy()
+        start = 0
         for n in range(self.n_max + 1):
             # one scalar per shell: numpy rounds a complex array-by-array
             # product differently, which would change exported digits
-            coeffs[self.shell_slice(n)] *= phases[n]
+            stop = start + (n + 1) ** 2
+            coeffs[start:stop] *= phases[n]
+            start = stop
         amps = None if self.amps is None else self.amps * phases[: self.n_max + 1]
         return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, family=self.family, label=label, amps=amps)
 

@@ -1,4 +1,4 @@
-"""Configuration-space evaluation of eigenstates and coherent states.
+"""Configuration-space evaluation of hydrogen coherent states.
 
 Wavefunctions are assembled from the radial eigenfunctions and spherical
 harmonics, organized by (l, m) channel.  Radial expectation values and
@@ -17,30 +17,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .angular import EulerAngles, _channels, angular_cs
 from .errors import ConfigurationError, NumericalError
 from .fock1d import Spectrum
 from .hydrogen import HydrogenExpansion, shell_offset
 from .specfun import (
     _LAGUERRE_MAX_NODES,
-    BasisIndex,
     _radial_shell,
     exp_decay_rule,
     make_quadrature,
-    radial_eigenfunction,
     radial_table,
-    spherical_harmonic,
     spherical_harmonic_table,
 )
 
 __all__ = [
     "GridSpec",
-    "eval_eigenstate",
-    "eval_angular_cs_position",
     "eval_hydrogen_cs_position",
     "quadrature_norm_squared",
     "radial_expectation",
-    "radial_momentum_moments",
     "radial_uncertainty_product",
     "export_density_grid",
 ]
@@ -69,23 +62,6 @@ class GridSpec:
             raise ValueError("polar angles must lie in [0, pi]")
         if np.any((phi < 0) | (phi >= 2 * math.pi)):
             raise ValueError("azimuth angles must lie in [0, 2*pi)")
-
-
-def eval_eigenstate(idx: BasisIndex, r, theta, phi):
-    """Bound-state wavefunction u_{n}^{l}(r) Y_{lm}(theta, phi)."""
-    return radial_eigenfunction(idx.n, idx.l, r) * spherical_harmonic(idx.l, idx.m, theta, phi)
-
-
-def eval_angular_cs_position(n: int, omega_bar: EulerAngles, r, theta, phi):
-    """Position representation of the shell-n angular coherent state."""
-    shell = angular_cs(n, omega_bar)
-    rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
-    ylm = spherical_harmonic_table(n, tb.ravel(), pb.ravel())
-    u = _radial_shell(n, np.arange(n + 1), rb.ravel())  # (l, point)
-    out = np.einsum("c,cp,cp->p", shell.coeffs, u[_channels(n)[0]], ylm).reshape(rb.shape)
-    if out.shape == ():
-        return complex(out)
-    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -252,16 +228,6 @@ def radial_expectation(x: HydrogenExpansion, power: int) -> float:
     if power < -1 or power != int(power):
         raise ValueError(f"power must be an integer >= -1, got {power}")
     return float(_normalized_forms(x, max(int(power), 2))[int(power) + 2].real)
-
-
-def radial_momentum_moments(x: HydrogenExpansion) -> tuple[float, float]:
-    """(<p_r>, <p_r^2>) for the self-adjoint radial momentum -i(d/dr + 1/r).
-
-    With h_ch = r g_ch, <p_r^2> = sum_ch int |h_ch'|^2 dr and <p_r> =
-    sum_ch int Im(conj(h_ch) h_ch') dr, normalized: forms of the momentum tables.
-    """
-    forms = _normalized_forms(x)
-    return float(forms[-2].imag), float(forms[-1].real)
 
 
 def radial_uncertainty_product(x: HydrogenExpansion) -> float:

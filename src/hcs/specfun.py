@@ -18,13 +18,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "BasisIndex",
     "QuadratureRule",
     "log_factorial",
     "sqrt_binomial_weight",
-    "spherical_harmonic",
     "spherical_harmonic_table",
-    "confluent_polynomial",
     "radial_eigenfunction",
     "radial_table",
     "make_quadrature",
@@ -32,28 +29,6 @@ __all__ = [
     "logsumexp",
     "pchip",
 ]
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """Bound-state label (n, l, m) with 0-based shell index.
-
-    ``n`` counts shells from 0, so the traditional principal quantum number
-    is ``n + 1``.  Constraints 0 <= l <= n and |m| <= l are enforced at
-    construction.
-    """
-
-    n: int
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"shell index must be >= 0, got n={self.n}")
-        if not 0 <= self.l <= self.n:
-            raise ValueError(f"need 0 <= l <= n, got l={self.l}, n={self.n}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"need |m| <= l, got m={self.m}, l={self.l}")
 
 
 @dataclass(frozen=True)
@@ -114,24 +89,6 @@ def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def spherical_harmonic(l: int, m: int, theta, phi):
-    """Orthonormal spherical harmonic Y_lm with the Condon-Shortley phase.
-
-    ``theta`` is the polar angle in [0, pi], ``phi`` the azimuth; both may
-    be arrays (broadcast together).  Y_{l,-m} = (-1)^m conj(Y_{l,m}).
-    """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got m={m}, l={l}")
-    theta_b, phi_b = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    table = spherical_harmonic_table(l, theta_b.ravel(), phi_b.ravel())
-    out = table[l * l + l + m].reshape(theta_b.shape)
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
 def spherical_harmonic_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """All Y_lm for l <= l_max at aligned angle samples.
 
@@ -149,11 +106,6 @@ def spherical_harmonic_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> 
             if m > 0:
                 out[l * l + l - m] = (-1) ** m * np.conj(pos)
     return out
-
-
-def _check_shell(n: int, l: int) -> None:
-    if not 0 <= l <= n:
-        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
 
 
 def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -185,23 +137,6 @@ def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
         q_next /= b[rows, i]
         q_prev, q = q[:m], q_next
         out[done:m] = q[done:]
-    return out
-
-
-def confluent_polynomial(n: int, l: int, z):
-    """Terminating confluent series F(-n+l, 2l+2, z) of degree n - l.
-
-    Equals k!/(a+1)_k L_k^(a)(z) with k = n - l, a = 2l + 1 (DLMF 18.5.12),
-    evaluated by the Laguerre recurrence.
-    """
-    _check_shell(n, l)
-    z = np.asarray(z, dtype=float)
-    k, a = n - l, 2 * l + 1
-    p = _laguerre(np.array([k]), a, z.ravel())
-    scale = math.exp(0.5 * (math.lgamma(k + 1) + math.lgamma(a + 1) - math.lgamma(k + a + 1)))
-    out = (scale * p[0]).reshape(z.shape)
-    if out.shape == ():
-        return float(out)
     return out
 
 
@@ -242,7 +177,8 @@ def radial_eigenfunction(n: int, l: int, r):
     u(r) = N [2r/(n+1)]^l F(-n+l, 2l+2, 2r/(n+1)) exp(-r/(n+1)), orthonormal
     under the measure r^2 dr.
     """
-    _check_shell(n, l)
+    if not 0 <= l <= n:
+        raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
     r = np.asarray(r, dtype=float)
     out = _radial_shell(n, l, r.ravel())[0].reshape(r.shape)
     if out.shape == ():

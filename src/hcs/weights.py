@@ -305,18 +305,25 @@ def tabulated_family(
     vals = np.asarray(rho_values, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ConfigurationError("grid_u must hold at least two points")
+    for field, values in (("grid_u", grid), ("rho", vals)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError(f"{field} values must be finite")
     if np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ConfigurationError("grid_u must be strictly increasing and nonnegative")
     if vals.shape != grid.shape:
         raise ConfigurationError("rho table must match grid_u in length")
     if np.any(vals < 0):
         raise ConfigurationError("rho values must be nonnegative")
-    if n_max < 0:
-        raise ConfigurationError(f"n_max must be >= 0, got {n_max}")
-    if moments is not None and len(moments) != n_max + 1:
-        raise ConfigurationError(
-            f"declared moment table must have n_max+1 = {n_max + 1} entries, got {len(moments)}"
-        )
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+        raise ConfigurationError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if moments is not None:
+        declared = np.asarray(moments, dtype=float)
+        if declared.shape != (n_max + 1,):
+            raise ConfigurationError(
+                f"declared moment table must have n_max+1 = {n_max + 1} entries, got {declared.size}"
+            )
+        if not np.all(np.isfinite(declared) & (declared > 0)):
+            raise ConfigurationError("declared moments must be finite and positive")
     interp = pchip(grid, vals)
 
     def rho(u):
@@ -347,7 +354,7 @@ def family_from_dict(payload: dict) -> WeightFamily:
         str(payload["name"]),
         payload["grid_u"],
         payload["rho"],
-        int(payload["n_max"]),
+        payload["n_max"],
         moments=payload.get("moments"),
     )
 

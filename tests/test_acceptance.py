@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hcs.angular import EulerAngles, angular_resolution_check, shell_dimension, shell_norm_squared
+from hcs.angular import EulerAngles, angular_cs, angular_resolution_check, shell_dimension
 from hcs.cli import main, stability_sweep
 from hcs.fock1d import resolution_check_1d
 from hcs.hydrogen import HydrogenLabel, hydrogen_cs, state_norm
@@ -93,7 +93,7 @@ def test_criterion_05_degeneracy_bookkeeping():
             ob = EulerAngles(
                 rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
             )
-            assert abs(shell_norm_squared(n, ob) - target) <= 1e-12
+            assert abs(angular_cs(n, ob).norm_squared() - target) <= 1e-12
     _report(5, "shell dimension and norm^2 both equal (n+1)^2 for n <= 6, 100 random labels")
 
 

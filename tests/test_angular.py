@@ -10,10 +10,8 @@ from hcs.angular import (
     _theta_factor,
     angular_cs,
     angular_resolution_check,
-    channel_index,
     exactness_threshold,
     shell_dimension,
-    shell_norm_squared,
 )
 from hcs.errors import ConfigurationError
 from hcs.specfun import make_quadrature, sqrt_binomial_weight
@@ -52,7 +50,7 @@ def _per_channel_coeffs(n, ob):
         for m in range(-l, l + 1):
             amp = sqrt_binomial_weight(l, m) * half_sin ** (l - m) * half_cos ** (l + m)
             phase = np.exp(-1j * (m * ob.phi_bar + l * ob.psi_bar))
-            out[channel_index(l, m)] = amp * math.sqrt(2 * l + 1) * phase
+            out[l * l + l + m] = amp * math.sqrt(2 * l + 1) * phase
     return out
 
 
@@ -88,16 +86,16 @@ class TestAngularCS:
         shell = angular_cs(4, ob)
         for l in range(5):
             for m in range(-l, l + 1):
-                assert shell.coeff(l, m) == pytest.approx(_brute_force_coeff(l, m, ob), abs=1e-13)
+                assert shell.coeffs[l * l + l + m] == pytest.approx(_brute_force_coeff(l, m, ob), abs=1e-13)
 
     def test_pole_reduction(self):
         ob = EulerAngles(0.0, 0.9, 1.7)
         shell = angular_cs(2, ob)
         nonzero = np.flatnonzero(np.abs(shell.coeffs) > 0)
         # only the m = l channel survives on each l at the pole
-        assert list(nonzero) == [channel_index(l, l) for l in range(3)]
+        assert list(nonzero) == [l * l + 2 * l for l in range(3)]
         for l in range(3):
-            got = shell.coeff(l, l)
+            got = shell.coeffs[l * l + 2 * l]
             assert got == pytest.approx(
                 math.sqrt(2 * l + 1) * np.exp(-1j * l * (ob.phi_bar + ob.psi_bar)), abs=1e-14
             )
@@ -108,15 +106,15 @@ class TestAngularCS:
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 5e-15
 
     def test_shell_norm_examples(self):
-        assert shell_norm_squared(0, EulerAngles(0.3, 1.0, 2.0)) == 1.0
-        assert shell_norm_squared(1, EulerAngles(1.9, 0.1, 0.2)) == pytest.approx(4.0, abs=1e-12)
-        got = shell_norm_squared(3, EulerAngles(math.pi / 3, 1.0, 2.0))
+        assert angular_cs(0, EulerAngles(0.3, 1.0, 2.0)).norm_squared() == 1.0
+        assert angular_cs(1, EulerAngles(1.9, 0.1, 0.2)).norm_squared() == pytest.approx(4.0, abs=1e-12)
+        got = angular_cs(3, EulerAngles(math.pi / 3, 1.0, 2.0)).norm_squared()
         assert got == pytest.approx(16.0, abs=1e-12)
 
     def test_shell_norm_brute_force_oracle(self):
         ob = EulerAngles(2.2, 5.1, 0.77)
         brute = sum(abs(_brute_force_coeff(l, m, ob)) ** 2 for l in range(6) for m in range(-l, l + 1))
-        assert shell_norm_squared(5, ob) == pytest.approx(brute, rel=1e-13)
+        assert angular_cs(5, ob).norm_squared() == pytest.approx(brute, rel=1e-13)
         assert brute == pytest.approx(36.0, abs=1e-11)
 
     def test_norm_label_independence(self):
@@ -124,12 +122,12 @@ class TestAngularCS:
         for n in range(7):
             target = shell_dimension(n)
             samples = [
-                shell_norm_squared(
+                angular_cs(
                     n,
                     EulerAngles(
                         rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
                     ),
-                )
+                ).norm_squared()
                 for _ in range(100)
             ]
             assert np.std(samples) <= 1e-12

@@ -47,6 +47,49 @@ def _write_corrupt_family(path, bad_index=3, factor=1.01):
     path.write_text(json.dumps(payload))
 
 
+_TABLE_U = np.linspace(0.0, 60.0, 601).tolist()
+_TABLE_RHO = np.exp(-np.array(_TABLE_U)).tolist()
+_TABLE_MOMENTS = [float(math.factorial(n)) for n in range(9)]
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("n_max", {"n_max": True}),
+        ("n_max", {"n_max": 8.9}),
+        ("rho", {"rho": _TABLE_RHO[:300] + [math.nan] + _TABLE_RHO[301:]}),
+        ("rho", {"rho": _TABLE_RHO[:300] + [math.inf] + _TABLE_RHO[301:]}),
+        ("grid_u", {"grid_u": _TABLE_U[:300] + [math.nan] + _TABLE_U[301:]}),
+        ("moments", {"moments": _TABLE_MOMENTS[:3] + [math.nan] + _TABLE_MOMENTS[4:]}),
+        ("moments", {"moments": _TABLE_MOMENTS[:3] + [-6.0] + _TABLE_MOMENTS[4:]}),
+        ("moment table", {"moments": 5.0}),
+    ],
+    ids=[
+        "n_max-bool",
+        "n_max-float",
+        "rho-nan",
+        "rho-inf",
+        "grid_u-nan",
+        "moments-nan",
+        "moments-negative",
+        "moments-scalar",
+    ],
+)
+def test_bad_family_file_value_is_config_error(tmp_path, field, bad):
+    family = tmp_path / "family.json"
+    payload = {"name": "tab-exp", "grid_u": _TABLE_U, "rho": _TABLE_RHO, "n_max": 8, **bad}
+    family.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcs.cli", "moments", "--family", str(family), "--out", str(tmp_path / "m.json")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(rf"configuration error: (declared )?{field}\b", proc.stderr)
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestVerify:
     def test_defaults_pass(self, tmp_path):
         out = tmp_path / "report.json"

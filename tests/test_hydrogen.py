@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from hcs.hydrogen import (
     state_norm,
     total_dimension,
 )
-from hcs.specfun import BasisIndex
 from hcs.weights import builtin_family
 
 
@@ -76,7 +77,7 @@ class TestHydrogenCS:
     def test_zero_radius_collapses_to_ground_shell(self, exponential):
         gamma = 1.9
         x = hydrogen_cs(HydrogenLabel(0.0, gamma, ANGLES), exponential, 4)
-        assert x.coeff(BasisIndex(0, 0, 0)) == pytest.approx(cmath.exp(1j * gamma), abs=1e-15)
+        assert x.coeffs[0] == pytest.approx(cmath.exp(1j * gamma), abs=1e-15)
         assert np.all(x.coeffs[1:] == 0.0)
         assert x.norm_squared() == pytest.approx(1.0, abs=1e-14)
 
@@ -88,13 +89,14 @@ class TestHydrogenCS:
     def test_explicit_coefficient(self, exponential):
         x = hydrogen_cs(HydrogenLabel(1.0, 0.0, EulerAngles(0, 0, 0)), exponential, 20)
         expected = math.sqrt(3.0) * math.exp(-0.5)
-        assert x.coeff(BasisIndex(1, 1, 1)) == pytest.approx(expected, rel=1e-13)
+        assert x.coeffs[shell_offset(1) + 3] == pytest.approx(expected, rel=1e-13)  # (l, m) = (1, 1)
 
     def test_shell_weight_marginal(self, sqrt_exponential):
         label = HydrogenLabel(1.4, 0.9, ANGLES)
         x = hydrogen_cs(label, sqrt_exponential, 12, check_tail=False)
         m2 = float(sqrt_exponential.M_squared(label.s**2))
-        for n, got in enumerate(x.shell_weights()):
+        shell_weights = np.add.reduceat(np.abs(x.coeffs) ** 2, [shell_offset(n) for n in range(13)])
+        for n, got in enumerate(shell_weights):
             expected = m2 * label.s ** (2 * n) * (n + 1) ** 2 / sqrt_exponential.moment(n)
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -102,7 +104,7 @@ class TestHydrogenCS:
         label = HydrogenLabel(0.8, 0.3, ANGLES)
         x = hydrogen_cs(label, exponential, 6, check_tail=False)
         shell = angular_cs(4, ANGLES)
-        block = x.coeffs[x.shell_slice(4)]
+        block = x.coeffs[shell_offset(4) : shell_offset(5)]
         ratio = block[np.abs(shell.coeffs) > 1e-12] / shell.coeffs[np.abs(shell.coeffs) > 1e-12]
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-14
 
@@ -305,3 +307,14 @@ class TestHydrogenResolution:
         assert rep.certificate_satisfied == bool(
             np.all(np.abs(matrix[finite]) <= cert[finite] * (1.0 + 1e-12) + 1e-15)
         )
+
+
+def test_readme_library_example():
+    # `import hcs` must expose everything the example uses, and its evolution residual is roundoff
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    residual = np.max(np.abs(namespace["evolved"].coeffs - namespace["shifted"].coeffs))
+    assert residual <= 1e-15
+    assert namespace["state"].norm_squared() == pytest.approx(5.0, abs=1e-8)

@@ -21,16 +21,13 @@ from hcs.hydrogen import (
 from hcs.position import (
     DENSITY_CSV_HEADER,
     GridSpec,
-    eval_angular_cs_position,
-    eval_eigenstate,
     eval_hydrogen_cs_position,
     export_density_grid,
     quadrature_norm_squared,
     radial_expectation,
-    radial_momentum_moments,
     radial_uncertainty_product,
 )
-from hcs.specfun import BasisIndex, radial_eigenfunction
+from hcs.specfun import radial_eigenfunction
 from hcs.weights import builtin_family
 
 
@@ -71,12 +68,12 @@ class TestGridSpec:
 
 
 class TestEvalEigenstate:
-    def test_ground_state_at_origin(self):
-        got = eval_eigenstate(BasisIndex(0, 0, 0), 0.0, 0.7, 1.9)
+    def test_ground_state_at_origin(self, exponential):
+        got = eval_hydrogen_cs_position(_ground(exponential), 0.0, 0.7, 1.9)
         assert got == pytest.approx(0.5641895835477563, rel=1e-12)
 
     def test_2s_node(self):
-        assert abs(eval_eigenstate(BasisIndex(1, 0, 0), 2.0, 0.5, 0.5)) <= 1e-13
+        assert abs(radial_eigenfunction(1, 0, 2.0)) <= 1e-13
 
     @pytest.mark.parametrize("n,l,m", [(0, 0, 0), (2, 1, -1), (4, 3, 2)])
     def test_normalized_over_space(self, n, l, m):
@@ -86,9 +83,11 @@ class TestEvalEigenstate:
 
 
 class TestEvalAngular:
-    def test_shell_zero_ignores_label(self):
-        a = eval_angular_cs_position(0, ANGLES, 1.3, 0.4, 2.0)
-        b = eval_angular_cs_position(0, EulerAngles(0.2, 3.0, 1.0), 1.3, 0.4, 2.0)
+    def test_shell_zero_ignores_label(self, exponential):
+        a, b = (
+            eval_hydrogen_cs_position(hydrogen_cs(HydrogenLabel(0.0, 0.0, ob), exponential, 0), 1.3, 0.4, 2.0)
+            for ob in (ANGLES, EulerAngles(0.2, 3.0, 1.0))
+        )
         assert a == pytest.approx(b, rel=1e-14)
         expected = radial_eigenfunction(0, 0, 1.3) / math.sqrt(4 * math.pi)
         assert a == pytest.approx(expected, rel=1e-13)
@@ -236,7 +235,7 @@ class TestRadialExpectation:
 class TestUncertaintyProduct:
     def test_ground_state_value(self, exponential):
         x = _ground(exponential)
-        p_mean, p_sq = radial_momentum_moments(x)
+        p_mean, p_sq = position._normalized_forms(x)[-2:]
         assert p_mean == pytest.approx(0.0, abs=1e-12)
         assert p_sq == pytest.approx(1.0, abs=1e-10)
         assert radial_uncertainty_product(x) == pytest.approx(0.75, abs=1e-9)
@@ -270,7 +269,7 @@ def test_operator_tables_built_once_per_n_max(exponential, monkeypatch):
     y = hydrogen_cs(HydrogenLabel(0.4, 1.9, EulerAngles(0.3, 2.0, 5.1)), exponential, 12, check_tail=False)
     radial_uncertainty_product(x)
     radial_expectation(y, 1)
-    radial_momentum_moments(y)
+    position._normalized_forms(y)
     assert position._radial_operators.cache_info().misses == 1
     assert position._shell_operators.cache_info().misses == 1
     radial_uncertainty_product(hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 10, check_tail=False))

@@ -12,9 +12,8 @@ from scipy.special import roots_laguerre, roots_legendre, sph_harm_y
 
 from hcs.errors import ConfigurationError
 from hcs.specfun import (
-    BasisIndex,
     _gauss_rule,
-    confluent_polynomial,
+    _laguerre,
     exp_decay_rule,
     log_factorial,
     logsumexp,
@@ -22,21 +21,9 @@ from hcs.specfun import (
     pchip,
     radial_eigenfunction,
     radial_table,
-    spherical_harmonic,
     spherical_harmonic_table,
     sqrt_binomial_weight,
 )
-
-
-class TestBasisIndex:
-    def test_valid(self):
-        idx = BasisIndex(3, 2, -1)
-        assert (idx.n, idx.l, idx.m) == (3, 2, -1)
-
-    @pytest.mark.parametrize("n,l,m", [(-1, 0, 0), (1, 2, 0), (2, 1, 2), (2, 1, -2)])
-    def test_invalid(self, n, l, m):
-        with pytest.raises(ValueError):
-            BasisIndex(n, l, m)
 
 
 class TestLogFactorial:
@@ -104,18 +91,19 @@ class TestSqrtBinomialWeight:
 
 
 class TestSphericalHarmonic:
+    # Y_lm is row l*l + l + m of the table
     def test_constant_mode(self):
-        assert spherical_harmonic(0, 0, 0.7, 1.3) == pytest.approx(
+        assert spherical_harmonic_table(0, [0.7], [1.3])[0, 0] == pytest.approx(
             0.28209479177387814, rel=1e-13
         )
 
     def test_pole_value(self):
-        assert spherical_harmonic(1, 0, 0.0, 0.0) == pytest.approx(
+        assert spherical_harmonic_table(1, [0.0], [0.0])[2, 0] == pytest.approx(
             0.4886025119029199, rel=1e-13
         )
 
     def test_condon_shortley_sign(self):
-        got = spherical_harmonic(1, 1, math.pi / 2, 0.0)
+        got = spherical_harmonic_table(1, [math.pi / 2], [0.0])[3, 0]
         assert got == pytest.approx(-0.3454941494713355, rel=1e-13)
 
     def test_against_scipy(self):
@@ -126,7 +114,8 @@ class TestSphericalHarmonic:
             theta = rng.uniform(0, math.pi)
             phi = rng.uniform(0, 2 * math.pi)
             ref = complex(sph_harm_y(l, m, theta, phi))
-            assert spherical_harmonic(l, m, theta, phi) == pytest.approx(ref, abs=1e-13)
+            got = spherical_harmonic_table(l, [theta], [phi])[l * l + l + m, 0]
+            assert got == pytest.approx(ref, abs=1e-13)
 
     def test_gram_identity(self):
         # exact quadrature: Gauss-Legendre in cos(theta), uniform azimuth
@@ -141,10 +130,6 @@ class TestSphericalHarmonic:
         table = spherical_harmonic_table(l_max, tb, pb)
         gram = np.einsum("ap,p,bp->ab", table, w, table.conj())
         assert np.max(np.abs(gram - np.eye((l_max + 1) ** 2))) <= 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            spherical_harmonic(1, 2, 0.3, 0.1)
 
 
 def _divided_difference(values, points):
@@ -167,27 +152,33 @@ def _divided_difference_scale(values, points):
     return total
 
 
+def _confluent(n, l, z):
+    """F(-n+l, 2l+2, z) = k!/(a+1)_k L_k^(a)(z), k = n - l, a = 2l + 1 (DLMF 18.5.12), at points z."""
+    k, a = n - l, 2 * l + 1
+    return _laguerre(np.array([k]), a, np.asarray(z, dtype=float))[0] / math.sqrt(math.comb(k + a, k))
+
+
 class TestConfluentPolynomial:
     def test_single_term(self):
-        assert confluent_polynomial(0, 0, 17.3) == 1.0
+        assert _confluent(0, 0, [17.3])[0] == 1.0
 
     def test_two_term_zero(self):
-        assert confluent_polynomial(1, 0, 2.0) == 0.0
+        assert _confluent(1, 0, [2.0])[0] == 0.0
 
     def test_three_term(self):
-        assert confluent_polynomial(2, 0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert _confluent(2, 0, [1.0])[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     @pytest.mark.parametrize("n,l", [(3, 0), (5, 2), (8, 3), (12, 0)])
     def test_exact_degree(self, n, l):
         d = n - l
         pts_a = [0.5 * (j + 1) for j in range(d + 1)]
         pts_b = [0.7 * (j + 1) + 0.1 for j in range(d + 1)]
-        lead_a = _divided_difference([confluent_polynomial(n, l, z) for z in pts_a], pts_a)
-        lead_b = _divided_difference([confluent_polynomial(n, l, z) for z in pts_b], pts_b)
+        lead_a = _divided_difference(_confluent(n, l, pts_a).tolist(), pts_a)
+        lead_b = _divided_difference(_confluent(n, l, pts_b).tolist(), pts_b)
         # order-d divided difference is the constant leading coefficient
         assert lead_a == pytest.approx(lead_b, rel=1e-8)
         pts_c = [0.4 * (j + 1) for j in range(d + 2)]
-        vals_c = [confluent_polynomial(n, l, z) for z in pts_c]
+        vals_c = _confluent(n, l, pts_c).tolist()
         above = _divided_difference(vals_c, pts_c)
         assert abs(above) <= 1e-9 * _divided_difference_scale(vals_c, pts_c)
 
