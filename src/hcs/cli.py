@@ -210,14 +210,23 @@ def estimated_bytes(cfg: RunConfig) -> int:
 
     verify: six (n_max+1)^2-square float64 arrays, the angular Gram with its
     factors and the hydrogen report's block maxima (estimated 817 MiB at
-    n_max 64, where the peak RSS measured 734 MiB).  eval: its rows of 7
-    float64.  eval and evolve: four complex state vectors over all shells.
+    n_max 64, where the peak RSS measured 734 MiB).  eval and evolve: four
+    complex state vectors over all shells.  eval: psi, four int32 grid codes
+    and |psi|^2 (40 B per CSV row), the angular and radial tables (32 B per
+    channel and angle or radius) and one block of CSV text.  At n_max 24
+    this estimates 32.4 / 62.4 / 158.6 / 158.2 MiB for 262,144 and 1,048,576
+    rows (64x32x32 grid, 4 and 16 times), 8192 angles and 8192 radii, where
+    the child's peak RSS less that of a one-row run measured 15.5 / 45.1 /
+    115.2 / 122.7 MiB.
     """
     if cfg.command == "verify":
         return 6 * 8 * (cfg.n_max + 1) ** 4
     states = 4 * 16 * hydrogen.total_dimension(cfg.n_max) if cfg.command in ("eval", "evolve") else 0
     if cfg.command == "eval":
-        return states + 7 * 8 * len(cfg.grid_r) * len(cfg.grid_theta) * len(cfg.grid_phi) * len(cfg.times)
+        angles, radii = len(cfg.grid_theta) * len(cfg.grid_phi), len(cfg.grid_r)
+        rows = radii * angles * len(cfg.times)
+        tables = 32 * (cfg.n_max + 1) ** 2 * (angles + radii)
+        return states + 40 * rows + tables + 7 * _FIELD * min(rows, _CSV_BLOCK_ROWS)
     return states
 
 
@@ -445,13 +454,17 @@ def run_moments(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def run_eval(cfg: RunConfig) -> tuple[np.ndarray, int]:
+def run_eval(cfg: RunConfig) -> tuple[list, int]:
+    """CSV columns and exit code: axes t, r, theta, phi coded by np.indices, then Re psi, Im psi, |psi|^2."""
     family = _resolve_family(cfg.family)
     state = hydrogen.hydrogen_cs(cfg.label(), family, cfg.n_max)
     grid = position.GridSpec(cfg.grid_r, cfg.grid_theta, cfg.grid_phi)
     spectrum = fock1d.Spectrum("inverse-square", cfg.omega)
-    rows = position.export_density_grid(state, grid, cfg.times, spectrum)
-    return rows, EXIT_OK
+    psi = position.export_density_grid(state, grid, cfg.times, spectrum)
+    density = np.abs(psi) ** 2
+    axes = (cfg.times, grid.r, grid.theta, grid.phi)
+    codes = np.indices([len(axis) for axis in axes], dtype=np.int32).reshape(len(axes), -1)
+    return [*zip(axes, codes), psi.real, psi.imag, density], EXIT_OK
 
 
 def run_evolve(cfg: RunConfig) -> tuple[list, int]:
@@ -487,41 +500,60 @@ def _write_json(path: str, payload: dict) -> None:
         raise ConfigurationError(f"cannot write report to {path}: {exc}") from exc
 
 
-# rows per formatting block: large enough to share formatted values, small
-# enough that the block's text stays about 1.4 MB
+# rows per formatting block: the block's text stays about 1.4 MB
 _CSV_BLOCK_ROWS = 4096
-# bytes of one value's text: sign, "0.000", 17 (digit, point) pairs, "e",
-# exponent sign and 3 digits, then the "," or CRLF that follows it
-_FIELD = 47
+# bytes of one value's text, six 8-byte words: sign, "0.000", 17 (digit,
+# point) pairs whose last point slot holds the "e", the exponent's sign and
+# 3 digits, 2 NUL, then the "," or CRLF that follows it
+_FIELD = 48
+# rows of _format_tables' patterns: 4-digit groups, leading digits, exponents
+_LEADS, _EXPONENTS = 10000, 10010 + 400
 
 
 @functools.lru_cache(maxsize=None)
-def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pow10, chunks, masks) of the exact %.17g; built on first use, read-only.
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """(pow10, patterns, ends, kinds, masks) of the exact %.17g; built on first use, read-only.
 
-    pow10[300 + j] = (hi, lo), the doubles nearest 10^j and 10^j - hi;
-    chunks[i], the 4-digit text of i as a uint32; masks[17 kind + last], the
-    field of a value whose last nonzero digit is digit ``last`` (255 keeps
-    what is put there, 0 drops it).  Kinds 0-20 are fixed notation at
-    exponent kind - 4, kinds 21 and 22 exponent notation with 2 and 3 digits.
+    pow10[:, 300 + j] = (hi, lo), the doubles nearest 10^j and 10^j - hi.
+    A value's field is the bytes of masks[row] & patterns[six rows]: its
+    leading digit d at _LEADS + d, its four 4-digit groups i at i as (digit,
+    255) pairs, and its exponent k at _EXPONENTS + k as sign and 3 digits.
+    ends[i] is the place 0-3 of group i's last nonzero digit (-99 for 0).
+    kinds[400 + k] is 17 times the kind of exponent k: 0-20 fixed notation at
+    exponent kind - 4, 21 and 22 exponent notation with 2 and 3 digits.  The
+    mask of row 391 sign + kinds[400 + k] + last, for a value whose last
+    nonzero digit is digit ``last``, keeps (255) or drops (0) what the
+    patterns put there.
     """
-    pow10 = np.empty((601, 2))
+    pow10 = np.empty((2, 601))
     for j in range(-300, 301):
         num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
         p, q = (num / den).as_integer_ratio()
-        pow10[j + 300] = num / den, (num * q - p * den) / (den * q)
-    chunks = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
-    kind, last, slot = np.ogrid[:23, :17, :17]
+        pow10[:, j + 300] = num / den, (num * q - p * den) / (den * q)
+    k = np.arange(-400, 401)
+    groups = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint8).reshape(-1, 4)
+    patterns = np.full((_EXPONENTS + 401, 8), 255, np.uint8)
+    patterns[:_LEADS, ::2] = groups
+    patterns[_LEADS : _LEADS + 10, 6] = np.arange(48, 58)
+    exponents = np.frombuffer("".join(f"{j:+04d}" for j in k).encode(), np.uint8)
+    patterns[_LEADS + 10 :, :4] = exponents.reshape(-1, 4)
+    ends = np.full(_LEADS + 10, 3, np.int16)
+    ends[:_LEADS] = np.where(groups[:, ::-1] != 48, np.arange(3, -1, -1), -99).max(axis=1)
+    kinds = 17 * np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
+    sign, kind, last, slot = np.ogrid[:2, :23, :17, :17]
     point = np.where(kind < 21, kind - 4, 0)  # the digit the point follows
-    masks = np.zeros((23, 17, _FIELD), np.uint8)
+    masks = np.zeros((2, 23, 17, _FIELD), np.uint8)
+    masks[..., 0] = 45 * sign[..., 0]  # "-"
     lead = np.frombuffer(b"0.000", np.uint8)  # "0." and the zeros before a small value's digits
     masks[..., 1:6] = np.where((point < 0) & (np.arange(5) < 1 - point), lead, 0)
     masks[..., 6:40:2] = np.where(slot <= np.maximum(last, point), 255, 0)
     masks[..., 7:40:2] = np.where((slot == point) & (point < last), 46, 0)
-    masks[21:, :, 40:45] = 101, 255, 255, 255, 255  # "e", sign, 3 digits
-    masks[21, :, 42] = 0
-    pow10.flags.writeable = masks.flags.writeable = False
-    return pow10, chunks, masks.reshape(-1, _FIELD)
+    masks[:, 21:, :, 39:44] = 101, 255, 255, 255, 255  # "e", sign, 3 digits
+    masks[:, 21, :, 41] = 0
+    tables = pow10, patterns.view(np.uint64)[:, 0], ends, kinds, masks.reshape(-1, _FIELD).view(np.uint64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _scaled(x: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,7 +561,7 @@ def _scaled(x: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray
 
     Dekker's two-product (Numer. Math. 18, 224 (1971)) gives x hi exactly.
     """
-    hi, lo = pow10[316 - k].T
+    hi, lo = pow10.take(316 - k, axis=1)
     head = x * hi
     xh, hh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (x, hi))  # high 26 bits
     xl, hl = x - xh, hi - hh
@@ -563,23 +595,24 @@ def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _text_fields(values: np.ndarray) -> np.ndarray:
     """The %.17g text of each value in a row of _FIELD bytes, NUL where %g drops one.
 
-    Values without certified digits take Python's own "%.17g" % v.
+    The last two bytes, the separator's slot, are NUL.  Values without
+    certified digits take Python's own "%.17g" % v.
     """
-    _, chunks, masks = _format_tables()
+    _, patterns, ends, kinds, masks = _format_tables()
     n, k, certified = _decimal_digits(values)
-    # the leading digit, then four 4-digit groups (two 8-digit halves in int32)
-    lead = n // 10**16
-    halves = np.stack(np.divmod(n - lead * 10**16, 10**8), axis=1).astype(np.int32)
-    quads = np.column_stack([lead, np.stack(np.divmod(halves, 10**4), axis=2).reshape(-1, 4)])
-    digits = chunks[quads].view(np.uint8)[:, 3:]
-    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)
-    kind = np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
-    text = np.take(masks, 17 * kind + last, axis=0)
-    text[:, 6:40:2] &= digits
-    exponent = chunks[np.abs(k)].view(np.uint8).reshape(-1, 4)
-    exponent[:, 0] = np.where(k < 0, 45, 43)
-    text[:, 41:45] &= exponent
-    text[:, 0] = np.where(np.signbit(values), 45, 0)
+    # the pattern rows of the leading digit, four 4-digit groups and the exponent
+    index = np.empty((n.size, 6), np.int64)
+    high, low = np.divmod(n, 10**8)
+    np.divmod(low, 10**4, out=(index[:, 3], index[:, 4]))
+    np.divmod(high, 10**4, out=(high, index[:, 2]))
+    np.divmod(high, 10**4, out=(index[:, 0], index[:, 1]))
+    index[:, 0] += _LEADS
+    np.add(k, _EXPONENTS, out=index[:, 5])
+    # the last nonzero digit: place p of group g is digit 4 g - 3 + p
+    places = ends.take(index[:, :5])
+    last = functools.reduce(np.maximum, (places[:, g] + (4 * g - 3) for g in range(5)))
+    row = kinds.take(k + 400) + last + 391 * np.signbit(values)
+    text = (masks.take(row, axis=0) & patterns.take(index)).view(np.uint8)
     for i in np.flatnonzero(~certified).tolist():
         word = ("%.17g" % values[i]).encode()
         text[i] = 0
@@ -587,24 +620,39 @@ def _text_fields(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header and float rows as CSV: CRLF line ends, 17 significant digits.
+def _level_text(levels) -> np.ndarray:
+    """The text of each level as one row, NUL-padded to the longest, then two separator slots."""
+    words = [row.tobytes().translate(None, b"\0") for row in _text_fields(np.asarray(levels, dtype=float))]
+    width = max(map(len, words), default=0) + 2
+    return np.frombuffer(b"".join(word.ljust(width, b"\0") for word in words), np.uint8).reshape(-1, width)
 
-    Each block of rows formats every distinct value once, with the bytes of
-    ``%.17g``.  Values are told apart by bit pattern, not by float
-    comparison, so ``-0.0`` and ``0.0`` keep their own text ("-0" and "0").
+
+def write_csv(path, header, columns) -> None:
+    """Write a header and columns as CSV: CRLF line ends, 17 significant digits.
+
+    A column is one float per row, or a ``(levels, codes)`` pair whose row i
+    reads ``levels[codes[i]]``.  Every level and every plain value is
+    formatted once, on its own, with the bytes of ``%.17g``; so ``-0.0``
+    prints as "-0" and ``0.0`` as "0".  A block of rows is built from
+    fixed-width text slots, NUL where the text is shorter, and written with
+    one ``bytes.translate`` that drops the NULs.
     """
-    data = np.asarray(rows, dtype=float)
+    levels = {j: _level_text(c[0]) for j, c in enumerate(columns) if isinstance(c, tuple)}
+    plain = [c for j, c in enumerate(columns) if j not in levels]
+    n_rows = len(columns[0][1] if 0 in levels else columns[0])
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
-            for start in range(0, len(data), _CSV_BLOCK_ROWS):
-                block = data[start : start + _CSV_BLOCK_ROWS]
-                bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-                text = np.take(_text_fields(bits.view(np.float64)), inverse.reshape(block.shape), axis=0)
-                text[:, :-1, -2] = 44  # ","
-                text[:, -1, -2:] = 13, 10  # CRLF
-                fh.write(text.tobytes().translate(None, b"\0"))
+            for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+                block = slice(start, min(start + _CSV_BLOCK_ROWS, n_rows))
+                values = np.array([column[block] for column in plain], dtype=float)
+                fields = iter(_text_fields(values.ravel()).reshape(len(plain), block.stop - start, _FIELD))
+                slots = [levels[j].take(c[1][block], axis=0) if j in levels else next(fields)
+                         for j, c in enumerate(columns)]
+                for slot in slots:
+                    slot[:, -2:] = 44, 0  # ","
+                slots[-1][:, -2:] = 13, 10  # CRLF
+                fh.write(np.concatenate(slots, axis=1).tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise ConfigurationError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -661,12 +709,13 @@ def main(argv=None) -> int:
             _write_json(cfg.out, report)
             print(f"moments: family {cfg.family} {'passed' if report['passed'] else 'FAILED'} -> {cfg.out}")
         elif args.command == "eval":
-            rows, code = run_eval(cfg)
-            write_csv(cfg.out, position.DENSITY_CSV_HEADER, rows)
-            print(f"eval: {len(rows)} rows -> {cfg.out}")
+            columns, code = run_eval(cfg)
+            write_csv(cfg.out, position.DENSITY_CSV_HEADER, columns)
+            print(f"eval: {len(columns[-1])} rows -> {cfg.out}")
         else:
             rows, code = run_evolve(cfg)
-            write_csv(cfg.out, ("t", "residual", "re_autocorr", "im_autocorr", "abs_autocorr"), rows)
+            header = ("t", "residual", "re_autocorr", "im_autocorr", "abs_autocorr")
+            write_csv(cfg.out, header, list(np.transpose(rows)))
             print(f"evolve: {len(rows)} rows -> {cfg.out}")
         return code
     except ValueError as exc:

@@ -243,12 +243,12 @@ def export_density_grid(
     t_values: Sequence[float],
     spectrum: Spectrum | None = None,
 ) -> np.ndarray:
-    """Wavefunction samples on the grid at each time, one float64 row per sample.
+    """Wavefunction samples psi on the grid at each time, one complex entry per CSV row.
 
     Evolution applies the spectrum's shell phases to the coefficients (the
     default inverse-square spectrum with omega = 1 realizes the gamma
-    shift).  Columns are (t, r, theta, phi, Re psi, Im psi, |psi|^2); rows
-    run in deterministic t-major order, then r, theta, phi.
+    shift).  The samples run in deterministic t-major order, then r, theta,
+    phi: entry i is the sample at np.unravel_index(i, (T, R, Theta, Phi)).
     """
     times = np.asarray(t_values, dtype=float)
     if not np.all(np.isfinite(times)):
@@ -260,17 +260,8 @@ def export_density_grid(
     pb = np.tile(grid.phi, len(grid.theta))
     ylm = spherical_harmonic_table(x.n_max, tb, pb)
     u = radial_table(x.n_max, r)
-
-    rows = np.empty((times.size, r.size * tb.size, 7))
-    rows[:, :, 0] = times[:, None]
-    # (r, theta, phi) columns in r-major, then angle order; the same at every time
-    rows[:, :, 1] = np.repeat(r, tb.size)
-    rows[:, :, 2] = np.tile(tb, r.size)
-    rows[:, :, 3] = np.tile(pb, r.size)
-    for rows_t, t in zip(rows, times.tolist()):
+    psi = np.empty((times.size, r.size, tb.size), dtype=complex)
+    for psi_t, t in zip(psi, times.tolist()):
         evolved = x.phased(spectrum.evolution_phases(x.n_max + 1, t), x.label)
-        psi = (_channel_radial_sums(evolved, u).T @ ylm).ravel()
-        rows_t[:, 4] = psi.real
-        rows_t[:, 5] = psi.imag
-        rows_t[:, 6] = np.abs(psi) ** 2
-    return rows.reshape(-1, 7)
+        np.matmul(_channel_radial_sums(evolved, u).T, ylm, out=psi_t)
+    return psi.reshape(-1)

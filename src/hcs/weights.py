@@ -287,6 +287,20 @@ def _x_over_sinh(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _number_table(field: str, values) -> np.ndarray:
+    """A flat list (or 1-D array) of int or float values as float64; anything else, bools too, is refused."""
+    if isinstance(values, np.ndarray):
+        ok = values.ndim == 1 and values.dtype.kind in "iuf"
+    else:
+        number = (int, float, np.integer, np.floating)
+        ok = isinstance(values, (list, tuple)) and all(
+            isinstance(v, number) and not isinstance(v, bool) for v in values
+        )
+    if not ok:
+        raise ConfigurationError(f"{field} must be a flat list of numbers (int or float, not bool)")
+    return np.asarray(values, dtype=float)
+
+
 def tabulated_family(
     name: str,
     grid_u: Sequence[float],
@@ -301,9 +315,11 @@ def tabulated_family(
     taken from the declared table or computed by quadrature over the grid
     support.
     """
-    grid = np.asarray(grid_u, dtype=float)
-    vals = np.asarray(rho_values, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    grid = _number_table("grid_u", grid_u)
+    vals = _number_table("rho", rho_values)
+    if moments is not None:
+        moments = _number_table("declared moment table (moments)", moments)
+    if grid.size < 2:
         raise ConfigurationError("grid_u must hold at least two points")
     for field, values in (("grid_u", grid), ("rho", vals)):
         if not np.all(np.isfinite(values)):
@@ -317,12 +333,11 @@ def tabulated_family(
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
         raise ConfigurationError(f"n_max must be an integer >= 0, got {n_max!r}")
     if moments is not None:
-        declared = np.asarray(moments, dtype=float)
-        if declared.shape != (n_max + 1,):
+        if moments.size != n_max + 1:
             raise ConfigurationError(
-                f"declared moment table must have n_max+1 = {n_max + 1} entries, got {declared.size}"
+                f"declared moment table must have n_max+1 = {n_max + 1} entries, got {moments.size}"
             )
-        if not np.all(np.isfinite(declared) & (declared > 0)):
+        if not np.all(np.isfinite(moments) & (moments > 0)):
             raise ConfigurationError("declared moments must be finite and positive")
     interp = pchip(grid, vals)
 

@@ -90,6 +90,31 @@ def test_bad_family_file_value_is_config_error(tmp_path, field, bad):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("rho", {"rho": {"a": 1}}),
+        ("moments", {"moments": {"a": 1}}),
+        ("grid_u", {"grid_u": "abc"}),
+        ("rho", {"rho": [True] * len(_TABLE_U)}),
+    ],
+    ids=["rho-object", "moments-object", "grid_u-string", "rho-bools"],
+)
+def test_non_numeric_family_field_is_config_error(tmp_path, field, bad):
+    family = tmp_path / "family.json"
+    payload = {"name": "tab-exp", "grid_u": _TABLE_U, "rho": _TABLE_RHO, "n_max": 8, **bad}
+    family.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcs.cli", "moments", "--family", str(family), "--out", str(tmp_path / "m.json")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(rf"configuration error: .*\b{field}\b.* must be a flat list of numbers", proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
 class TestVerify:
     def test_defaults_pass(self, tmp_path):
         out = tmp_path / "report.json"
@@ -238,9 +263,27 @@ class TestEval:
         label = HydrogenLabel(0.9, 0.4, EulerAngles(1.1, 0.7, 2.3))
         state = hydrogen_cs(label, builtin_family("exponential"), 24)
         axes = GridSpec(grid["r"], grid["theta"], grid["phi"])
-        rows = export_density_grid(state, axes, [0.0, 3.7], Spectrum("inverse-square", 1.3))
-        assert rows.shape == (12288, 7)
-        _reference_csv(tmp_path / "reference.csv", DENSITY_CSV_HEADER, rows)
+        psi = export_density_grid(state, axes, [0.0, 3.7], Spectrum("inverse-square", 1.3))
+        assert psi.shape == (12288,)
+        _reference_csv(tmp_path / "reference.csv", DENSITY_CSV_HEADER, _density_rows([0.0, 3.7], axes, psi))
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_pole_samples_repeat_along_phi(self, tmp_path):
+        # at theta = 0 only m = 0 survives, so each (t, r) repeats one psi along phi
+        grid = {"r": [0.5, 1.0, 3.0], "theta": [0.0, 1.0], "phi": [0.0, 1.5, 3.0, 4.5]}
+        config = {"s": 0.8, "gamma": 0.4, "theta_bar": 1.1, "phi_bar": 0.7, "psi_bar": 2.3}
+        config.update({"times": [0.0, 1.5], "grid": grid})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "density.csv"
+        assert main(["eval", "--config", str(path), "--out", str(out)]) == 0
+
+        state = hydrogen_cs(HydrogenLabel(0.8, 0.4, EulerAngles(1.1, 0.7, 2.3)), builtin_family("exponential"), 24)
+        axes = GridSpec(grid["r"], grid["theta"], grid["phi"])
+        psi = export_density_grid(state, axes, [0.0, 1.5])
+        pole = psi.reshape(2, 3, 2, 4)[:, :, 0, :]
+        assert np.all(pole == pole[..., :1]) and len(np.unique(pole)) == 6
+        _reference_csv(tmp_path / "reference.csv", DENSITY_CSV_HEADER, _density_rows([0.0, 1.5], axes, psi))
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_truncation_is_numerical_failure(self, tmp_path, capsys):
@@ -265,6 +308,12 @@ def _reference_csv(path, header, rows):
             writer.writerow([f"{v:.17g}" for v in row])
 
 
+def _density_rows(times, grid, psi):
+    """The eval CSV's rows (t, r, theta, phi, Re psi, Im psi, |psi|^2), t-major."""
+    axes = np.meshgrid(times, grid.r, grid.theta, grid.phi, indexing="ij")
+    return np.column_stack([axis.ravel() for axis in axes] + [psi.real, psi.imag, np.abs(psi) ** 2])
+
+
 _AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 _AWKWARD += [math.nan, math.inf, -math.inf, 1.0, 0.1, -2.5, 1e-300, 123456789.0]
 
@@ -284,10 +333,12 @@ def _awkward_rows(n_rows, n_cols, seed=5):
 class TestWriteCsv:
     @pytest.mark.parametrize("kind", ["array", "tuples"])
     def test_bytes_match_reference_writer(self, tmp_path, kind):
+        # plain columns: numpy arrays, or python lists of the row tuples' values
         values = _awkward_rows(5000, 7 if kind == "array" else 5)
         rows = values if kind == "array" else [tuple(row) for row in values.tolist()]
+        columns = list(values.T) if kind == "array" else [list(column) for column in zip(*rows)]
         header = [f"c{i}" for i in range(values.shape[1])]
-        write_csv(tmp_path / "block.csv", header, rows)
+        write_csv(tmp_path / "block.csv", header, columns)
         _reference_csv(tmp_path / "reference.csv", header, rows)
         written = (tmp_path / "block.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
@@ -295,8 +346,32 @@ class TestWriteCsv:
             assert text in written
 
     def test_header_only(self, tmp_path):
-        write_csv(tmp_path / "empty.csv", ("t", "x"), [])
-        assert (tmp_path / "empty.csv").read_bytes() == b"t,x\r\n"
+        write_csv(tmp_path / "empty.csv", ("t", "x", "y"), [([0.5], np.empty(0, int)), np.empty(0), []])
+        assert (tmp_path / "empty.csv").read_bytes() == b"t,x,y\r\n"
+
+    @pytest.mark.parametrize(
+        "levels,n_rows",
+        [
+            ([-0.0, 0.0], 300),
+            ([2.5, -1e-7, 2.5, 2.5], 300),
+            ([math.nan, math.inf, -math.inf, 1e300], 300),
+            ([0.1, 7.0], 0),
+            ([0.1, -3e-5, 1e22], 4096),
+            ([0.1, -3e-5, 1e22], 4097),
+        ],
+        ids=["signed-zeros", "repeated-level", "non-finite", "no-rows", "one-block", "one-block-and-a-row"],
+    )
+    def test_coded_column_matches_expanded_column(self, tmp_path, levels, n_rows):
+        rng = np.random.default_rng(n_rows)
+        codes = rng.integers(0, len(levels), n_rows)
+        expanded = np.array(levels)[codes]
+        plain = rng.standard_normal(n_rows)
+        write_csv(tmp_path / "coded.csv", ("a", "b", "c"), [(levels, codes), plain, (levels, codes[::-1])])
+        write_csv(tmp_path / "expanded.csv", ("a", "b", "c"), [expanded, plain, expanded[::-1]])
+        _reference_csv(tmp_path / "reference.csv", ("a", "b", "c"), zip(expanded, plain, expanded[::-1]))
+        written = (tmp_path / "coded.csv").read_bytes()
+        assert written == (tmp_path / "expanded.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\r\n") == n_rows + 1
 
 
 def _vector_text(values):
@@ -439,11 +514,22 @@ class TestMemoryBudget:
         assert not out.exists()
 
     def test_eval_rows_count_against_the_budget(self, tmp_path, capsys):
-        grid = {"r": [1.0] * 1000, "theta": [0.5] * 1000, "phi": [0.0] * 50}
+        # 6e7 rows of psi, codes and |psi|^2 pass the budget on their own
+        grid = {"r": [1.0] * 1000, "theta": [0.5] * 1000, "phi": [0.0] * 60}
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"grid": grid}))
         run = RunConfig("eval", grid_r=grid["r"], grid_theta=grid["theta"], grid_phi=grid["phi"], times=(0.0,))
-        assert estimated_bytes(run) > 7 * 8 * 5e7
+        assert estimated_bytes(run) > 40 * 6e7 > MEMORY_BUDGET_BYTES
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+        assert "memory budget" in capsys.readouterr().err
+
+    def test_eval_angle_tables_count_against_the_budget(self, tmp_path, capsys):
+        # 1e6 rows, but a spherical-harmonic table of 625 channels at 1e6 angles
+        grid = {"r": [1.0], "theta": [0.5] * 1000, "phi": [0.0] * 1000}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        run = RunConfig("eval", n_max=24, grid_r=grid["r"], grid_theta=grid["theta"], grid_phi=grid["phi"])
+        assert estimated_bytes(run) > 16 * 625 * 1e6 > MEMORY_BUDGET_BYTES
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
         assert "memory budget" in capsys.readouterr().err
 

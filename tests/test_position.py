@@ -456,33 +456,33 @@ class TestExportDensityGrid:
     def test_ground_state_density(self, exponential):
         x = _ground(exponential)
         grid = GridSpec((0.5, 1.0, 2.0), (1.2,), (0.3,))
-        rows = export_density_grid(x, grid, [0.0])
-        assert len(rows) == 3
-        for row in rows:
-            t, r, theta, phi, re, im, dens = row
-            assert dens == pytest.approx(math.exp(-2 * r) / math.pi, rel=1e-12)
+        psi = export_density_grid(x, grid, [0.0])
+        assert len(psi) == 3
+        for r, sample in zip(grid.r, psi):
+            assert abs(sample) ** 2 == pytest.approx(math.exp(-2 * r) / math.pi, rel=1e-12)
 
     def test_row_order_is_t_major(self, exponential):
-        x = _ground(exponential)
+        x = hydrogen_cs(HydrogenLabel(0.8, 0.4, ANGLES), exponential, 6, check_tail=False)
         grid = GridSpec((0.5, 1.0), (0.4, 1.2), (0.0, 3.0))
-        rows = export_density_grid(x, grid, [0.0, 1.0])
-        ts = [row[0] for row in rows]
-        assert ts == sorted(ts)
-        first_block = rows[: len(rows) // 2]
-        rs = [row[1] for row in first_block]
-        assert rs == sorted(rs)
-        assert len(rows) == 2 * 2 * 2 * 2
+        psi = export_density_grid(x, grid, [0.0, 1.0])
+        assert len(psi) == 2 * 2 * 2 * 2
+        for i, sample in enumerate(psi):
+            t, r, theta, phi = np.unravel_index(i, (2, 2, 2, 2))
+            point = grid.r[r], grid.theta[theta], grid.phi[phi]
+            direct = eval_hydrogen_cs_position(evolve_hydrogen(x, 1.0, [0.0, 1.0][t]), *point)
+            assert sample == pytest.approx(direct, abs=1e-14)
 
-    def test_one_float_array_with_t_major_axes(self, exponential):
+    def test_one_complex_array_with_t_major_axes(self, exponential):
         x = hydrogen_cs(HydrogenLabel(0.8, 0.4, ANGLES), exponential, 6, check_tail=False)
         grid = GridSpec((0.5, 1.0, 2.5), (0.4, 1.2), (0.0, 2.0, 4.0, 5.5))
         times = [0.0, 1.25, 3.0]
-        rows = export_density_grid(x, grid, times)
-        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
-        assert rows.shape == (3 * 3 * 2 * 4, 7)
-        axes = np.meshgrid(times, grid.r, grid.theta, grid.phi, indexing="ij")
-        for col, axis in enumerate(axes):
-            assert np.array_equal(rows[:, col], axis.ravel())
+        psi = export_density_grid(x, grid, times)
+        assert isinstance(psi, np.ndarray) and psi.dtype == np.complex128
+        assert psi.shape == (3 * 3 * 2 * 4,)
+        points = [axis.ravel() for axis in np.meshgrid(grid.r, grid.theta, grid.phi, indexing="ij")]
+        for t, block in zip(times, psi.reshape(3, -1)):
+            direct = eval_hydrogen_cs_position(evolve_hydrogen(x, 1.0, t), *points)
+            assert np.allclose(block, direct, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, exponential, bad):
@@ -494,30 +494,29 @@ class TestExportDensityGrid:
         grid = GridSpec((0.5, 1.5), (0.9,), (0.2,))
         spec = Spectrum("oscillator", 1.0)
         t0 = 0.5
-        rows_a = export_density_grid(x, grid, [t0], spectrum=spec)
-        rows_b = export_density_grid(x, grid, [t0 + 2 * math.pi], spectrum=spec)
-        for a, b in zip(rows_a, rows_b):
-            assert np.array_equal(a[1:], b[1:])
+        psi_a = export_density_grid(x, grid, [t0], spectrum=spec)
+        psi_b = export_density_grid(x, grid, [t0 + 2 * math.pi], spectrum=spec)
+        assert np.array_equal(psi_a, psi_b)
 
     def test_gamma_shift_consistency(self, exponential):
         omega, t = 1.0, 2.2
         label = HydrogenLabel(0.7, 0.5, ANGLES)
         grid = GridSpec((0.4, 1.1), (0.8,), (1.0,))
-        rows_evolved = export_density_grid(
-            hydrogen_cs(label, exponential, 10, check_tail=False), grid, [t]
-        )
-        rows_shifted = export_density_grid(
+        psi_evolved = export_density_grid(hydrogen_cs(label, exponential, 10, check_tail=False), grid, [t])
+        psi_shifted = export_density_grid(
             hydrogen_cs(label.shifted(omega, t), exponential, 10, check_tail=False), grid, [0.0]
         )
-        for a, b in zip(rows_evolved, rows_shifted):
-            assert np.allclose(a[4:], b[4:], atol=1e-13)
+        assert np.allclose(psi_evolved, psi_shifted, rtol=0, atol=1e-13)
 
     def test_csv_writer(self, tmp_path, exponential):
         x = _ground(exponential)
         grid = GridSpec((1.0,), (0.5,), (0.0,))
+        psi = export_density_grid(x, grid, [0.0])
+        axes = [([value], [0]) for value in (0.0, *grid.r, *grid.theta, *grid.phi)]
         path = tmp_path / "density.csv"
-        write_csv(path, DENSITY_CSV_HEADER, export_density_grid(x, grid, [0.0]))
+        write_csv(path, DENSITY_CSV_HEADER, axes + [psi.real, psi.imag, np.abs(psi) ** 2])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,r,theta,phi,re_psi,im_psi,density"
         assert len(lines) == 2
+        assert lines[1].startswith("0,1,0.5,0,")
         assert float(lines[1].split(",")[-1]) == pytest.approx(math.exp(-2.0) / math.pi, rel=1e-15)
