@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .specfun import log_factorial, make_quadrature
 
 __all__ = [
@@ -55,9 +54,8 @@ class EulerAngles:
 
 @dataclass(frozen=True, eq=False)
 class ShellExpansion:
-    """Complex coefficients over the (n+1)^2 channels (l, m) of shell n."""
+    """Complex coefficients over the (n+1)^2 channels (l, m) of one shell."""
 
-    n: int
     coeffs: np.ndarray
 
     def norm_squared(self) -> float:
@@ -115,7 +113,7 @@ def angular_cs(n: int, omega_bar: EulerAngles) -> ShellExpansion:
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
     coeffs = _channel_coefficients(n, omega_bar.theta_bar, omega_bar.phi_bar, omega_bar.psi_bar)
-    return ShellExpansion(n=n, coeffs=coeffs)
+    return ShellExpansion(coeffs=coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,38 +144,24 @@ def _difference_means(k: np.ndarray, nodes: int) -> np.ndarray:
     return means[np.subtract.outer(k, k) + span]
 
 
-def angular_resolution_check(
-    n: int,
-    theta_nodes: int | None = None,
-    phi_nodes: int | None = None,
-    psi_nodes: int | None = None,
-) -> AngularResolutionReport:
+def angular_resolution_check(n: int) -> AngularResolutionReport:
     """Quadrature Gram matrix of the shell projector average.
 
     Gauss-Legendre in cos(theta_bar) and uniform rules over the periodic
-    azimuths; node counts below the exactness threshold 2n+1 raise instead
-    of silently degrading.  The measure and every coefficient factor per
-    Euler angle, so the product rule is summed one axis at a time: the
-    theta_bar sum of A_a A_b times the azimuth means of
-    exp(-i(m_a - m_b) phi_bar) and exp(-i(l_a - l_b) psi_bar).  The result
-    equals the (n+1)^2 identity to machine precision.
+    azimuths, each at the exactness threshold 2n+1 nodes.  The measure and
+    every coefficient factor per Euler angle, so the product rule is summed
+    one axis at a time: the theta_bar sum of A_a A_b times the azimuth means
+    of exp(-i(m_a - m_b) phi_bar) and exp(-i(l_a - l_b) psi_bar).  The
+    result equals the (n+1)^2 identity to machine precision.
     """
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
-    needed = exactness_threshold(n)
-    counts = [needed if count is None else count for count in (theta_nodes, phi_nodes, psi_nodes)]
-    for label, count in zip(("theta", "phi", "psi"), counts):
-        if count < needed:
-            raise ConfigurationError(
-                f"{label}-nodes = {count} below the exactness threshold {needed} for n = {n}"
-            )
-    theta_nodes, phi_nodes, psi_nodes = counts
-
-    x_rule = make_quadrature("legendre", theta_nodes)
+    nodes = exactness_threshold(n)
+    x_rule = make_quadrature("legendre", nodes)
     a = _theta_factor(n, np.arccos(x_rule.nodes))  # (channel, theta node)
     l, m = _channels(n)
     # sin(theta_bar) d(theta_bar) / 2 is half the Legendre weight in cos(theta_bar)
-    gram = 0.5 * (a * x_rule.weights) @ a.T * _difference_means(m, phi_nodes) * _difference_means(l, psi_nodes)
+    gram = 0.5 * (a * x_rule.weights) @ a.T * _difference_means(m, nodes) * _difference_means(l, nodes)
     dim = shell_dimension(n)
     dev = float(np.max(np.abs(gram - np.eye(dim))))
     return AngularResolutionReport(n=n, dimension=dim, gram=gram, max_identity_dev=dev)

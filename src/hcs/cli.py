@@ -30,26 +30,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = {
-    "family",
-    "n_max",
-    "s",
-    "gamma",
-    "theta_bar",
-    "phi_bar",
-    "psi_bar",
-    "omega",
-    "gamma_window",
-    "radial_nodes",
-    "theta_nodes",
-    "phi_nodes",
-    "psi_nodes",
-    "out",
-    "seed",
-    "grid",
-    "times",
-}
-
 _NUMBER_FIELDS = ("s", "gamma", "theta_bar", "phi_bar", "psi_bar", "omega", "gamma_window")
 
 # a run whose largest arrays (estimated_bytes) would pass this is refused
@@ -85,9 +65,6 @@ class RunConfig:
     omega: float = 1.0
     gamma_window: float = 1e5
     radial_nodes: int = 96
-    theta_nodes: int | None = None
-    phi_nodes: int | None = None
-    psi_nodes: int | None = None
     out: str = ""
     seed: int = 0
     grid_r: tuple = (0.5, 1.0, 2.0, 4.0)
@@ -99,6 +76,10 @@ class RunConfig:
         return hydrogen.HydrogenLabel(
             self.s, self.gamma, angular.EulerAngles(self.theta_bar, self.phi_bar, self.psi_bar)
         )
+
+
+# the config file's keys: every RunConfig field but the command, with grid for the three axes
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "grid_r", "grid_theta", "grid_phi"} | {"grid"}
 
 
 def _is_int(value) -> bool:
@@ -127,15 +108,12 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
     if not isinstance(grid, dict):
         errors.append("grid must be an object with keys r, theta, phi")
         grid = {}
-    times = file_cfg.get("times")
 
     cfg = RunConfig(command=command)
     cfg.n_max = _DEFAULT_N_MAX[command]
     cfg.out = _DEFAULT_OUT[command]
-    known = {f.name for f in fields(RunConfig)}
     for key, value in merged.items():
-        if key in known:
-            setattr(cfg, key, value)
+        setattr(cfg, key, value)
     for axis in ("r", "theta", "phi"):
         if axis not in grid:
             continue
@@ -144,13 +122,13 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
             setattr(cfg, f"grid_{axis}", tuple(values))
         else:
             errors.append(f"grid.{axis} must be a list of numbers, all finite, got {values!r}")
-    if times is not None:
-        if isinstance(times, list) and all(_is_finite_number(t) for t in times):
-            cfg.times = tuple(float(t) for t in times)
-        else:
-            errors.append(f"times must be a list of finite numbers, got {times!r}")
-    if not cfg.times:
+    times = file_cfg.get("times")
+    if "times" not in file_cfg:
         cfg.times = (0.0,) if command == "eval" else tuple(0.5 * k for k in range(11))
+    elif isinstance(times, list) and times and all(_is_finite_number(t) for t in times):
+        cfg.times = tuple(float(t) for t in times)
+    else:
+        errors.append(f"times must be a nonempty list of finite numbers, got {times!r}")
 
     # aggregate every violation into a single report; types before ranges
     for name in ("family", "out"):
@@ -172,21 +150,9 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
         errors.append(f"gamma_window must be positive, got {cfg.gamma_window}")
     if not _is_int(cfg.seed) or cfg.seed < 0:
         errors.append(f"seed must be an integer >= 0, got {cfg.seed!r}")
-    for name in ("radial_nodes", "theta_nodes", "phi_nodes", "psi_nodes"):
-        value = getattr(cfg, name)
-        # only the angular node counts may be left unset (null: the exactness threshold)
-        if (value is not None or name == "radial_nodes") and (not _is_int(value) or value < 1):
-            errors.append(f"{name} must be a positive integer, got {value!r}")
-    if _is_int(cfg.n_max) and cfg.n_max >= 0:
-        threshold = angular.exactness_threshold(cfg.n_max)
-        for name in ("theta_nodes", "phi_nodes", "psi_nodes"):
-            value = getattr(cfg, name)
-            if _is_int(value) and value < threshold:
-                errors.append(
-                    f"{name} = {value} below the exactness threshold {threshold} "
-                    f"for the configured n_max"
-                )
-    if command in ("eval", "evolve") and numbers_ok["gamma"] and numbers_ok["omega"]:
+    if not _is_int(cfg.radial_nodes) or cfg.radial_nodes < 1:
+        errors.append(f"radial_nodes must be a positive integer, got {cfg.radial_nodes!r}")
+    if command in ("eval", "evolve") and cfg.times and numbers_ok["gamma"] and numbers_ok["omega"]:
         drift = max(abs(cfg.omega * t) for t in cfg.times)
         phase = max(abs(cfg.gamma + cfg.omega * t) for t in cfg.times)
         if _EPS * phase > PHASE_ACCURACY_RAD:
@@ -287,7 +253,7 @@ def _checks_resolution_covering(cfg, family, rng):
 def _checks_angular(cfg, family, rng):
     worst = 0.0
     for n in range(min(cfg.n_max, 6) + 1):
-        rep = angular.angular_resolution_check(n, cfg.theta_nodes, cfg.phi_nodes, cfg.psi_nodes)
+        rep = angular.angular_resolution_check(n)
         worst = max(worst, rep.max_identity_dev)
     return [CheckResult.at_most("angular-resolution", worst, 1e-12, "shells n <= 6")]
 
@@ -386,8 +352,7 @@ def _checks_uncertainty_floor(cfg, family, rng):
 
 
 def _checks_hydrogen_resolution(cfg, family, rng):
-    nodes = cfg.theta_nodes, cfg.phi_nodes, cfg.psi_nodes
-    rep = hydrogen.hydrogen_resolution_check(family, cfg.n_max, 64, cfg.gamma_window, *nodes)
+    rep = hydrogen.hydrogen_resolution_check(family, cfg.n_max, 64, cfg.gamma_window)
     ok = rep.diag_max_dev <= 1e-10 and rep.certificate_satisfied
     detail = (
         f"diagonal deviation at gamma window {rep.gamma_window:g}; "
@@ -459,8 +424,7 @@ def run_eval(cfg: RunConfig) -> tuple[list, int]:
     family = _resolve_family(cfg.family)
     state = hydrogen.hydrogen_cs(cfg.label(), family, cfg.n_max)
     grid = position.GridSpec(cfg.grid_r, cfg.grid_theta, cfg.grid_phi)
-    spectrum = fock1d.Spectrum("inverse-square", cfg.omega)
-    psi = position.export_density_grid(state, grid, cfg.times, spectrum)
+    psi = position.export_density_grid(state, grid, cfg.times, cfg.omega)
     density = np.abs(psi) ** 2
     axes = (cfg.times, grid.r, grid.theta, grid.phi)
     codes = np.indices([len(axis) for axis in axes], dtype=np.int32).reshape(len(axes), -1)

@@ -88,8 +88,6 @@ class HydrogenExpansion:
 
     n_max: int
     coeffs: np.ndarray
-    family: WeightFamily
-    label: HydrogenLabel
     amps: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
@@ -103,7 +101,7 @@ class HydrogenExpansion:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def phased(self, phases: np.ndarray, label: HydrogenLabel) -> "HydrogenExpansion":
+    def phased(self, phases: np.ndarray) -> "HydrogenExpansion":
         """Copy with every coefficient and amplitude of shell n multiplied by phases[n]."""
         coeffs = self.coeffs.copy()
         start = 0
@@ -114,7 +112,7 @@ class HydrogenExpansion:
             coeffs[start:stop] *= phases[n]
             start = stop
         amps = None if self.amps is None else self.amps * phases[: self.n_max + 1]
-        return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, family=self.family, label=label, amps=amps)
+        return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, amps=amps)
 
 
 @functools.lru_cache(maxsize=8)
@@ -126,14 +124,14 @@ def _flat_channels(n_max: int) -> np.ndarray:
     return channel
 
 
-def _product_state(label: HydrogenLabel, family: WeightFamily, amps: np.ndarray, angular: np.ndarray):
+def _product_state(amps: np.ndarray, angular: np.ndarray) -> HydrogenExpansion:
     """The state with coefficient amps[n] * angular[i] at flat index i of shell n: one repeat-multiply.
 
     ``angular`` is the shared angular factor gathered over the flat index.
     """
     coeffs = np.repeat(amps, (np.arange(amps.size) + 1) ** 2)
     coeffs *= angular
-    return HydrogenExpansion(n_max=amps.size - 1, coeffs=coeffs, family=family, label=label, amps=amps)
+    return HydrogenExpansion(n_max=amps.size - 1, coeffs=coeffs, amps=amps)
 
 
 def hydrogen_cs(
@@ -151,7 +149,7 @@ def hydrogen_cs(
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
     angular = angular_cs(n_max, label.omega_bar).coeffs[_flat_channels(n_max)]
-    return _product_state(label, family, amps, angular)
+    return _product_state(amps, angular)
 
 
 def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExpansion:
@@ -161,7 +159,7 @@ def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExp
     the shifted label gamma + omega*t.
     """
     phases = Spectrum("inverse-square", omega).evolution_phases(x.n_max + 1, t)
-    return x.phased(phases, x.label.shifted(omega, t))
+    return x.phased(phases)
 
 
 def hydrogen_stability_residual(
@@ -174,7 +172,7 @@ def hydrogen_stability_residual(
     """
     angular = angular_cs(n_max, label.omega_bar).coeffs[_flat_channels(n_max)]
     state, shifted = (
-        _product_state(at, family, degen_cs(at.s, at.gamma, family, n_max, check_tail=False).coeffs, angular)
+        _product_state(degen_cs(at.s, at.gamma, family, n_max, check_tail=False).coeffs, angular)
         for at in (label, label.shifted(omega, t))
     )
     return float(np.max(np.abs(evolve_hydrogen(state, omega, t).coeffs - shifted.coeffs)))
@@ -205,8 +203,8 @@ class HydrogenResolutionReport:
     The Gram operator factorizes: shell pair (a, b) contributes the block
     ``shells.matrix[a, b] * angular.gram[:d_a, :d_b]`` with d_n = (n+1)^2,
     the covering-mode shell Gram times the angular channel Gram.  The
-    figures below are computed from those factors; ``matrix`` assembles
-    the dense operator only when read.
+    figures below are computed from those factors; the dense operator is
+    never built.
     """
 
     shells: ResolutionReport
@@ -231,22 +229,6 @@ class HydrogenResolutionReport:
     def certificate_satisfied(self) -> bool:
         return self.shells.certificate_satisfied
 
-    @property
-    def angular_max_dev(self) -> float:
-        return self.angular.max_identity_dev
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense dimension x dimension Gram operator."""
-        dims = [shell_dimension(n) for n in range(self.n_max + 1)]
-        gram = self.angular.gram
-        return np.block(
-            [
-                [self.shells.matrix[a, b] * gram[:da, :db] for b, db in enumerate(dims)]
-                for a, da in enumerate(dims)
-            ]
-        )
-
 
 def _leading_block_max(values: np.ndarray) -> np.ndarray:
     """peak[i, j] = max(values[:i+1, :j+1])."""
@@ -258,9 +240,6 @@ def hydrogen_resolution_check(
     n_max: int,
     radial_nodes: int = 64,
     gamma_window: float = 1e5,
-    theta_nodes: int | None = None,
-    phi_nodes: int | None = None,
-    psi_nodes: int | None = None,
 ) -> HydrogenResolutionReport:
     """Gram operator of the coherent-state measure in the (n, l, m) basis.
 
@@ -272,7 +251,7 @@ def hydrogen_resolution_check(
     test, so a cross-shell entry obeys |entry| <= certificate * |angular|.
     """
     shells = resolution_check_1d(family, "covering", n_max, radial_nodes, gamma_window)
-    ang = angular_resolution_check(n_max, theta_nodes, phi_nodes, psi_nodes)
+    ang = angular_resolution_check(n_max)
 
     diag = np.diag(ang.gram)
     diag_dev = max(

@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .fock1d import Spectrum
-from .hydrogen import HydrogenExpansion, shell_offset
+from .hydrogen import HydrogenExpansion, evolve_hydrogen, shell_offset
 from .specfun import (
     _LAGUERRE_MAX_NODES,
     _radial_shell,
@@ -238,23 +237,18 @@ def radial_uncertainty_product(x: HydrogenExpansion) -> float:
 
 
 def export_density_grid(
-    x: HydrogenExpansion,
-    grid: GridSpec,
-    t_values: Sequence[float],
-    spectrum: Spectrum | None = None,
+    x: HydrogenExpansion, grid: GridSpec, t_values: Sequence[float], omega: float = 1.0
 ) -> np.ndarray:
     """Wavefunction samples psi on the grid at each time, one complex entry per CSV row.
 
-    Evolution applies the spectrum's shell phases to the coefficients (the
-    default inverse-square spectrum with omega = 1 realizes the gamma
-    shift).  The samples run in deterministic t-major order, then r, theta,
-    phi: entry i is the sample at np.unravel_index(i, (T, R, Theta, Phi)).
+    Each time evolves the state with ``evolve_hydrogen`` under the
+    spectrum -omega/(n+1)^2, which realizes the gamma shift.  The samples
+    run in deterministic t-major order, then r, theta, phi: entry i is the
+    sample at np.unravel_index(i, (T, R, Theta, Phi)).
     """
     times = np.asarray(t_values, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"t_values must be finite, got {t_values!r}")
-    if spectrum is None:
-        spectrum = Spectrum("inverse-square", 1.0)
     r = np.asarray(grid.r)
     tb = np.repeat(grid.theta, len(grid.phi))
     pb = np.tile(grid.phi, len(grid.theta))
@@ -262,6 +256,5 @@ def export_density_grid(
     u = radial_table(x.n_max, r)
     psi = np.empty((times.size, r.size, tb.size), dtype=complex)
     for psi_t, t in zip(psi, times.tolist()):
-        evolved = x.phased(spectrum.evolution_phases(x.n_max + 1, t), x.label)
-        np.matmul(_channel_radial_sums(evolved, u).T, ylm, out=psi_t)
+        np.matmul(_channel_radial_sums(evolve_hydrogen(x, omega, t), u).T, ylm, out=psi_t)
     return psi.reshape(-1)

@@ -35,7 +35,6 @@ __all__ = [
 class QuadratureRule:
     """Immutable set of quadrature nodes and strictly positive weights."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -202,43 +201,25 @@ def radial_table(n_max: int, r) -> np.ndarray:
     return out
 
 
-def make_quadrature(kind: str, m: int, **params) -> QuadratureRule:
+def make_quadrature(kind: str, m: int) -> QuadratureRule:
     """Build a quadrature rule.
 
-    kind 'legendre': Gauss-Legendre on [a, b] (defaults [-1, 1]); exact for
-    polynomials of degree <= 2m-1.  The rule on [-1, 1] is built once per
-    process for each node count.
-    kind 'trapezoid': uniform rule on one period (default 2*pi) of a
-    periodic function, nodes k*period/m; exact for trigonometric
-    polynomials of frequency < m.
+    kind 'legendre': Gauss-Legendre on [-1, 1]; exact for polynomials of
+    degree <= 2m-1.  The rule is built once per process for each node count
+    and shared, so its arrays are read-only.
+    kind 'trapezoid': uniform rule on one period 2*pi of a periodic
+    function, nodes 2*pi*k/m; exact for trigonometric polynomials of
+    frequency < m.
     Gauss-Laguerre rules on [0, inf) come from ``exp_decay_rule``.
     """
     if not isinstance(m, int) or m < 1:
         raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
     if kind == "legendre":
-        a = params.pop("a", -1.0)
-        b = params.pop("b", 1.0)
-        _reject_extra(kind, params)
-        if not b > a:
-            raise ConfigurationError(f"need b > a, got [{a}, {b}]")
-        x, w = _gauss_rule("legendre", m)
-        nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-        weights = 0.5 * (b - a) * w
-    elif kind == "trapezoid":
-        period = params.pop("period", 2.0 * math.pi)
-        _reject_extra(kind, params)
-        if not period > 0:
-            raise ConfigurationError(f"period must be positive, got {period}")
-        nodes = period * np.arange(m) / m
-        weights = np.full(m, period / m)
-    else:
-        raise ConfigurationError(f"unknown quadrature kind {kind!r}")
-    return QuadratureRule(kind=kind, nodes=np.asarray(nodes), weights=np.asarray(weights))
-
-
-def _reject_extra(kind: str, params: dict) -> None:
-    if params:
-        raise ConfigurationError(f"unknown parameters for {kind!r} rule: {sorted(params)}")
+        return QuadratureRule(*_gauss_rule("legendre", m))
+    if kind == "trapezoid":
+        period = 2.0 * math.pi
+        return QuadratureRule(period * np.arange(m) / m, np.full(m, period / m))
+    raise ConfigurationError(f"unknown quadrature kind {kind!r}")
 
 
 def exp_decay_rule(alpha: float, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, TruncationError
-from .specfun import exp_decay_rule, log_factorial, logsumexp, make_quadrature, pchip
+from .specfun import _LAGUERRE_MAX_NODES, exp_decay_rule, log_factorial, logsumexp, make_quadrature, pchip
 
 __all__ = [
     "WeightFamily",
@@ -419,9 +419,19 @@ def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) ->
     Checks (a) stored moments against independent quadrature for n <= n_max,
     (b) the factorization rho = M^2 k on a log-spaced grid, (c) positivity
     of rho, k and the moments.  Failures are report entries, not exceptions.
+    A built-in's quadrature rule grows with the moment order, so n_max past
+    the order its largest Gauss-Laguerre rule reaches is refused.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if family._grid is None:
+        # moment_by_quadrature(n) takes subst_power * n + 2 Laguerre nodes
+        limit = (_LAGUERRE_MAX_NODES - 2) // family._subst_power
+        if n_max > limit:
+            raise ConfigurationError(
+                f"n_max = {n_max} is past {limit}, the largest moment order the {family.name} "
+                f"family's quadrature reaches within the {_LAGUERRE_MAX_NODES}-node Gauss-Laguerre cap"
+            )
     checks = []
 
     worst = 0.0

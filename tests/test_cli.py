@@ -27,7 +27,6 @@ from hcs.cli import (
     write_csv,
 )
 from hcs.errors import ConfigurationError
-from hcs.fock1d import Spectrum
 from hcs.hydrogen import HydrogenLabel, hydrogen_cs
 from hcs.position import DENSITY_CSV_HEADER, GridSpec, export_density_grid
 from hcs.weights import builtin_family
@@ -185,11 +184,15 @@ class TestVerify:
         failing = [c for c in report["checks"] if not c["pass"]]
         assert any(c["name"] == "family-moments" and "n=3" in c["detail"] for c in failing)
 
-    def test_node_threshold_is_config_error(self, tmp_path, capsys):
+    def test_node_count_keys_are_unknown(self, tmp_path, capsys):
+        # the angular rule always runs at its exactness threshold 2n+1
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"psi_nodes": 4}))
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
-        assert "exactness threshold" in capsys.readouterr().err
+        for key in ("theta_nodes", "phi_nodes", "psi_nodes"):
+            cfg.write_text(json.dumps({key: 40}))
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown config keys: {key}" in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_family(self, tmp_path):
         assert main(["verify", "--family", "nope", "--out", str(tmp_path / "r.json")]) == 2
@@ -232,6 +235,15 @@ class TestMoments:
         report = json.loads(out.read_text())
         assert any(c["name"] == "family-moments" and not c["pass"] for c in report["checks"])
 
+    @pytest.mark.parametrize("family,limit", [("exponential", 126), ("sqrt-exponential", 63)])
+    def test_n_max_past_the_quadrature_cap_names_n_max(self, tmp_path, capsys, family, limit):
+        out = tmp_path / "m.json"
+        assert main(["moments", "--family", family, "--n-max", str(limit + 1), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"n_max = {limit + 1} is past {limit}" in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(["moments", "--family", family, "--n-max", str(limit), "--out", str(out)]) == 0
+
 
 class TestEval:
     def test_ground_state_rows(self, tmp_path):
@@ -263,7 +275,7 @@ class TestEval:
         label = HydrogenLabel(0.9, 0.4, EulerAngles(1.1, 0.7, 2.3))
         state = hydrogen_cs(label, builtin_family("exponential"), 24)
         axes = GridSpec(grid["r"], grid["theta"], grid["phi"])
-        psi = export_density_grid(state, axes, [0.0, 3.7], Spectrum("inverse-square", 1.3))
+        psi = export_density_grid(state, axes, [0.0, 3.7], 1.3)
         assert psi.shape == (12288,)
         _reference_csv(tmp_path / "reference.csv", DENSITY_CSV_HEADER, _density_rows([0.0, 3.7], axes, psi))
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -555,6 +567,9 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command):
         ("verify", {"radial_nodes": True}, "radial_nodes"),
         ("verify", {"gamma_window": math.inf}, "gamma_window"),
         ("eval", {"s": math.nan}, "s"),
+        ("eval", {"times": []}, "times"),
+        ("evolve", {"times": []}, "times"),
+        ("evolve", {"times": None}, "times"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, config, field):
@@ -582,9 +597,6 @@ def test_build_config_types_or_config_error(command, file_cfg):
         return
     for name in ("n_max", "seed", "radial_nodes"):
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) >= 0
-    for name in ("theta_nodes", "phi_nodes", "psi_nodes"):
-        value = getattr(cfg, name)
-        assert value is None or (type(value) is int and value >= 1)
     for name in ("s", "gamma", "theta_bar", "phi_bar", "psi_bar", "omega", "gamma_window"):
         value = getattr(cfg, name)
         assert type(value) in (int, float) and math.isfinite(value)
@@ -605,7 +617,7 @@ _PLAUSIBLE = st.fixed_dictionaries(
         "theta_bar": st.floats(0.0, math.pi) | _FLOAT,
         **{name: _FLOAT for name in ("gamma", "phi_bar", "psi_bar")},
         **{name: st.floats(1e-3, 1e3) | _FLOAT for name in ("omega", "gamma_window")},
-        **{name: st.integers(0, 140) for name in ("radial_nodes", "theta_nodes", "phi_nodes", "psi_nodes")},
+        "radial_nodes": st.integers(0, 140),
         "seed": st.integers(-1, 2**64),
         "grid": st.fixed_dictionaries({}, optional={axis: _AXIS for axis in ("r", "theta", "phi")}),
         "times": st.lists(st.floats(-50.0, 50.0) | _FLOAT, max_size=3),

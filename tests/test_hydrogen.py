@@ -245,23 +245,21 @@ class TestHydrogenResolution:
     def test_scalar_shell(self, exponential):
         rep = hydrogen_resolution_check(exponential, n_max=0, gamma_window=123.0)
         assert rep.dimension == 1
-        assert abs(rep.matrix[0, 0] - 1.0) <= 1e-12
+        assert abs(rep.shells.matrix[0, 0] * rep.angular.gram[0, 0] - 1.0) <= 1e-12
         assert rep.certificate_satisfied
 
     def test_exponential_at_window(self, exponential):
         rep = hydrogen_resolution_check(exponential, n_max=8, radial_nodes=64, gamma_window=1e5)
         assert rep.diag_max_dev <= 1e-10
         assert rep.certificate_satisfied
-        assert rep.angular_max_dev <= 1e-12
+        assert rep.angular.max_identity_dev <= 1e-12
         assert rep.dimension == total_dimension(8)
 
     def test_channel_mismatch_entries_vanish(self, exponential):
         rep = hydrogen_resolution_check(exponential, n_max=3, radial_nodes=64, gamma_window=1e4)
         # same-shell blocks reproduce the angular Gram: off-channel noise only
         for n in range(4):
-            block = rep.matrix[
-                shell_offset(n) : shell_offset(n + 1), shell_offset(n) : shell_offset(n + 1)
-            ]
+            block = rep.shells.matrix[n, n] * rep.angular.gram[: shell_dimension(n), : shell_dimension(n)]
             off = ~np.eye(shell_dimension(n), dtype=bool)
             if off.any():
                 assert np.max(np.abs(block[off])) <= 1e-12
@@ -298,7 +296,7 @@ class TestHydrogenResolution:
                 matrix[rows, cols] = radial[a, b] * sinc[a, b] * block
                 if a != b:
                     cert[rows, cols] = radial[a, b] / (window * abs(delta[a, b])) * np.abs(block)
-        assert np.array_equal(rep.matrix, matrix)
+        assert np.array_equal(rep.shells.matrix, radial * sinc)
         off = ~np.eye(dim, dtype=bool)
         finite = np.isfinite(cert)
         assert rep.diag_max_dev == float(np.max(np.abs(np.diag(matrix) - 1.0)))

@@ -27,7 +27,7 @@ from hcs.position import (
     radial_expectation,
     radial_uncertainty_product,
 )
-from hcs.specfun import radial_eigenfunction
+from hcs.specfun import radial_eigenfunction, radial_table, spherical_harmonic_table
 from hcs.weights import builtin_family
 
 
@@ -99,7 +99,7 @@ class TestEvalAngular:
         from hcs.hydrogen import shell_offset
 
         coeffs[shell_offset(n) :] = angular_cs(n, ANGLES).coeffs
-        state = HydrogenExpansion(n_max=n, coeffs=coeffs, family=exponential, label=GROUND_LABEL)
+        state = HydrogenExpansion(n_max=n, coeffs=coeffs)
         assert quadrature_norm_squared(state) == pytest.approx((n + 1) ** 2, abs=1e-8)
 
 
@@ -114,7 +114,7 @@ class TestEvalHydrogen:
         a = hydrogen_cs(HydrogenLabel(0.6, 0.1, ANGLES), exponential, 6, check_tail=False)
         b = hydrogen_cs(HydrogenLabel(0.3, 1.4, EulerAngles(0.5, 1.0, 0.3)), exponential, 6, check_tail=False)
         combo = HydrogenExpansion(
-            n_max=6, coeffs=1.5 * a.coeffs - 2j * b.coeffs, family=exponential, label=a.label
+            n_max=6, coeffs=1.5 * a.coeffs - 2j * b.coeffs
         )
         pt = (1.7, 0.9, 4.1)
         lhs = eval_hydrogen_cs_position(combo, *pt)
@@ -210,14 +210,14 @@ class TestRadialExpectation:
     def test_zero_state_rejected(self, exponential):
         x = _ground(exponential)
         zero = HydrogenExpansion(
-            n_max=0, coeffs=0 * x.coeffs, family=exponential, label=GROUND_LABEL, amps=0 * x.amps
+            n_max=0, coeffs=0 * x.coeffs, amps=0 * x.amps
         )
         with pytest.raises(ValueError, match="nonzero norm"):
             radial_uncertainty_product(zero)
 
     def test_expansion_without_amplitudes_rejected(self, exponential):
         x = _ground(exponential)
-        bare = HydrogenExpansion(n_max=0, coeffs=x.coeffs, family=exponential, label=GROUND_LABEL)
+        bare = HydrogenExpansion(n_max=0, coeffs=x.coeffs)
         with pytest.raises(ValueError, match="shell amplitudes of a coherent state"):
             radial_expectation(bare, 1)
         with pytest.raises(ValueError, match="shell amplitudes of a coherent state"):
@@ -429,7 +429,7 @@ class TestGramForms:
         n_max = 12
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(total_dimension(n_max)) + 1j * rng.standard_normal(total_dimension(n_max))
-        x = HydrogenExpansion(n_max=n_max, coeffs=coeffs, family=exponential, label=GROUND_LABEL)
+        x = HydrogenExpansion(n_max=n_max, coeffs=coeffs)
         forms = 0.0
         for l, table in enumerate(position._radial_operators(n_max, 2)):
             c = _channel_matrix(x, l)
@@ -489,14 +489,18 @@ class TestExportDensityGrid:
         with pytest.raises(ValueError, match="t_values"):
             export_density_grid(_ground(exponential), GridSpec((1.0,), (0.5,), (0.0,)), [0.0, bad])
 
-    def test_oscillator_spectrum_period_rows_identical(self, exponential):
-        x = hydrogen_cs(HydrogenLabel(0.8, 0.4, ANGLES), exponential, 6, check_tail=False)
-        grid = GridSpec((0.5, 1.5), (0.9,), (0.2,))
-        spec = Spectrum("oscillator", 1.0)
-        t0 = 0.5
-        psi_a = export_density_grid(x, grid, [t0], spectrum=spec)
-        psi_b = export_density_grid(x, grid, [t0 + 2 * math.pi], spectrum=spec)
-        assert np.array_equal(psi_a, psi_b)
+    def test_omega_rows_match_the_spectrum_phase_path(self, exponential):
+        # each time's samples, bit for bit, from the inverse-square spectrum's shell phases
+        n_max, omega, times = 12, 1.3, [0.0, 0.7, 3.7]
+        x = hydrogen_cs(HydrogenLabel(0.8, 0.4, ANGLES), exponential, n_max, check_tail=False)
+        grid = GridSpec((0.5, 1.5, 4.0), (0.0, 0.9, 2.5), (0.2, 3.0))
+        psi = export_density_grid(x, grid, times, omega=omega)
+        u = radial_table(n_max, np.asarray(grid.r))
+        ylm = spherical_harmonic_table(n_max, np.repeat(grid.theta, 2), np.tile(grid.phi, 3))
+        for t, block in zip(times, psi.reshape(len(times), -1)):
+            phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
+            reference = np.matmul(position._channel_radial_sums(x.phased(phases), u).T, ylm)
+            assert block.tobytes() == reference.ravel().tobytes()
 
     def test_gamma_shift_consistency(self, exponential):
         omega, t = 1.0, 2.2
