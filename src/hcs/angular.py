@@ -48,6 +48,9 @@ class EulerAngles:
             raise ValueError(f"theta_bar must lie in [0, pi], got {self.theta_bar}")
         if not (math.isfinite(self.phi_bar) and math.isfinite(self.psi_bar)):
             raise ValueError(f"azimuths must be finite, got {self.phi_bar}, {self.psi_bar}")
+        # equal labels must give equal bytes, since states are cached by label:
+        # -0.0 + 0.0 is +0.0, as the azimuths' % 2*pi already gives
+        object.__setattr__(self, "theta_bar", self.theta_bar + 0.0)
         object.__setattr__(self, "phi_bar", self.phi_bar % _TWO_PI)
         object.__setattr__(self, "psi_bar", self.psi_bar % _TWO_PI)
 
@@ -62,10 +65,14 @@ class ShellExpansion:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
+@functools.lru_cache(maxsize=8)
 def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(l, m) of every channel l <= l_max, at flat index l^2 + l + m."""
+    """(l, m) of every channel l <= l_max, at flat index l^2 + l + m; built once, read-only."""
     l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    return l, np.arange(l.size) - l * l - l
+    m = np.arange(l.size) - l * l - l
+    for column in (l, m):
+        column.flags.writeable = False
+    return l, m
 
 
 @functools.lru_cache(maxsize=8)

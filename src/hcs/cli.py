@@ -431,6 +431,19 @@ def run_eval(cfg: RunConfig) -> tuple[list, int]:
     return [*zip(axes, codes), psi.real, psi.imag, density], EXIT_OK
 
 
+# OpenBLAS splits a dot product over its threads above 10,000 entries, and
+# the split moves the last bits with the thread count
+_VDOT_CHUNK = 10_000
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b) summed over consecutive chunks of at most _VDOT_CHUNK entries, in order."""
+    total = np.vdot(a[:_VDOT_CHUNK], b[:_VDOT_CHUNK])
+    for start in range(_VDOT_CHUNK, a.size, _VDOT_CHUNK):
+        total += np.vdot(a[start : start + _VDOT_CHUNK], b[start : start + _VDOT_CHUNK])
+    return complex(total)
+
+
 def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     """Trace rows (t, residual, autocorrelation) and the exit code.
 
@@ -445,7 +458,7 @@ def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     for t in cfg.times:
         residual = hydrogen.hydrogen_stability_residual(label, family, cfg.omega, t, cfg.n_max)
         evolved = hydrogen.evolve_hydrogen(state, cfg.omega, t)
-        auto = complex(np.vdot(state.coeffs, evolved.coeffs)) / norm_sq
+        auto = _vdot(state.coeffs, evolved.coeffs) / norm_sq
         rows.append((float(t), residual, auto.real, auto.imag, abs(auto)))
         bound = RESIDUAL_EPS_PER_RAD * _EPS * max(1.0, abs(cfg.gamma + cfg.omega * t))
         if not residual <= bound:

@@ -99,7 +99,10 @@ class HydrogenExpansion:
             object.__setattr__(self, "amps", amps)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        # squared in place: x ** 2 is x * x, so the bits match with one temporary fewer
+        mod = np.abs(self.coeffs)
+        mod *= mod
+        return float(np.sum(mod))
 
     def phased(self, phases: np.ndarray) -> "HydrogenExpansion":
         """Copy with every coefficient and amplitude of shell n multiplied by phases[n]."""
@@ -116,22 +119,26 @@ class HydrogenExpansion:
 
 
 @functools.lru_cache(maxsize=8)
-def _flat_channels(n_max: int) -> np.ndarray:
-    """Channel l^2 + l + m of every flat index below total_dimension(n_max); read-only."""
-    dims = (np.arange(n_max + 1) + 1) ** 2
-    channel = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
-    channel.flags.writeable = False
-    return channel
+def _angular_factor(n_max: int, omega_bar: EulerAngles) -> np.ndarray:
+    """The channel vector A_lm(omega_bar), l <= n_max, built once per label; read-only.
+
+    Shell n of every state with these angles uses its first (n+1)^2 entries.
+    """
+    angular = angular_cs(n_max, omega_bar).coeffs
+    angular.flags.writeable = False
+    return angular
 
 
 def _product_state(amps: np.ndarray, angular: np.ndarray) -> HydrogenExpansion:
-    """The state with coefficient amps[n] * angular[i] at flat index i of shell n: one repeat-multiply.
-
-    ``angular`` is the shared angular factor gathered over the flat index.
-    """
-    coeffs = np.repeat(amps, (np.arange(amps.size) + 1) ** 2)
-    coeffs *= angular
-    return HydrogenExpansion(n_max=amps.size - 1, coeffs=coeffs, amps=amps)
+    """The state whose shell n is amps[n] * angular[:(n+1)^2]: one scalar-by-slice product per shell."""
+    n_max = amps.size - 1
+    coeffs = np.empty(total_dimension(n_max), dtype=complex)
+    start = 0
+    for n in range(n_max + 1):
+        d = shell_dimension(n)
+        np.multiply(amps[n], angular[:d], out=coeffs[start : start + d])
+        start += d
+    return HydrogenExpansion(n_max=n_max, coeffs=coeffs, amps=amps)
 
 
 def hydrogen_cs(
@@ -148,8 +155,7 @@ def hydrogen_cs(
     if check_tail:
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
-    angular = angular_cs(n_max, label.omega_bar).coeffs[_flat_channels(n_max)]
-    return _product_state(amps, angular)
+    return _product_state(amps, _angular_factor(n_max, label.omega_bar))
 
 
 def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExpansion:
@@ -168,14 +174,29 @@ def hydrogen_stability_residual(
     """Max coefficient deviation between evolution and the gamma shift.
 
     This is an exact label identity; the residual is pure roundoff and
-    scales like eps * |gamma + omega t|.  Both states share one angular factor.
+    scales like eps * |gamma + omega t|.  Shell by shell, the evolved state
+    minus the shifted state goes into one flat buffer with the same
+    products, phases and rounding as ``evolve_hydrogen`` of ``hydrogen_cs``;
+    no state is built.
     """
-    angular = angular_cs(n_max, label.omega_bar).coeffs[_flat_channels(n_max)]
-    state, shifted = (
-        _product_state(degen_cs(at.s, at.gamma, family, n_max, check_tail=False).coeffs, angular)
-        for at in (label, label.shifted(omega, t))
+    angular = _angular_factor(n_max, label.omega_bar)
+    amps, shifted = (
+        degen_cs(at.s, at.gamma, family, n_max, check_tail=False).coeffs for at in (label, label.shifted(omega, t))
     )
-    return float(np.max(np.abs(evolve_hydrogen(state, omega, t).coeffs - shifted.coeffs)))
+    phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
+    diff = np.empty(total_dimension(n_max), dtype=complex)
+    scratch = np.empty(shell_dimension(n_max), dtype=complex)
+    start = 0
+    for n in range(n_max + 1):
+        d = shell_dimension(n)
+        ang, shell = angular[:d], diff[start : start + d]
+        start += d
+        np.multiply(amps[n], ang, out=shell)
+        # in place by the scalar, as ``phased`` does: a product written to
+        # another array rounds differently
+        shell *= phases[n]
+        shell -= np.multiply(shifted[n], ang, out=scratch[:d])
+    return float(np.max(np.abs(diff)))
 
 
 def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:

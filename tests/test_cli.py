@@ -494,6 +494,14 @@ class TestEvolve:
         assert "row 3 (t = 1): residual 1e-09 above its bound" in err and err.count("evolve: row") == 1
         assert len(out.read_text().splitlines()) == 12
 
+    def test_repeated_time_repeats_its_row(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_max": 48, "s": 3.0, "times": [0.5, 2.0, 0.5]}))
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0] == rows[2] != rows[1]
+
     @pytest.mark.parametrize("command", ["evolve", "eval"])
     @pytest.mark.parametrize("flag", ["--gamma=1e17", "--omega=1e300", "--gamma=-5e9"])
     def test_phase_without_digits_is_config_error(self, tmp_path, capsys, command, flag):
@@ -702,7 +710,8 @@ import hcs.cli
 caches = (
     hcs.cli._format_tables,
     hcs.angular._theta_weights,
-    hcs.hydrogen._flat_channels,
+    hcs.angular._channels,
+    hcs.hydrogen._angular_factor,
     hcs.position._channel_gather,
     hcs.position._radial_operators,
     hcs.position._shell_operators,
@@ -716,4 +725,41 @@ def test_import_builds_no_formatter_table():
     child = [sys.executable, "-c", _IMPORT_CHILD]
     proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0, 0]}
+    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0, 0, 0]}
+
+
+_STATE_BYTES_CHILD = """
+import hashlib, sys
+from hcs.angular import EulerAngles
+from hcs.hydrogen import HydrogenLabel, hydrogen_cs
+from hcs.weights import builtin_family
+for theta_bar in sys.argv[1:]:
+    label = HydrogenLabel(0.7, 0.3, EulerAngles(float(theta_bar), 1.0, 2.0))
+    print(hashlib.sha256(hydrogen_cs(label, builtin_family("exponential"), 6, check_tail=False).coeffs.tobytes()).hexdigest())
+"""
+
+
+def test_signed_zero_labels_give_fresh_process_bytes_in_either_order():
+    # +0.0 and -0.0 are equal labels and share one cache entry, so they must give equal bytes
+    def state_bytes(*thetas):
+        child = [sys.executable, "-c", _STATE_BYTES_CHILD, *thetas]
+        proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    fresh = {theta: state_bytes(theta) for theta in ("0.0", "-0.0")}
+    assert state_bytes("0.0", "-0.0") == fresh["0.0"] + fresh["-0.0"]
+    assert state_bytes("-0.0", "0.0") == fresh["-0.0"] + fresh["0.0"]
+    assert math.copysign(1.0, EulerAngles(-0.0, 0.0, 0.0).theta_bar) == 1.0
+
+
+def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # n_max 48 has 40,425 coefficients, above the 10,000 where OpenBLAS splits a dot product
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"evolve-{threads}.csv"
+        command = [sys.executable, "-m", "hcs.cli", "evolve", "--n-max", "48", "--s", "3", "--out", str(out)]
+        proc = subprocess.run(command, capture_output=True, text=True, env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]

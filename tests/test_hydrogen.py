@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcs.angular import EulerAngles, angular_cs, shell_dimension
+from hcs import hydrogen
+from hcs.angular import EulerAngles, _channels, angular_cs, shell_dimension
 from hcs.errors import NumericalError, TruncationError
 from hcs.fock1d import Spectrum, degen_cs, radial_factor_matrix
 from hcs.hydrogen import (
@@ -227,10 +228,16 @@ def _per_shell_evolved(coeffs, n_max, omega, t):
 def test_shell_product_pipeline_is_bit_identical_to_per_shell(name, n_max):
     family = builtin_family(name)
     rng = np.random.default_rng([n_max, len(name)])
+    cases = []
     for s in (0.0, 0.4, 1.3):
         angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
-        omega, t = rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0)
+        cases.append((label, rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0)))
+    # the first label again, and the last angles at another s: both read a cached angular factor
+    last, omega, t = cases[-1]
+    cases += [cases[0], (HydrogenLabel(0.9, last.gamma, last.omega_bar), omega, t)]
+    hydrogen._angular_factor.cache_clear()
+    for label, omega, t in cases:
         reference = _per_shell_state(label, family, n_max)
         state = hydrogen_cs(label, family, n_max, check_tail=False)
         assert state.coeffs.tobytes() == reference.tobytes()
@@ -239,6 +246,14 @@ def test_shell_product_pipeline_is_bit_identical_to_per_shell(name, n_max):
         shifted = _per_shell_state(label.shifted(omega, t), family, n_max)
         residual = float(np.max(np.abs(evolved - shifted)))
         assert hydrogen_stability_residual(label, family, omega, t, n_max) == residual
+    assert hydrogen._angular_factor.cache_info().misses == 3
+
+
+def test_angular_factor_is_shared_and_read_only():
+    factor = hydrogen._angular_factor(12, ANGLES)
+    assert factor is hydrogen._angular_factor(12, ANGLES)
+    assert not factor.flags.writeable
+    assert not any(column.flags.writeable for column in _channels(12))
 
 
 class TestHydrogenResolution:
