@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .specfun import log_factorial, make_quadrature
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# the last shell whose weights are finite doubles: at l = 1027 the central
+# weight sqrt((2l)!/(l!)^2) = e^709.84 passes the largest double
+_MAX_SHELL = 1026
 
 
 def shell_dimension(n: int) -> int:
@@ -82,6 +86,11 @@ def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
     One log-factorial table, the same subtraction order and math.exp keep
     every weight bit-identical to sqrt_binomial_weight.
     """
+    if l_max > _MAX_SHELL:
+        raise ConfigurationError(
+            f"shell {l_max} is past {_MAX_SHELL}, the last shell whose angular weights "
+            "sqrt((2l)!/((l+m)!(l-m)!)) are finite doubles"
+        )
     l, m = _channels(l_max)
     log_fact = np.array([log_factorial(k) for k in range(2 * l_max + 1)])
     exponent = 0.5 * (log_fact[2 * l] - log_fact[l + np.abs(m)] - log_fact[l - np.abs(m)])

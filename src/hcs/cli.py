@@ -42,6 +42,9 @@ PHASE_ACCURACY_RAD = 1e-6
 # radian of max(1, |gamma + omega t|); measured ratios stay below 0.56
 RESIDUAL_EPS_PER_RAD = 4.0
 _EPS = sys.float_info.epsilon
+# eval and evolve build one angular factor: its weight tables and
+# temporaries, per channel (measured in estimated_bytes)
+_ANGULAR_BYTES_PER_CHANNEL = 160
 
 _DEFAULT_N_MAX = {"verify": 8, "moments": 12, "eval": 24, "evolve": 24}
 _DEFAULT_OUT = {
@@ -176,18 +179,20 @@ def estimated_bytes(cfg: RunConfig) -> int:
 
     verify: six (n_max+1)^2-square float64 arrays, the angular Gram with its
     factors and the hydrogen report's block maxima (estimated 817 MiB at
-    n_max 64, where the peak RSS measured 734 MiB).  eval and evolve: four
-    complex state vectors over all shells.  eval: psi, four int32 grid codes
-    and |psi|^2 (40 B per CSV row), the angular and radial tables (32 B per
-    channel and angle or radius) and one block of CSV text.  At n_max 24
-    this estimates 32.4 / 62.4 / 158.6 / 158.2 MiB for 262,144 and 1,048,576
-    rows (64x32x32 grid, 4 and 16 times), 8192 angles and 8192 radii, where
-    the child's peak RSS less that of a one-row run measured 15.5 / 45.1 /
-    115.2 / 122.7 MiB.
+    n_max 64, where the peak RSS measured 734 MiB).  eval and evolve: the
+    angular factor's build, _ANGULAR_BYTES_PER_CHANNEL per channel (an
+    11-time evolve at n_max 700 / 1000 peaked 56 / 122 MiB above one at
+    n_max 0, against estimates of 75 / 153 MiB).  eval: psi, four int32
+    grid codes and |psi|^2 (40 B per CSV row), the angular and radial
+    tables (32 B per channel and angle or radius) and one block of CSV
+    text.  At n_max 24 this estimates 32.2 / 62.2 / 158.0 / 158.0 MiB for
+    262,144 and 1,048,576 rows (64x32x32 grid, 4 and 16 times), 8192 angles
+    and 8192 radii, where the child's peak RSS less that of a one-row run
+    measured 15.2 / 44.9 / 114.2 / 119.4 MiB.
     """
     if cfg.command == "verify":
         return 6 * 8 * (cfg.n_max + 1) ** 4
-    states = 4 * 16 * hydrogen.total_dimension(cfg.n_max) if cfg.command in ("eval", "evolve") else 0
+    states = _ANGULAR_BYTES_PER_CHANNEL * (cfg.n_max + 1) ** 2 if cfg.command in ("eval", "evolve") else 0
     if cfg.command == "eval":
         angles, radii = len(cfg.grid_theta) * len(cfg.grid_phi), len(cfg.grid_r)
         rows = radii * angles * len(cfg.times)
@@ -431,34 +436,27 @@ def run_eval(cfg: RunConfig) -> tuple[list, int]:
     return [*zip(axes, codes), psi.real, psi.imag, density], EXIT_OK
 
 
-# OpenBLAS splits a dot product over its threads above 10,000 entries, and
-# the split moves the last bits with the thread count
-_VDOT_CHUNK = 10_000
-
-
-def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """np.vdot(a, b) summed over consecutive chunks of at most _VDOT_CHUNK entries, in order."""
-    total = np.vdot(a[:_VDOT_CHUNK], b[:_VDOT_CHUNK])
-    for start in range(_VDOT_CHUNK, a.size, _VDOT_CHUNK):
-        total += np.vdot(a[start : start + _VDOT_CHUNK], b[start : start + _VDOT_CHUNK])
-    return complex(total)
-
-
 def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     """Trace rows (t, residual, autocorrelation) and the exit code.
 
-    A row whose residual passes RESIDUAL_EPS_PER_RAD eps max(1, |gamma +
+    The state is built once.  Each time evolves it, builds the shifted
+    label's state and compares the two shell by shell; the autocorrelation
+    <x|x(t)> / <x|x> sums the shells' squared norms times their phases.  A
+    row whose residual passes RESIDUAL_EPS_PER_RAD eps max(1, |gamma +
     omega t|) is named on stderr, and the code is 1.
     """
     family = _resolve_family(cfg.family)
     label = cfg.label()
     state = hydrogen.hydrogen_cs(label, family, cfg.n_max)
-    norm_sq = state.norm_squared()
+    shell_norms = state.shell_norms()
+    norm_sq = float(np.sum(shell_norms))
+    spectrum = fock1d.Spectrum("inverse-square", cfg.omega)
     rows, code = [], EXIT_OK
     for t in cfg.times:
-        residual = hydrogen.hydrogen_stability_residual(label, family, cfg.omega, t, cfg.n_max)
-        evolved = hydrogen.evolve_hydrogen(state, cfg.omega, t)
-        auto = _vdot(state.coeffs, evolved.coeffs) / norm_sq
+        phases = spectrum.evolution_phases(cfg.n_max + 1, t)
+        shifted = hydrogen.hydrogen_cs(label.shifted(cfg.omega, t), family, cfg.n_max, check_tail=False)
+        residual = hydrogen._coefficient_residual(state.phased(phases), shifted)
+        auto = complex(np.sum(shell_norms * phases)) / norm_sq
         rows.append((float(t), residual, auto.real, auto.imag, abs(auto)))
         bound = RESIDUAL_EPS_PER_RAD * _EPS * max(1.0, abs(cfg.gamma + cfg.omega * t))
         if not residual <= bound:

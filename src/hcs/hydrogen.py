@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,11 @@ def total_dimension(n_max: int) -> int:
     return shell_offset(n_max + 1)
 
 
+def _last_channels(n_max: int) -> np.ndarray:
+    """Channel index (n+1)^2 - 1 where shell n's channels end, for n <= n_max."""
+    return (np.arange(n_max + 1) + 1) ** 2 - 1
+
+
 @dataclass(frozen=True)
 class HydrogenLabel:
     """The five real coherent-state parameters (s, gamma, omega_bar).
@@ -77,45 +82,52 @@ class HydrogenLabel:
 
 @dataclass(frozen=True, eq=False)
 class HydrogenExpansion:
-    """Coefficients over basis states (n, l, m), shells 0..n_max.
+    """A coherent state over basis states (n, l, m), shells 0..n_max, as its two factors.
 
-    Storage is shell-major with channel order (l ascending, m ascending
-    within l), i.e. flat index shell_offset(n) + l^2 + l + m.  A coherent
-    state also carries its shell amplitudes ``amps`` (read-only): shell n
-    holds amps[n] times one shell coherent state, whose weights obey
-    sum_m |A_lm|^2 = 2l+1.  Other expansions have ``amps=None``.
+    Shell n is the amplitude amps[n] times the first (n+1)^2 entries of
+    ``angular``, one shell coherent state's channel vector A_lm in channel
+    order (l ascending, m ascending within l).  Both arrays are read-only;
+    ``angular`` is shared by every state with the same Euler angles.
     """
 
     n_max: int
-    coeffs: np.ndarray
-    amps: np.ndarray | None = field(default=None, kw_only=True)
+    amps: np.ndarray
+    angular: np.ndarray
 
     def __post_init__(self):
-        if self.amps is not None:
-            amps = np.asarray(self.amps).view()
-            if amps.shape != (self.n_max + 1,):
-                raise ValueError(f"amps must have shape ({self.n_max + 1},), got {amps.shape}")
-            amps.flags.writeable = False
-            object.__setattr__(self, "amps", amps)
+        for name, size in (("amps", self.n_max + 1), ("angular", shell_dimension(self.n_max))):
+            array = np.ascontiguousarray(getattr(self, name), dtype=complex)
+            if array.shape != (size,):
+                raise ValueError(f"{name} must have shape ({size},), got {array.shape}")
+            if array.flags.writeable:  # a read-only view; a shared read-only factor stays itself
+                array = array.view()
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    def norm_squared(self) -> float:
-        # squared in place: x ** 2 is x * x, so the bits match with one temporary fewer
-        mod = np.abs(self.coeffs)
-        mod *= mod
-        return float(np.sum(mod))
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The flat coefficient vector, built on demand: index shell_offset(n) + l^2 + l + m.
 
-    def phased(self, phases: np.ndarray) -> "HydrogenExpansion":
-        """Copy with every coefficient and amplitude of shell n multiplied by phases[n]."""
-        coeffs = self.coeffs.copy()
+        One scalar-by-slice product amps[n] * angular[:(n+1)^2] per shell.
+        """
+        coeffs = np.empty(total_dimension(self.n_max), dtype=complex)
         start = 0
         for n in range(self.n_max + 1):
-            # one scalar per shell: numpy rounds a complex array-by-array
-            # product differently, which would change exported digits
-            stop = start + (n + 1) ** 2
-            coeffs[start:stop] *= phases[n]
-            start = stop
-        amps = None if self.amps is None else self.amps * phases[: self.n_max + 1]
-        return HydrogenExpansion(n_max=self.n_max, coeffs=coeffs, amps=amps)
+            d = shell_dimension(n)
+            np.multiply(self.amps[n], self.angular[:d], out=coeffs[start : start + d])
+            start += d
+        return coeffs
+
+    def shell_norms(self) -> np.ndarray:
+        """|amps[n]|^2 W_n per shell, W_n the sum of |angular|^2 over the shell's (n+1)^2 channels."""
+        return np.abs(self.amps) ** 2 * np.cumsum(np.abs(self.angular) ** 2)[_last_channels(self.n_max)]
+
+    def norm_squared(self) -> float:
+        return float(np.sum(self.shell_norms()))
+
+    def phased(self, phases: np.ndarray) -> "HydrogenExpansion":
+        """The state with amplitude n multiplied by phases[n]; the angular factor is shared."""
+        return HydrogenExpansion(self.n_max, self.amps * phases[: self.n_max + 1], self.angular)
 
 
 @functools.lru_cache(maxsize=8)
@@ -127,18 +139,6 @@ def _angular_factor(n_max: int, omega_bar: EulerAngles) -> np.ndarray:
     angular = angular_cs(n_max, omega_bar).coeffs
     angular.flags.writeable = False
     return angular
-
-
-def _product_state(amps: np.ndarray, angular: np.ndarray) -> HydrogenExpansion:
-    """The state whose shell n is amps[n] * angular[:(n+1)^2]: one scalar-by-slice product per shell."""
-    n_max = amps.size - 1
-    coeffs = np.empty(total_dimension(n_max), dtype=complex)
-    start = 0
-    for n in range(n_max + 1):
-        d = shell_dimension(n)
-        np.multiply(amps[n], angular[:d], out=coeffs[start : start + d])
-        start += d
-    return HydrogenExpansion(n_max=n_max, coeffs=coeffs, amps=amps)
 
 
 def hydrogen_cs(
@@ -155,7 +155,7 @@ def hydrogen_cs(
     if check_tail:
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
-    return _product_state(amps, _angular_factor(n_max, label.omega_bar))
+    return HydrogenExpansion(n_max, amps, _angular_factor(n_max, label.omega_bar))
 
 
 def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExpansion:
@@ -168,35 +168,31 @@ def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExp
     return x.phased(phases)
 
 
+def _coefficient_residual(x: HydrogenExpansion, y: HydrogenExpansion) -> float:
+    """max |x - y| over the (n, l, m) coefficients of two states with one angular factor.
+
+    Shell n differs by (amps_x[n] - amps_y[n]) angular[:(n+1)^2], so the
+    maximum is max_n |amps_x[n] - amps_y[n]| times the largest |angular|
+    entry of the shell, without the roundoff of forming the coefficients.
+    Only x.angular is read: both states must carry the same factor.
+    """
+    peaks = np.maximum.accumulate(np.abs(x.angular))[_last_channels(x.n_max)]
+    return float(np.max(np.abs(x.amps - y.amps) * peaks))
+
+
 def hydrogen_stability_residual(
     label: HydrogenLabel, family: WeightFamily, omega: float, t: float, n_max: int = 12
 ) -> float:
     """Max coefficient deviation between evolution and the gamma shift.
 
     This is an exact label identity; the residual is pure roundoff and
-    scales like eps * |gamma + omega t|.  Shell by shell, the evolved state
-    minus the shifted state goes into one flat buffer with the same
-    products, phases and rounding as ``evolve_hydrogen`` of ``hydrogen_cs``;
-    no state is built.
+    scales like eps * |gamma + omega t|.  The evolved and shifted states
+    share one angular factor, so only their shell amplitudes are compared
+    (``_coefficient_residual``).
     """
-    angular = _angular_factor(n_max, label.omega_bar)
-    amps, shifted = (
-        degen_cs(at.s, at.gamma, family, n_max, check_tail=False).coeffs for at in (label, label.shifted(omega, t))
-    )
-    phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
-    diff = np.empty(total_dimension(n_max), dtype=complex)
-    scratch = np.empty(shell_dimension(n_max), dtype=complex)
-    start = 0
-    for n in range(n_max + 1):
-        d = shell_dimension(n)
-        ang, shell = angular[:d], diff[start : start + d]
-        start += d
-        np.multiply(amps[n], ang, out=shell)
-        # in place by the scalar, as ``phased`` does: a product written to
-        # another array rounds differently
-        shell *= phases[n]
-        shell -= np.multiply(shifted[n], ang, out=scratch[:d])
-    return float(np.max(np.abs(diff)))
+    state = hydrogen_cs(label, family, n_max, check_tail=False)
+    shifted = hydrogen_cs(label.shifted(omega, t), family, n_max, check_tail=False)
+    return _coefficient_residual(evolve_hydrogen(state, omega, t), shifted)
 
 
 def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
@@ -281,7 +277,7 @@ def hydrogen_resolution_check(
     )
     # largest |angular entry| in each leading block gram[:d_a, :d_b], with
     # the operator diagonal left out of same-shell blocks
-    ends = (np.arange(n_max + 1) + 1) ** 2 - 1
+    ends = _last_channels(n_max)
     magnitude = np.abs(ang.gram)
     block_peak = _leading_block_max(magnitude)[np.ix_(ends, ends)]
     np.fill_diagonal(magnitude, 0.0)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .hydrogen import HydrogenExpansion, evolve_hydrogen, shell_offset
+from .hydrogen import HydrogenExpansion, evolve_hydrogen
 from .specfun import (
     _LAGUERRE_MAX_NODES,
     _radial_shell,
@@ -63,29 +63,18 @@ class GridSpec:
             raise ValueError("azimuth angles must lie in [0, 2*pi)")
 
 
-@functools.lru_cache(maxsize=8)
-def _channel_gather(n_max: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Flat indices in channel-major order (l, shell n >= l, m) and where each l starts; read-only."""
-    offsets = np.array([shell_offset(n) for n in range(n_max + 1)])
-    blocks = [np.add.outer(offsets[l:], np.arange(l * l, (l + 1) ** 2)).ravel() for l in range(n_max + 1)]
-    order = np.concatenate(blocks)
-    order.flags.writeable = False
-    return order, tuple(np.cumsum([0] + [block.size for block in blocks]).tolist())
-
-
 def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
-    """g[..., ch, :] = sum_n coeff(n, ch) table[..., n, l, :] over shells n >= l.
+    """g[ch, :] = angular[ch] R_l, R_l = sum over shells n >= l of amps[n] table[n, l, :].
 
-    ``table`` is a radial table (or a stack of them) of shape (..., shell,
-    l, r) from radial_table.  The coefficients come from one channel-major
-    gather, and each l block is one matmul over shells.
+    ``table`` is a radial table of shape (shell, l, r) from radial_table,
+    zero for l > n, so all radial profiles R_l come from one real
+    contraction of the table with the real and imaginary amplitude parts.
     """
-    order, starts = _channel_gather(x.n_max)
-    flat = x.coeffs[order]
-    g = np.empty(table.shape[:-3] + ((x.n_max + 1) ** 2, table.shape[-1]), dtype=complex)
-    for l in range(x.n_max + 1):
-        coeffs = flat[starts[l] : starts[l + 1]].reshape(-1, 2 * l + 1)
-        g[..., l * l : (l + 1) ** 2, :] = coeffs.T @ table[..., l:, l, :]
+    shells, channels, points = table.shape
+    parts = table.reshape(shells, -1).T @ x.amps.view(float).reshape(-1, 2)  # (l r, re/im)
+    profiles = parts.view(complex).reshape(channels, points)
+    g = np.repeat(profiles, 2 * np.arange(channels) + 1, axis=0)
+    g *= x.angular[:, None]
     return g
 
 
@@ -173,18 +162,13 @@ def _normalized_forms(x: HydrogenExpansion, top: int = 2) -> np.ndarray:
     A_lm e^{-i(m phi_bar + l psi_bar)}, and sum_m |A_lm|^2 = 2l+1 exactly,
     so every channel quadratic form sum_m c_lm^H O_l c_lm collapses to
     (2l+1) a^H O_l a: one (n_max+1)^2 form per table, free of the Euler
-    angles.  Expansions without shell amplitudes are refused.
+    angles.
     """
     nodes = (2 * x.n_max + 4 + top) // 2  # the rule of the top shell pair
     if nodes > _LAGUERRE_MAX_NODES:
         raise ConfigurationError(
             f"exact radial moments up to power {top} at n_max = {x.n_max} need a {nodes}-node "
             f"Gauss-Laguerre rule, past the limit of {_LAGUERRE_MAX_NODES} nodes"
-        )
-    if x.amps is None:
-        raise ValueError(
-            "radial moments need the shell amplitudes of a coherent state (HydrogenExpansion.amps); "
-            "this expansion carries none"
         )
     pairs = np.outer(x.amps.conj(), x.amps).reshape(-1)
     forms = _shell_operators(x.n_max, top).reshape(top + 5, -1) @ pairs.view(float).reshape(-1, 2)

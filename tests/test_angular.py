@@ -13,6 +13,7 @@ from hcs.angular import (
     exactness_threshold,
     shell_dimension,
 )
+from hcs.errors import ConfigurationError
 from hcs.specfun import make_quadrature, sqrt_binomial_weight
 
 
@@ -138,6 +139,18 @@ class TestAngularCS:
         l = np.arange(49)
         sums = np.add.reduceat(_theta_factor(48, theta_bar) ** 2, l * l, axis=0)
         assert np.max(np.abs(sums / (2 * l + 1.0)[:, None] - 1.0)) <= 1e-13
+
+
+    def test_last_finite_shell(self):
+        # the weights reach e^709.1 at l = 1026 and would pass the largest double at 1027
+        l = np.repeat(np.arange(1027), 2 * np.arange(1027) + 1)
+        for ob in (EulerAngles(1.1, 0.7, 2.3), EulerAngles(0.0, 0.0, 0.0)):
+            coeffs = angular_cs(1026, ob).coeffs
+            assert np.all(np.isfinite(coeffs))
+            sums = np.bincount(l, np.abs(coeffs) ** 2)
+            assert np.max(np.abs(sums / (2 * np.arange(1027) + 1.0) - 1.0)) <= 1e-11
+        with pytest.raises(ConfigurationError, match="shell 1027 is past 1026"):
+            angular_cs(1027, EulerAngles(1.1, 0.7, 2.3))
 
 
 class TestAngularResolution:

@@ -24,10 +24,11 @@ from hcs.cli import (
     _text_fields,
     estimated_bytes,
     main,
+    run_evolve,
     write_csv,
 )
 from hcs.errors import ConfigurationError
-from hcs.hydrogen import HydrogenLabel, hydrogen_cs
+from hcs.hydrogen import HydrogenLabel, evolve_hydrogen, hydrogen_cs
 from hcs.position import DENSITY_CSV_HEADER, GridSpec, export_density_grid
 from hcs.weights import builtin_family
 
@@ -482,17 +483,42 @@ class TestEvolve:
     def test_residual_breach_exits_one_and_names_the_row(self, tmp_path, capsys, monkeypatch):
         from hcs import hydrogen
 
-        residual = hydrogen.hydrogen_stability_residual
+        residual = hydrogen._coefficient_residual
+        calls = []
 
-        def breach_at_one(label, family, omega, t, n_max):
-            return 1e-9 if t == 1.0 else residual(label, family, omega, t, n_max)
+        def breach_at_one(evolved, shifted):  # the third time, t = 1
+            calls.append(None)
+            return 1e-9 if len(calls) == 3 else residual(evolved, shifted)
 
-        monkeypatch.setattr(hydrogen, "hydrogen_stability_residual", breach_at_one)
+        monkeypatch.setattr(hydrogen, "_coefficient_residual", breach_at_one)
         out = tmp_path / "evolve.csv"
         assert main(["evolve", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "row 3 (t = 1): residual 1e-09 above its bound" in err and err.count("evolve: row") == 1
         assert len(out.read_text().splitlines()) == 12
+
+    def test_autocorrelation_matches_the_flat_vdot(self):
+        cfg = _build_config("evolve", {"n_max": 48, "s": 3.0, "gamma": 0.4, "theta_bar": 1.1, "phi_bar": 0.7}, {})
+        rows, code = run_evolve(cfg)
+        assert code == 0
+        state = hydrogen_cs(cfg.label(), builtin_family("exponential"), 48)
+        flat = state.coeffs
+
+        def vdot(a, b):
+            # exactly summed: np.vdot's own running sum is off by up to 1.1e-15 here
+            products = np.conj(a) * b
+            return complex(math.fsum(products.real), math.fsum(products.imag))
+
+        for t, _, re_auto, im_auto, _ in rows:
+            expected = vdot(flat, evolve_hydrogen(state, cfg.omega, t).coeffs) / vdot(flat, flat).real
+            assert abs(complex(re_auto, im_auto) - expected) <= 1e-15
+
+    def test_last_finite_angular_shell_bounds_n_max(self, tmp_path, capsys):
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", "--n-max", "1027", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "shell 1027 is past 1026" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_repeated_time_repeats_its_row(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -552,6 +578,32 @@ class TestMemoryBudget:
         assert estimated_bytes(run) > 16 * 625 * 1e6 > MEMORY_BUDGET_BYTES
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
         assert "memory budget" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_evolve_n_max_1000_peaks_under_its_estimate(self, tmp_path):
+        # the angular factor is the only per-channel array; peak above an n_max 0 run
+        def peak_bytes(n_max):
+            args = ["evolve", "--n-max", str(n_max), "--s", str(3 * min(n_max, 1)), "--out", str(tmp_path / "e.csv")]
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_CHILD, *args], capture_output=True, text=True, env=_child_env()
+            )
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        estimate = estimated_bytes(_build_config("evolve", {}, {"n_max": 1000}))
+        assert estimate <= MEMORY_BUDGET_BYTES
+        assert 0 < peak_bytes(1000) - peak_bytes(0) < estimate
+
+
+# VmHWM, not ru_maxrss: a child's ru_maxrss counts the resident size of the
+# process that forked it
+_PEAK_CHILD = """
+import sys
+from hcs.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024)
+"""
 
 
 @pytest.mark.parametrize("command", ["verify", "moments", "eval", "evolve"])
@@ -712,7 +764,6 @@ caches = (
     hcs.angular._theta_weights,
     hcs.angular._channels,
     hcs.hydrogen._angular_factor,
-    hcs.position._channel_gather,
     hcs.position._radial_operators,
     hcs.position._shell_operators,
 )
@@ -725,13 +776,13 @@ def test_import_builds_no_formatter_table():
     child = [sys.executable, "-c", _IMPORT_CHILD]
     proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0, 0, 0]}
+    assert json.loads(proc.stdout) == {"cli_lazy": True, "tables": [0, 0, 0, 0, 0, 0]}
 
 
 _STATE_BYTES_CHILD = """
 import hashlib, sys
 from hcs.angular import EulerAngles
-from hcs.hydrogen import HydrogenLabel, hydrogen_cs
+from hcs.hydrogen import HydrogenLabel, evolve_hydrogen, hydrogen_cs
 from hcs.weights import builtin_family
 for theta_bar in sys.argv[1:]:
     label = HydrogenLabel(0.7, 0.3, EulerAngles(float(theta_bar), 1.0, 2.0))
@@ -754,7 +805,7 @@ def test_signed_zero_labels_give_fresh_process_bytes_in_either_order():
 
 
 def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # n_max 48 has 40,425 coefficients, above the 10,000 where OpenBLAS splits a dot product
+    # the residual and autocorrelation are shell sums; neither may depend on the thread count
     traces = []
     for threads in ("1", "2"):
         out = tmp_path / f"evolve-{threads}.csv"

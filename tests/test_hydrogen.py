@@ -113,12 +113,14 @@ class TestHydrogenCS:
         label = HydrogenLabel(0.8, 0.3, ANGLES)
         x = hydrogen_cs(label, exponential, 6, check_tail=False)
         assert np.array_equal(x.amps, degen_cs(0.8, 0.3, exponential, 6, check_tail=False).coeffs)
-        with pytest.raises(ValueError):
-            x.amps[0] = 0.0
+        for array in (x.amps, x.angular):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
         omega, t = 1.3, 2.1
         evolved = evolve_hydrogen(x, omega, t)
         phases = Spectrum("inverse-square", omega).evolution_phases(7, t)
         assert np.array_equal(evolved.amps, x.amps * phases)
+        assert evolved.angular is x.angular
         assert np.allclose(evolved.amps, hydrogen_cs(label.shifted(omega, t), exponential, 6, check_tail=False).amps)
 
     def test_truncation_guard(self, exponential):
@@ -208,19 +210,15 @@ class TestStabilityResidual:
         assert worst <= 5e-15
 
 
+def _shell_products(amps, angular):
+    """The flat vector whose shell n is amps[n] times the first (n+1)^2 channels of angular."""
+    return np.concatenate([amps[n] * angular[: shell_dimension(n)] for n in range(amps.size)])
+
+
 def _per_shell_state(label, family, n_max):
     """Shell by shell: amplitude n times the first (n+1)^2 angular coefficients."""
     amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False).coeffs
-    angular = angular_cs(n_max, label.omega_bar).coeffs
-    return np.concatenate([amps[n] * angular[: shell_dimension(n)] for n in range(n_max + 1)])
-
-
-def _per_shell_evolved(coeffs, n_max, omega, t):
-    phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
-    out = coeffs.copy()
-    for n in range(n_max + 1):
-        out[shell_offset(n) : shell_offset(n + 1)] *= phases[n]
-    return out
+    return _shell_products(amps, angular_cs(n_max, label.omega_bar).coeffs)
 
 
 @pytest.mark.parametrize("name", ["exponential", "sqrt-exponential"])
@@ -238,15 +236,31 @@ def test_shell_product_pipeline_is_bit_identical_to_per_shell(name, n_max):
     cases += [cases[0], (HydrogenLabel(0.9, last.gamma, last.omega_bar), omega, t)]
     hydrogen._angular_factor.cache_clear()
     for label, omega, t in cases:
-        reference = _per_shell_state(label, family, n_max)
         state = hydrogen_cs(label, family, n_max, check_tail=False)
-        assert state.coeffs.tobytes() == reference.tobytes()
-        evolved = _per_shell_evolved(reference, n_max, omega, t)
-        assert evolve_hydrogen(state, omega, t).coeffs.tobytes() == evolved.tobytes()
-        shifted = _per_shell_state(label.shifted(omega, t), family, n_max)
-        residual = float(np.max(np.abs(evolved - shifted)))
-        assert hydrogen_stability_residual(label, family, omega, t, n_max) == residual
+        assert state.coeffs.tobytes() == _per_shell_state(label, family, n_max).tobytes()
+        phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
+        evolved = evolve_hydrogen(state, omega, t).coeffs
+        assert evolved.tobytes() == _shell_products(state.amps * phases, state.angular).tobytes()
+        # the flat oracle rounds each coefficient; the shell residual does not
+        flat = float(np.max(np.abs(evolved - _per_shell_state(label.shifted(omega, t), family, n_max))))
+        residual = hydrogen_stability_residual(label, family, omega, t, n_max)
+        assert abs(residual - flat) <= 2 * np.spacing(np.max(np.abs(evolved)))
+        assert residual <= 5e-15
     assert hydrogen._angular_factor.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("n_max", [12, 48])
+def test_residual_matches_the_flat_oracle_at_a_large_phase(exponential, n_max):
+    # the phase roundoff eps |gamma| / (n+1)^2 is far above that of either path, and at s = 3 the
+    # largest deviation sits on shell 6, whose angular peak is not 1
+    label = HydrogenLabel(3.0, 1e4, ANGLES)
+    omega, t = 1.1, 2.7
+    state = hydrogen_cs(label, exponential, n_max, check_tail=False)
+    evolved = evolve_hydrogen(state, omega, t).coeffs
+    flat = float(np.max(np.abs(evolved - _per_shell_state(label.shifted(omega, t), exponential, n_max))))
+    residual = hydrogen_stability_residual(label, exponential, omega, t, n_max)
+    assert residual > 1e-14
+    assert abs(residual - flat) <= 2 * np.spacing(np.max(np.abs(evolved)))
 
 
 def test_angular_factor_is_shared_and_read_only():

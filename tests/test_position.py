@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hcs.angular import EulerAngles
+from hcs.angular import EulerAngles, angular_cs
 from hcs.errors import ConfigurationError, NumericalError
 from hcs.cli import write_csv
 from hcs.fock1d import Spectrum, degen_cs
@@ -42,6 +42,20 @@ GROUND_LABEL = HydrogenLabel(0.0, 0.0, EulerAngles(0.0, 0.0, 0.0))
 
 def _ground(family):
     return hydrogen_cs(GROUND_LABEL, family, 0)
+
+
+def _channel_matrix(coeffs, n_max, l):
+    """C_l[n - l, m + l] = flat coefficient (n, l, m) for shells n >= l."""
+    return np.array([coeffs[shell_offset(n) + l * l :][: 2 * l + 1] for n in range(l, n_max + 1)])
+
+
+def _flat_position(coeffs, n_max, r, theta, phi):
+    """psi at aligned points from flat (n, l, m) coefficients: per channel, sum_n coeff u_nl, times Y_lm."""
+    table = radial_table(n_max, r)
+    g = np.empty(((n_max + 1) ** 2, len(r)), dtype=complex)
+    for l in range(n_max + 1):
+        g[l * l : (l + 1) ** 2] = _channel_matrix(coeffs, n_max, l).T @ table[l:, l, :]
+    return np.einsum("cp,cp->p", g, spherical_harmonic_table(n_max, theta, phi))
 
 
 class TestGridSpec:
@@ -93,13 +107,9 @@ class TestEvalAngular:
         assert a == pytest.approx(expected, rel=1e-13)
 
     def test_position_norm_is_shell_dimension(self, exponential):
+        # the shell-2 angular coherent state alone: amplitude 1 on shell 2
         n = 2
-        coeffs = np.zeros(total_dimension(n), dtype=complex)
-        from hcs.angular import angular_cs
-        from hcs.hydrogen import shell_offset
-
-        coeffs[shell_offset(n) :] = angular_cs(n, ANGLES).coeffs
-        state = HydrogenExpansion(n_max=n, coeffs=coeffs)
+        state = HydrogenExpansion(n, np.eye(n + 1)[n], angular_cs(n, ANGLES).coeffs)
         assert quadrature_norm_squared(state) == pytest.approx((n + 1) ** 2, abs=1e-8)
 
 
@@ -113,11 +123,9 @@ class TestEvalHydrogen:
     def test_linearity(self, exponential):
         a = hydrogen_cs(HydrogenLabel(0.6, 0.1, ANGLES), exponential, 6, check_tail=False)
         b = hydrogen_cs(HydrogenLabel(0.3, 1.4, EulerAngles(0.5, 1.0, 0.3)), exponential, 6, check_tail=False)
-        combo = HydrogenExpansion(
-            n_max=6, coeffs=1.5 * a.coeffs - 2j * b.coeffs
-        )
+        # a sum of two labels has no shell-product form: the flat oracle evaluates it
         pt = (1.7, 0.9, 4.1)
-        lhs = eval_hydrogen_cs_position(combo, *pt)
+        lhs = _flat_position(1.5 * a.coeffs - 2j * b.coeffs, 6, *np.array(pt)[:, None])[0]
         rhs = 1.5 * eval_hydrogen_cs_position(a, *pt) - 2j * eval_hydrogen_cs_position(b, *pt)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -209,19 +217,9 @@ class TestRadialExpectation:
 
     def test_zero_state_rejected(self, exponential):
         x = _ground(exponential)
-        zero = HydrogenExpansion(
-            n_max=0, coeffs=0 * x.coeffs, amps=0 * x.amps
-        )
+        zero = HydrogenExpansion(0, 0 * x.amps, x.angular)
         with pytest.raises(ValueError, match="nonzero norm"):
             radial_uncertainty_product(zero)
-
-    def test_expansion_without_amplitudes_rejected(self, exponential):
-        x = _ground(exponential)
-        bare = HydrogenExpansion(n_max=0, coeffs=x.coeffs)
-        with pytest.raises(ValueError, match="shell amplitudes of a coherent state"):
-            radial_expectation(bare, 1)
-        with pytest.raises(ValueError, match="shell amplitudes of a coherent state"):
-            radial_uncertainty_product(bare)
 
     def test_euler_angles_drop_out_bit_for_bit(self, exponential):
         a = hydrogen_cs(HydrogenLabel(0.9, 0.4, ANGLES), exponential, 24, check_tail=False)
@@ -384,16 +382,11 @@ def _factored_forms(x, amps):
     return forms / forms[2].real
 
 
-def _channel_matrix(x, l):
-    """C_l[n - l, m + l] = coefficient (n, l, m) for shells n >= l."""
-    return np.array([x.coeffs[shell_offset(n) + l * l :][: 2 * l + 1] for n in range(l, x.n_max + 1)])
-
-
-def _gram_forms(x):
-    """Normalized forms from every coefficient: sum over l of sum O_l * G_l, G_l = conj(C_l) C_l^T."""
+def _gram_forms(coeffs, n_max):
+    """Normalized forms from every flat coefficient: sum over l of sum O_l * G_l, G_l = conj(C_l) C_l^T."""
     forms = 0.0
-    for l, table in enumerate(position._radial_operators(x.n_max, 2)):
-        c = _channel_matrix(x, l)
+    for l, table in enumerate(position._radial_operators(n_max, 2)):
+        c = _channel_matrix(coeffs, n_max, l)
         forms = forms + np.einsum("tsu,su->t", table, c.conj() @ c.T)
     return forms / forms[2].real
 
@@ -422,19 +415,20 @@ class TestGramForms:
             label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
             state = hydrogen_cs(label, exponential, n_max, check_tail=False)
             for x in (state, evolve_hydrogen(state, rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0))):
-                np.testing.assert_allclose(position._normalized_forms(x), _gram_forms(x), rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(
+                    position._normalized_forms(x), _gram_forms(x.coeffs, n_max), rtol=1e-13, atol=1e-15
+                )
 
     def test_non_product_state_matches_the_per_channel_products(self, exponential):
-        # checks the Gram oracle itself, on a state with no shell amplitudes
+        # checks the Gram oracle itself, on random coefficients with no shell-product form
         n_max = 12
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(total_dimension(n_max)) + 1j * rng.standard_normal(total_dimension(n_max))
-        x = HydrogenExpansion(n_max=n_max, coeffs=coeffs)
         forms = 0.0
         for l, table in enumerate(position._radial_operators(n_max, 2)):
-            c = _channel_matrix(x, l)
+            c = _channel_matrix(coeffs, n_max, l)
             forms = forms + np.einsum("sm,tsm->t", c.conj(), table @ c)
-        np.testing.assert_allclose(_gram_forms(x), forms / forms[2].real, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(_gram_forms(coeffs, n_max), forms / forms[2].real, rtol=1e-13, atol=1e-15)
 
 
 class TestQuadratureNormContract:
@@ -501,6 +495,21 @@ class TestExportDensityGrid:
             phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
             reference = np.matmul(position._channel_radial_sums(x.phased(phases), u).T, ylm)
             assert block.tobytes() == reference.ravel().tobytes()
+
+    @pytest.mark.parametrize("n_max,s", [(0, 0.0), (12, 1.2), (24, 0.4), (48, 3.0)])
+    def test_samples_match_the_flat_coefficient_oracle(self, exponential, n_max, s):
+        rng = np.random.default_rng(n_max)
+        angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        x = hydrogen_cs(HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles), exponential, n_max, check_tail=False)
+        grid = GridSpec((0.3, 1.0, 4.0, 15.0, 40.0), (0.0, 0.7, 1.9, math.pi), (0.0, 2.5, 5.0))
+        times = [0.0, 1.7, 6.0]
+        psi = export_density_grid(x, grid, times, omega=1.3).reshape(len(times), -1)
+        r, theta, phi = (axis.ravel() for axis in np.meshgrid(grid.r, grid.theta, grid.phi, indexing="ij"))
+        for t, block in zip(times, psi):
+            expected = _flat_position(evolve_hydrogen(x, 1.3, t).coeffs, n_max, r, theta, phi)
+            assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
+            pt = eval_hydrogen_cs_position(evolve_hydrogen(x, 1.3, t), r, theta, phi)
+            assert np.max(np.abs(pt - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_gamma_shift_consistency(self, exponential):
         omega, t = 1.0, 2.2
