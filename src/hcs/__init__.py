@@ -9,7 +9,6 @@ unity, and temporal stability.
 from .angular import (
     AngularResolutionReport,
     EulerAngles,
-    ShellExpansion,
     angular_cs,
     angular_resolution_check,
 )

@@ -21,7 +21,6 @@ from .specfun import log_factorial, make_quadrature
 
 __all__ = [
     "EulerAngles",
-    "ShellExpansion",
     "AngularResolutionReport",
     "angular_cs",
     "angular_resolution_check",
@@ -57,16 +56,6 @@ class EulerAngles:
         object.__setattr__(self, "theta_bar", self.theta_bar + 0.0)
         object.__setattr__(self, "phi_bar", self.phi_bar % _TWO_PI)
         object.__setattr__(self, "psi_bar", self.psi_bar % _TWO_PI)
-
-
-@dataclass(frozen=True, eq=False)
-class ShellExpansion:
-    """Complex coefficients over the (n+1)^2 channels (l, m) of one shell."""
-
-    coeffs: np.ndarray
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -121,15 +110,21 @@ def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray
     return _theta_factor(l_max, tb) * np.exp(-1j * (m * pb + l * sb))
 
 
-def angular_cs(n: int, omega_bar: EulerAngles) -> ShellExpansion:
+@functools.lru_cache(maxsize=8)
+def angular_cs(n: int, omega_bar: EulerAngles) -> np.ndarray:
     """Shell-n angular-momentum coherent state at Euler angles omega_bar.
 
-    Not unit-normalized: the squared norm is the shell dimension (n+1)^2.
+    The (n+1)^2 channel coefficients A_lm e^{-i(m phi_bar + l psi_bar)}, in
+    channel order l^2 + l + m.  Not unit-normalized: the squared norm is the
+    shell dimension (n+1)^2.  Shell k <= n of a hydrogen state uses the first
+    (k+1)^2 entries, so each (n, omega_bar) is built once and shared, and
+    the array is read-only.
     """
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
     coeffs = _channel_coefficients(n, omega_bar.theta_bar, omega_bar.phi_bar, omega_bar.psi_bar)
-    return ShellExpansion(coeffs=coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)

@@ -161,8 +161,8 @@ def degen_cs(
         raise ValueError(f"radial label must be >= 0, got s={s}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    n = np.arange(n_max + 1)
-    coeffs = _weighted_amplitudes(s, family, n_max) * np.exp(1j * (gamma / (n + 1.0) ** 2))
+    phases = Spectrum("inverse-square").evolution_phases(n_max + 1, gamma)  # e^{i gamma/(n+1)^2}
+    coeffs = _weighted_amplitudes(s, family, n_max) * phases
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, s, "degen_cs")
     return FockExpansion(coeffs)

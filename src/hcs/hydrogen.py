@@ -10,7 +10,6 @@ defining sum verbatim and are not unit-normalized (see ``state_norm``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -130,17 +129,6 @@ class HydrogenExpansion:
         return HydrogenExpansion(self.n_max, self.amps * phases[: self.n_max + 1], self.angular)
 
 
-@functools.lru_cache(maxsize=8)
-def _angular_factor(n_max: int, omega_bar: EulerAngles) -> np.ndarray:
-    """The channel vector A_lm(omega_bar), l <= n_max, built once per label; read-only.
-
-    Shell n of every state with these angles uses its first (n+1)^2 entries.
-    """
-    angular = angular_cs(n_max, omega_bar).coeffs
-    angular.flags.writeable = False
-    return angular
-
-
 def hydrogen_cs(
     label: HydrogenLabel, family: WeightFamily, n_max: int, check_tail: bool = True
 ) -> HydrogenExpansion:
@@ -155,7 +143,7 @@ def hydrogen_cs(
     if check_tail:
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
-    return HydrogenExpansion(n_max, amps, _angular_factor(n_max, label.omega_bar))
+    return HydrogenExpansion(n_max, amps, angular_cs(n_max, label.omega_bar))
 
 
 def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExpansion:

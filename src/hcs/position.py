@@ -190,10 +190,9 @@ def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> flo
     """
     x_rule = make_quadrature("legendre", x.n_max + 1)
     n_phi = 2 * x.n_max + 1
-    tb = np.repeat(np.arccos(x_rule.nodes), n_phi)
-    pb = np.tile(make_quadrature("trapezoid", n_phi).nodes, x_rule.nodes.size)
+    phi = make_quadrature("trapezoid", n_phi).nodes
     w_ang = np.repeat(x_rule.weights, n_phi) * (2.0 * math.pi / n_phi)
-    ylm = spherical_harmonic_table(x.n_max, tb, pb)
+    ylm = spherical_harmonic_table(x.n_max, np.arccos(x_rule.nodes)[:, None], phi)
 
     values = []
     for nodes in (radial_nodes, radial_nodes + 32 if radial_nodes <= 96 else radial_nodes - 32):
@@ -234,11 +233,9 @@ def export_density_grid(
     if not np.all(np.isfinite(times)):
         raise ValueError(f"t_values must be finite, got {t_values!r}")
     r = np.asarray(grid.r)
-    tb = np.repeat(grid.theta, len(grid.phi))
-    pb = np.tile(grid.phi, len(grid.theta))
-    ylm = spherical_harmonic_table(x.n_max, tb, pb)
+    ylm = spherical_harmonic_table(x.n_max, np.asarray(grid.theta)[:, None], grid.phi)
     u = radial_table(x.n_max, r)
-    psi = np.empty((times.size, r.size, tb.size), dtype=complex)
+    psi = np.empty((times.size, r.size, ylm.shape[1]), dtype=complex)
     for psi_t, t in zip(psi, times.tolist()):
         np.matmul(_channel_radial_sums(evolve_hydrogen(x, omega, t), u).T, ylm, out=psi_t)
     return psi.reshape(-1)

@@ -69,42 +69,50 @@ def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
 
     Normalization is chosen so that Y_lm(theta, phi) = P[l, m](cos theta)
     * exp(i m phi) is orthonormal on the sphere, with the Condon-Shortley
-    sign carried by the sectoral seed.  Returns shape (l_max+1, l_max+1,
-    len(x)); entries with m > l stay zero.
+    sign carried by the sectoral seed.  One step per l: the three-term
+    recurrence in l for every m < l - 1 at once, then the seeds P[l, l-1]
+    and P[l, l].  Returns shape (l_max+1, l_max+1) + x.shape; entries with
+    m > l stay zero.
     """
     x = np.asarray(x, dtype=float)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     table = np.zeros((l_max + 1, l_max + 1) + x.shape)
     table[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, l_max + 1):
-        table[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * table[m - 1, m - 1]
-    for m in range(l_max):
-        table[m + 1, m] = math.sqrt(2 * m + 3) * x * table[m, m]
-    for m in range(l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            table[l, m] = a * (x * table[l - 1, m] - b * table[l - 2, m])
+    col = (-1,) + (1,) * x.ndim
+    for l in range(1, l_max + 1):
+        m = np.arange(l - 1).reshape(col)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        table[l, : l - 1] = a * (x * table[l - 1, : l - 1] - b * table[l - 2, : l - 1])
+        table[l, l - 1] = math.sqrt(2 * l + 1) * x * table[l - 1, l - 1]
+        table[l, l] = -math.sqrt((2 * l + 1) / (2.0 * l)) * sin_t * table[l - 1, l - 1]
     return table
 
 
-def spherical_harmonic_table(l_max: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """All Y_lm for l <= l_max at aligned angle samples.
+def spherical_harmonic_table(l_max: int, theta, phi) -> np.ndarray:
+    """All Y_lm for l <= l_max at the points of theta broadcast against phi.
 
-    Returns a complex array of shape ((l_max+1)**2, npts) with flat channel
-    index l*l + l + m (l ascending, m ascending within l).
+    Aligned samples pass two equal-shape arrays; a separable grid passes
+    theta[:, None] and phi, so P runs on the theta samples alone and
+    e^{i m phi} on the phi samples alone.  Returns a complex array of shape
+    ((l_max+1)**2, npts), npts the broadcast size in C order, with flat
+    channel index l*l + l + m (l ascending, m ascending within l).
     """
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
+    theta, phi = (np.asarray(v, dtype=float) for v in (theta, phi))
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    # align the ranks, so a channel axis put in front broadcasts too
+    theta, phi = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (theta, phi))
+    col = (-1,) + (1,) * len(shape)
+    m = np.arange(l_max + 1).reshape(col)
     p = _legendre_table(l_max, np.cos(theta))
-    out = np.zeros(((l_max + 1) ** 2, theta.size), dtype=complex)
+    wave = np.exp(1j * m * phi)  # e^{i m phi}, m = 0..l_max
+    sign = (-1) ** m
+    out = np.empty(((l_max + 1) ** 2,) + shape, dtype=complex)
     for l in range(l_max + 1):
-        for m in range(l + 1):
-            pos = p[l, m] * np.exp(1j * m * phi)
-            out[l * l + l + m] = pos
-            if m > 0:
-                out[l * l + l - m] = (-1) ** m * np.conj(pos)
-    return out
+        pos = p[l, : l + 1] * wave[: l + 1]  # m = 0..l
+        out[l * l + l : (l + 1) ** 2] = pos
+        out[l * l : l * l + l] = sign[l:0:-1] * np.conj(pos[l:0:-1])  # m = -l..-1
+    return out.reshape(out.shape[0], -1)
 
 
 def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -763,7 +763,7 @@ caches = (
     hcs.cli._format_tables,
     hcs.angular._theta_weights,
     hcs.angular._channels,
-    hcs.hydrogen._angular_factor,
+    hcs.angular.angular_cs,
     hcs.position._radial_operators,
     hcs.position._shell_operators,
 )

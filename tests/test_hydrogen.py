@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcs import hydrogen
-from hcs.angular import EulerAngles, _channels, angular_cs, shell_dimension
+from hcs.angular import EulerAngles, _channel_coefficients, _channels, angular_cs, shell_dimension
 from hcs.errors import NumericalError, TruncationError
 from hcs.fock1d import Spectrum, degen_cs, radial_factor_matrix
 from hcs.hydrogen import (
@@ -106,7 +105,7 @@ class TestHydrogenCS:
         x = hydrogen_cs(label, exponential, 6, check_tail=False)
         shell = angular_cs(4, ANGLES)
         block = x.coeffs[shell_offset(4) : shell_offset(5)]
-        ratio = block[np.abs(shell.coeffs) > 1e-12] / shell.coeffs[np.abs(shell.coeffs) > 1e-12]
+        ratio = block[np.abs(shell) > 1e-12] / shell[np.abs(shell) > 1e-12]
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-14
 
     def test_carries_read_only_shell_amplitudes(self, exponential):
@@ -216,9 +215,10 @@ def _shell_products(amps, angular):
 
 
 def _per_shell_state(label, family, n_max):
-    """Shell by shell: amplitude n times the first (n+1)^2 angular coefficients."""
+    """Shell by shell: amplitude n times the first (n+1)^2 angular coefficients, built afresh."""
     amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False).coeffs
-    return _shell_products(amps, angular_cs(n_max, label.omega_bar).coeffs)
+    ob = label.omega_bar
+    return _shell_products(amps, _channel_coefficients(n_max, ob.theta_bar, ob.phi_bar, ob.psi_bar))
 
 
 @pytest.mark.parametrize("name", ["exponential", "sqrt-exponential"])
@@ -234,7 +234,7 @@ def test_shell_product_pipeline_is_bit_identical_to_per_shell(name, n_max):
     # the first label again, and the last angles at another s: both read a cached angular factor
     last, omega, t = cases[-1]
     cases += [cases[0], (HydrogenLabel(0.9, last.gamma, last.omega_bar), omega, t)]
-    hydrogen._angular_factor.cache_clear()
+    angular_cs.cache_clear()
     for label, omega, t in cases:
         state = hydrogen_cs(label, family, n_max, check_tail=False)
         assert state.coeffs.tobytes() == _per_shell_state(label, family, n_max).tobytes()
@@ -246,7 +246,7 @@ def test_shell_product_pipeline_is_bit_identical_to_per_shell(name, n_max):
         residual = hydrogen_stability_residual(label, family, omega, t, n_max)
         assert abs(residual - flat) <= 2 * np.spacing(np.max(np.abs(evolved)))
         assert residual <= 5e-15
-    assert hydrogen._angular_factor.cache_info().misses == 3
+    assert angular_cs.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("n_max", [12, 48])
@@ -263,10 +263,20 @@ def test_residual_matches_the_flat_oracle_at_a_large_phase(exponential, n_max):
     assert abs(residual - flat) <= 2 * np.spacing(np.max(np.abs(evolved)))
 
 
-def test_angular_factor_is_shared_and_read_only():
-    factor = hydrogen._angular_factor(12, ANGLES)
-    assert factor is hydrogen._angular_factor(12, ANGLES)
-    assert not factor.flags.writeable
+def test_angular_factor_is_shared_and_read_only(exponential):
+    # equal labels are one cache key: theta_bar -0.0 is stored as +0.0, and 1.0 + 2 pi wraps back to 1.0
+    for a, b in (
+        (EulerAngles(-0.0, 0.7, 2.3), EulerAngles(0.0, 0.7, 2.3)),
+        (EulerAngles(1.1, 1.0, 2.3), EulerAngles(1.1, 1.0 + 2 * math.pi, 2.3)),
+    ):
+        assert a == b
+        factor = angular_cs(12, a)
+        assert factor is angular_cs(12, b)
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
+    states = [hydrogen_cs(HydrogenLabel(s, 0.3, ANGLES), exponential, 12, check_tail=False) for s in (0.4, 0.8)]
+    assert states[0].angular is states[1].angular is angular_cs(12, ANGLES)
     assert not any(column.flags.writeable for column in _channels(12))
 
 

@@ -109,7 +109,7 @@ class TestEvalAngular:
     def test_position_norm_is_shell_dimension(self, exponential):
         # the shell-2 angular coherent state alone: amplitude 1 on shell 2
         n = 2
-        state = HydrogenExpansion(n, np.eye(n + 1)[n], angular_cs(n, ANGLES).coeffs)
+        state = HydrogenExpansion(n, np.eye(n + 1)[n], angular_cs(n, ANGLES))
         assert quadrature_norm_squared(state) == pytest.approx((n + 1) ** 2, abs=1e-8)
 
 

@@ -14,6 +14,7 @@ from hcs.errors import ConfigurationError
 from hcs.specfun import (
     _gauss_rule,
     _laguerre,
+    _legendre_table,
     exp_decay_rule,
     log_factorial,
     logsumexp,
@@ -130,6 +131,54 @@ class TestSphericalHarmonic:
         table = spherical_harmonic_table(l_max, tb, pb)
         gram = np.einsum("ap,p,bp->ab", table, w, table.conj())
         assert np.max(np.abs(gram - np.eye((l_max + 1) ** 2))) <= 1e-12
+
+
+def _per_order_legendre(l_max, x):
+    # the double loop over (m, l), one recurrence step per entry
+    x = np.asarray(x, dtype=float)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    table = np.zeros((l_max + 1, l_max + 1) + x.shape)
+    table[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, l_max + 1):
+        table[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * table[m - 1, m - 1]
+    for m in range(l_max):
+        table[m + 1, m] = math.sqrt(2 * m + 3) * x * table[m, m]
+    for m in range(l_max + 1):
+        for l in range(m + 2, l_max + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            table[l, m] = a * (x * table[l - 1, m] - b * table[l - 2, m])
+    return table
+
+
+def _per_channel_ylm(l_max, theta, phi):
+    # one round of numpy work per (l, m), on aligned samples
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    p = _per_order_legendre(l_max, np.cos(theta))
+    out = np.zeros(((l_max + 1) ** 2, theta.size), dtype=complex)
+    for l in range(l_max + 1):
+        for m in range(l + 1):
+            pos = p[l, m] * np.exp(1j * m * phi)
+            out[l * l + l + m] = pos
+            if m > 0:
+                out[l * l + l - m] = (-1) ** m * np.conj(pos)
+    return out
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 8, 24, 48, 300])
+def test_ylm_table_is_bit_identical_to_per_channel_loop(l_max):
+    rng = np.random.default_rng(l_max)
+    # the poles and phi = 0, on their own and together
+    theta = np.concatenate(([0.0, math.pi, 0.0, math.pi, 1.2], rng.uniform(0, math.pi, 7)))
+    phi = np.concatenate(([0.0, 0.0, 2.1, 5.3, 0.0], rng.uniform(0, 2 * math.pi, 7)))
+    assert spherical_harmonic_table(l_max, theta, phi).tobytes() == _per_channel_ylm(l_max, theta, phi).tobytes()
+    # a separable grid: theta[:, None] against phi equals the angles repeated and tiled
+    t, p = theta[3:8], phi[4:8]
+    grid = spherical_harmonic_table(l_max, t[:, None], p)
+    assert grid.tobytes() == _per_channel_ylm(l_max, np.repeat(t, p.size), np.tile(p, t.size)).tobytes()
+    x = np.cos(t)[:, None]
+    assert _legendre_table(l_max, x).tobytes() == _per_order_legendre(l_max, x).tobytes()
 
 
 def _divided_difference(values, points):
