@@ -14,15 +14,12 @@ from .angular import (
 )
 from .errors import ConfigurationError, NumericalError, TruncationError
 from .fock1d import (
-    FockExpansion,
     ResolutionReport,
     Spectrum,
     degen_cs,
-    evolve_spectral,
     generalized_cs,
     oscillator_cs,
     resolution_check_1d,
-    stability_residual,
 )
 from .hydrogen import (
     HydrogenExpansion,

@@ -11,6 +11,7 @@ win).  Reports are byte-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -279,22 +280,42 @@ def _checks_stability(cfg, family, rng):
 
 
 def stability_sweep(family, rng, count=50, n_max=12) -> float:
-    """Max evolution-vs-label-shift residual over a random label sweep."""
+    """Max evolution-vs-label-shift residual over a random label sweep.
+
+    Configuration i is of kind i mod 4: canonical z and generalized (r, theta)
+    states under the oscillator spectrum (z -> z e^{-i omega t}, theta ->
+    theta - omega t), degenerate (s, gamma) states under the inverse-square
+    one (gamma -> gamma + omega t), and hydrogen states.  A 1-D state times
+    its evolution phases is compared with the shifted label's state, raw
+    coefficients with no global phase, so any residual past the roundoff
+    eps |angle + omega t| is a bug; the label ranges keep the angles O(10).
+    """
     worst = 0.0
     for i in range(count):
         t = rng.uniform(0.1, 5.0)
         omega = rng.uniform(0.5, 2.0)
         kind = ("oscillator", "generalized", "degenerate", "hydrogen")[i % 4]
+        if kind == "hydrogen":
+            label = _random_label(rng, 1.5)
+            worst = max(worst, hydrogen.hydrogen_stability_residual(label, family, omega, t, n_max=n_max))
+            continue
         if kind == "oscillator":
-            z = rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-            res = fock1d.stability_residual(kind, z, fock1d.Spectrum("oscillator", omega), t, n_max=n_max)
-        elif kind in ("generalized", "degenerate"):
-            spectrum = fock1d.Spectrum("oscillator" if kind == "generalized" else "inverse-square", omega)
-            label = (rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-            res = fock1d.stability_residual(kind, label, spectrum, t, family=family, n_max=n_max)
+            z = complex(rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
+            spectrum = fock1d.Spectrum("oscillator", omega)
+            state = fock1d.oscillator_cs(z, n_max, check_tail=False)
+            twin = fock1d.oscillator_cs(z * cmath.exp(-1j * omega * t), n_max, check_tail=False)
+        elif kind == "generalized":
+            r, theta = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
+            spectrum = fock1d.Spectrum("oscillator", omega)
+            state = fock1d.generalized_cs(r, theta, family, n_max, check_tail=False)
+            twin = fock1d.generalized_cs(r, theta - omega * t, family, n_max, check_tail=False)
         else:
-            res = hydrogen.hydrogen_stability_residual(_random_label(rng, 1.5), family, omega, t, n_max=n_max)
-        worst = max(worst, res)
+            s, gamma = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
+            spectrum = fock1d.Spectrum("inverse-square", omega)
+            state = fock1d.degen_cs(s, gamma, family, n_max, check_tail=False)
+            twin = fock1d.degen_cs(s, gamma + omega * t, family, n_max, check_tail=False)
+        evolved = state * spectrum.evolution_phases(n_max + 1, t)
+        worst = max(worst, float(np.max(np.abs(evolved - twin))))
     return worst
 
 
@@ -360,7 +381,7 @@ def _checks_hydrogen_resolution(cfg, family, rng):
     rep = hydrogen.hydrogen_resolution_check(family, cfg.n_max, 64, cfg.gamma_window)
     ok = rep.diag_max_dev <= 1e-10 and rep.certificate_satisfied
     detail = (
-        f"diagonal deviation at gamma window {rep.gamma_window:g}; "
+        f"diagonal deviation at gamma window {rep.shells.window:g}; "
         "off-diagonals within the sinc certificate"
     )
     return [CheckResult("hydrogen-resolution", ok, rep.diag_max_dev, 1e-10, detail)]
@@ -451,11 +472,12 @@ def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     shell_norms = state.shell_norms()
     norm_sq = float(np.sum(shell_norms))
     spectrum = fock1d.Spectrum("inverse-square", cfg.omega)
+    peaks = hydrogen._shell_peaks(state)
     rows, code = [], EXIT_OK
     for t in cfg.times:
         phases = spectrum.evolution_phases(cfg.n_max + 1, t)
         shifted = hydrogen.hydrogen_cs(label.shifted(cfg.omega, t), family, cfg.n_max, check_tail=False)
-        residual = hydrogen._coefficient_residual(state.phased(phases), shifted)
+        residual = hydrogen._coefficient_residual(state.phased(phases), shifted, peaks)
         auto = complex(np.sum(shell_norms * phases)) / norm_sq
         rows.append((float(t), residual, auto.real, auto.imag, abs(auto)))
         bound = RESIDUAL_EPS_PER_RAD * _EPS * max(1.0, abs(cfg.gamma + cfg.omega * t))

@@ -3,9 +3,9 @@
 Three constructors cover the canonical states (label z), the generalized
 states built on an arbitrary moment weight (label r, theta with periodic
 phase), and the degenerate-spectrum states whose phase frequencies
-1/(n+1)^2 live on the covering space of the circle (label s, gamma).
-Spectral evolution and resolution-of-unity checks operate on the truncated
-coefficient vectors.
+1/(n+1)^2 live on the covering space of the circle (label s, gamma).  A
+state is its truncated coefficient array over levels 0..n_max; evolution
+multiplies it by ``Spectrum.evolution_phases``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from .weights import WeightFamily
 
 __all__ = [
     "Spectrum",
-    "FockExpansion",
     "ResolutionReport",
     "oscillator_cs",
     "generalized_cs",
     "degen_cs",
-    "evolve_spectral",
-    "stability_residual",
     "resolution_check_1d",
     "radial_factor_matrix",
 ]
@@ -72,20 +69,6 @@ class Spectrum:
         return np.exp(1j * ((self.omega * t) / (n + 1.0) ** 2))
 
 
-@dataclass(frozen=True, eq=False)
-class FockExpansion:
-    """Truncated coefficient vector over number states 0..n_max."""
-
-    coeffs: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coeffs) - 1
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-
 def tail_guard(weights: np.ndarray, radius: float, what: str) -> None:
     """Raise TruncationError when the last of the per-level ``weights`` exceeds
     TAIL_TOL of their sum: |c_n|^2 for a 1-D state, (n+1)^2 |c_n|^2 per shell."""
@@ -100,7 +83,7 @@ def tail_guard(weights: np.ndarray, radius: float, what: str) -> None:
         )
 
 
-def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> FockExpansion:
+def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> np.ndarray:
     """Canonical coherent state: c_n = e^{-|z|^2/2} z^n / sqrt(n!).
 
     Amplitudes are assembled in log space; ``check_tail=False`` skips the
@@ -120,7 +103,7 @@ def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> FockExpans
         coeffs = np.exp(log_amp + 1j * (n * cmath.phase(z)))
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, abs(z), "oscillator_cs")
-    return FockExpansion(coeffs)
+    return coeffs
 
 
 def _weighted_amplitudes(r: float, family: WeightFamily, n_max: int) -> np.ndarray:
@@ -136,7 +119,7 @@ def _weighted_amplitudes(r: float, family: WeightFamily, n_max: int) -> np.ndarr
 
 def generalized_cs(
     r: float, theta: float, family: WeightFamily, n_max: int, check_tail: bool = True
-) -> FockExpansion:
+) -> np.ndarray:
     """Moment-weight coherent state: c_n = M(r^2) r^n e^{i n theta} / sqrt(rho_n)."""
     if r < 0:
         raise ValueError(f"radial label must be >= 0, got r={r}")
@@ -146,12 +129,12 @@ def generalized_cs(
     coeffs = _weighted_amplitudes(r, family, n_max) * np.exp(1j * n * theta)
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, r, "generalized_cs")
-    return FockExpansion(coeffs)
+    return coeffs
 
 
 def degen_cs(
     s: float, gamma: float, family: WeightFamily, n_max: int, check_tail: bool = True
-) -> FockExpansion:
+) -> np.ndarray:
     """Degenerate-spectrum coherent state with covering-space phase label.
 
     c_n = M(s^2) s^n e^{i gamma/(n+1)^2} / sqrt(rho_n); gamma is unbounded
@@ -165,53 +148,7 @@ def degen_cs(
     coeffs = _weighted_amplitudes(s, family, n_max) * phases
     if check_tail:
         tail_guard(np.abs(coeffs) ** 2, s, "degen_cs")
-    return FockExpansion(coeffs)
-
-
-def evolve_spectral(x: FockExpansion, spectrum: Spectrum, t: float) -> FockExpansion:
-    """Apply e^{-i E_n t} to each coefficient; pure phases, norm preserved."""
-    return FockExpansion(x.coeffs * spectrum.evolution_phases(len(x.coeffs), t))
-
-
-def stability_residual(
-    kind: str,
-    label,
-    spectrum: Spectrum,
-    t: float,
-    family: WeightFamily | None = None,
-    n_max: int = 48,
-) -> float:
-    """Max coefficient deviation between evolution and the label shift.
-
-    kind 'oscillator' (label z, oscillator spectrum, shift z -> e^{-i w t} z),
-    'generalized' (label (r, theta), oscillator spectrum, theta -> theta - w t),
-    or 'degenerate' (label (s, gamma), inverse-square spectrum, gamma ->
-    gamma + w t).  Raw coefficients are compared: the identities carry no
-    extra global phase, so any residual beyond roundoff is a bug.  Roundoff
-    itself scales like eps * |label angles + w t|; keep labels O(10) to
-    resolve the 5e-15 contract.
-    """
-    if kind not in ("oscillator", "generalized", "degenerate"):
-        raise ConfigurationError(f"unknown state kind {kind!r}")
-    needed = "inverse-square" if kind == "degenerate" else "oscillator"
-    if spectrum.kind != needed:
-        raise ConfigurationError(f"{kind} states are label-stable under the {needed} spectrum")
-    if kind != "oscillator" and family is None:
-        raise ConfigurationError(f"{kind} states need a weight family")
-    if kind == "oscillator":
-        z = complex(label)
-        state = oscillator_cs(z, n_max, check_tail=False)
-        shifted = oscillator_cs(z * cmath.exp(-1j * spectrum.omega * t), n_max, check_tail=False)
-    elif kind == "generalized":
-        r, theta = label
-        state = generalized_cs(r, theta, family, n_max, check_tail=False)
-        shifted = generalized_cs(r, theta - spectrum.omega * t, family, n_max, check_tail=False)
-    else:
-        s, gamma = label
-        state = degen_cs(s, gamma, family, n_max, check_tail=False)
-        shifted = degen_cs(s, gamma + spectrum.omega * t, family, n_max, check_tail=False)
-    evolved = evolve_spectral(state, spectrum, t)
-    return float(np.max(np.abs(evolved.coeffs - shifted.coeffs)))
+    return coeffs
 
 
 def radial_factor_matrix(family: WeightFamily, n_max: int, radial_nodes: int = 64) -> np.ndarray:
@@ -262,16 +199,15 @@ def _factorial_ratio(f, n: int, n2: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ResolutionReport:
-    """Result of a resolution-of-unity check over a truncated basis."""
+    """Result of a resolution-of-unity check; ``certificate_matrix`` is inf on the diagonal."""
 
-    mode: str
     matrix: np.ndarray
     diag_max_dev: float
     offdiag_max: float
-    gamma_window: float | None = None
-    certificate_bound: float | None = None
-    certificate_matrix: np.ndarray | None = None
-    certificate_satisfied: bool | None = None
+    window: float
+    certificate_bound: float
+    certificate_matrix: np.ndarray
+    certificate_satisfied: bool
 
 
 def resolution_check_1d(
@@ -283,50 +219,40 @@ def resolution_check_1d(
 ) -> ResolutionReport:
     """Gram operator of the coherent-state measure over number states.
 
-    phase 'periodic': the angular integral over one period is exact and
-    kills all off-diagonals; the diagonal is the quadrature moment ratio
-    int u^n rho(u) du / rho_n.
-
-    phase 'covering': the unbounded phase average over [-G, G] is evaluated
-    in closed form as sinc(G * D_{nn'}) with D_{nn'} = 1/(n+1)^2 -
-    1/(n'+1)^2, never by numerical integration; off-diagonals carry the
-    certificate bound radial/(G |D|) from |sinc(x)| <= 1/|x|, and
-    ``certificate_satisfied`` records that every off-diagonal obeys it.
+    It is the radial factor R[n, n'] times the average of e^{i D_{nn'} phase}
+    over the label phase, D the difference of the levels' phase frequencies:
+    the integers n for phase 'periodic', whose one-period average (window pi)
+    is exactly the identity, and 1/(n+1)^2 for phase 'covering', whose
+    average over [-G, G], G = ``gamma_window``, is sinc(G D) in closed form,
+    never a numerical integral.  The diagonal is the quadrature moment ratio
+    int u^n rho(u) du / rho_n.  Every off-diagonal carries the certificate
+    R/(window |D|) from |sinc(x)| <= 1/|x|, and ``certificate_satisfied``
+    records that each obeys it.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    radial = radial_factor_matrix(family, n_max, radial_nodes)
-    diag = np.diag(radial)
-    diag_dev = float(np.max(np.abs(diag - 1.0)))
+    n = np.arange(n_max + 1.0)
     if phase == "periodic":
-        matrix = np.diag(diag.copy())
-        return ResolutionReport(
-            mode="periodic",
-            matrix=matrix,
-            diag_max_dev=diag_dev,
-            offdiag_max=0.0,
-        )
-    if phase != "covering":
+        window, delta = math.pi, n[:, None] - n[None, :]
+        average = np.eye(n_max + 1)
+    elif phase == "covering":
+        if gamma_window is None or not gamma_window > 0:
+            raise ConfigurationError("covering mode needs a positive gamma window")
+        window, delta = gamma_window, 1.0 / (n[:, None] + 1.0) ** 2 - 1.0 / (n[None, :] + 1.0) ** 2
+        average = np.sinc(window * delta / math.pi)
+    else:
         raise ConfigurationError(f"phase mode must be 'periodic' or 'covering', got {phase!r}")
-    if gamma_window is None or not gamma_window > 0:
-        raise ConfigurationError("covering mode needs a positive gamma window")
-    n = np.arange(n_max + 1)
-    delta = 1.0 / (n[:, None] + 1.0) ** 2 - 1.0 / (n[None, :] + 1.0) ** 2
-    matrix = radial * np.sinc(gamma_window * delta / math.pi)
+    radial = radial_factor_matrix(family, n_max, radial_nodes)
+    matrix = radial * average
     off = ~np.eye(n_max + 1, dtype=bool)
-    offdiag_max = float(np.max(np.abs(matrix[off]))) if n_max > 0 else 0.0
     cert = np.full_like(radial, np.inf)
-    if n_max > 0:
-        cert[off] = radial[off] / (gamma_window * np.abs(delta[off]))
-    bound = float(np.max(cert[off])) if n_max > 0 else 0.0
-    satisfied = bool(np.all(np.abs(matrix[off]) <= cert[off] * (1.0 + 1e-12)))
+    cert[off] = radial[off] / (window * np.abs(delta[off]))
     return ResolutionReport(
-        mode="covering",
         matrix=matrix,
-        diag_max_dev=diag_dev,
-        offdiag_max=offdiag_max,
-        gamma_window=gamma_window,
-        certificate_bound=bound,
+        diag_max_dev=float(np.max(np.abs(np.diag(radial) - 1.0))),
+        offdiag_max=float(np.max(np.abs(matrix[off]), initial=0.0)),
+        window=window,
+        certificate_bound=float(np.max(cert[off], initial=0.0)),
         certificate_matrix=cert,
-        certificate_satisfied=satisfied,
+        certificate_satisfied=bool(np.all(np.abs(matrix[off]) <= cert[off] * (1.0 + 1e-12))),
     )

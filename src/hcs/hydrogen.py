@@ -139,7 +139,7 @@ def hydrogen_cs(
     at most TAIL_TOL of the total weight; pass ``check_tail=False`` when
     comparing identically truncated vectors, where adequacy is irrelevant.
     """
-    amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False).coeffs
+    amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False)
     if check_tail:
         shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
         tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
@@ -156,15 +156,20 @@ def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExp
     return x.phased(phases)
 
 
-def _coefficient_residual(x: HydrogenExpansion, y: HydrogenExpansion) -> float:
+def _shell_peaks(x: HydrogenExpansion) -> np.ndarray:
+    """max |angular| over each shell's (n+1)^2 channels, for n <= n_max."""
+    return np.maximum.accumulate(np.abs(x.angular))[_last_channels(x.n_max)]
+
+
+def _coefficient_residual(x: HydrogenExpansion, y: HydrogenExpansion, peaks: np.ndarray) -> float:
     """max |x - y| over the (n, l, m) coefficients of two states with one angular factor.
 
     Shell n differs by (amps_x[n] - amps_y[n]) angular[:(n+1)^2], so the
-    maximum is max_n |amps_x[n] - amps_y[n]| times the largest |angular|
-    entry of the shell, without the roundoff of forming the coefficients.
-    Only x.angular is read: both states must carry the same factor.
+    maximum is max_n |amps_x[n] - amps_y[n]| times peaks[n], the largest
+    |angular| entry of the shell (``_shell_peaks``), without the roundoff
+    of forming the coefficients.  Both states must carry the factor the
+    peaks were taken from.
     """
-    peaks = np.maximum.accumulate(np.abs(x.angular))[_last_channels(x.n_max)]
     return float(np.max(np.abs(x.amps - y.amps) * peaks))
 
 
@@ -180,7 +185,7 @@ def hydrogen_stability_residual(
     """
     state = hydrogen_cs(label, family, n_max, check_tail=False)
     shifted = hydrogen_cs(label.shifted(omega, t), family, n_max, check_tail=False)
-    return _coefficient_residual(evolve_hydrogen(state, omega, t), shifted)
+    return _coefficient_residual(evolve_hydrogen(state, omega, t), shifted, _shell_peaks(state))
 
 
 def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
@@ -225,10 +230,6 @@ class HydrogenResolutionReport:
     @property
     def dimension(self) -> int:
         return total_dimension(self.n_max)
-
-    @property
-    def gamma_window(self) -> float:
-        return self.shells.gamma_window
 
     @property
     def certificate_satisfied(self) -> bool:

@@ -115,7 +115,11 @@ def spherical_harmonic_table(l_max: int, theta, phi) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+# _laguerre scales an entry by 2^-_RESCALE_BITS, exactly, once it passes 2^_RESCALE_BITS
+_RESCALE_BITS = 400
+
+
+def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
     """Scaled Laguerre values P for rows of non-increasing degree k.
 
     P = L_k^(a)(z) / sqrt(C(k+a, k)), from the three-term recurrence in
@@ -123,7 +127,10 @@ def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)).  The scaling keeps P in double
     range for large degrees.  a is one value or one per row, and the
     recurrence coefficients are tabulated once per distinct a; z is shared
-    (points,) or per row (rows, points).  Returns shape (rows, points).
+    (points,) or per row (rows, points).  In the oscillatory region P grows
+    like e^{z/2}, so an entry past 2^_RESCALE_BITS and its predecessor are
+    rescaled.  Returns the values, shape (rows, points), and the number of
+    rescalings of each entry: 0 when there were none, else an int array.
     """
     values, row = np.unique(a, return_inverse=True)
     row = row.reshape(-1, 1)
@@ -135,6 +142,7 @@ def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     live = np.searchsorted(-k, -j, side="right")
     z = np.broadcast_to(z, k.shape + z.shape[-1:])
     out = np.ones(z.shape)
+    count = 0
     q_prev, q = np.zeros_like(out), out
     for i in range(1, j.size - 1):
         m, done = live[i], live[i + 1]
@@ -143,8 +151,15 @@ def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
         q_next -= b[rows, i - 1] * q_prev[:m]
         q_next /= b[rows, i]
         q_prev, q = q[:m], q_next
+        # sum q^2 >= max q^2, and halving the threshold absorbs its rounding: one BLAS pass
+        # flags every step with an entry past 2^_RESCALE_BITS, whatever the thread count
+        if np.vdot(q, q) > 2.0 ** (2 * _RESCALE_BITS - 1):
+            big = np.abs(q) > 2.0**_RESCALE_BITS
+            q_prev, q = (np.where(big, v * 2.0**-_RESCALE_BITS, v) for v in (q_prev, q))
+            count = np.zeros(out.shape, dtype=np.int64) if np.isscalar(count) else count
+            count[:m] += big
         out[done:m] = q[done:]
-    return out
+    return out, count
 
 
 def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -153,8 +168,9 @@ def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np
     u = N k!/(a+1)_k z^l e^{-z/2} L_k^(a)(z) with z = 2r/(n+1); the prefactor
     of the scaled Laguerre value P is sqrt(1/(2(n+1)(2l+1)!)) (2/(n+1))^(3/2)
     z^l e^{-z/2}, assembled in log space, so neither z^l nor (2l+1)! has to
-    be representable on its own.  ``n`` and ``l`` are each one value or one
-    per row, with n - l not increasing down the rows; ``r`` is shared
+    be representable on its own; an entry of P rescaled c times adds
+    c _RESCALE_BITS ln 2 to the log.  ``n`` and ``l`` are each one value or
+    one per row, with n - l not increasing down the rows; ``r`` is shared
     (points,) or per row (rows, points).  Returns shape (rows, points).
     """
     if np.any(r < 0):
@@ -162,14 +178,14 @@ def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np
     n, l = np.asarray(n), np.asarray(l)
     shell, col = n[..., None], l[..., None]  # (1,) for one value, (rows, 1) per row
     z = 2.0 * r / (shell + 1)
-    p = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, z)
+    p, count = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, z)
     # math.log per shell and l, looked up per row: the same bits for every caller
     log_fact = np.array([log_factorial(2 * k + 1) for k in range(int(l.max()) + 1)])[col]
     shells = range(int(n.max()) + 1)
     lead = np.array([1.5 * math.log(2.0 / (s + 1)) for s in shells])[shell]
     half = np.array([math.log(2.0 * (s + 1)) for s in shells])[shell]
     base = lead - 0.5 * (half + log_fact + z)
-    return np.exp(base + _xlogy(col, z)) * p
+    return np.exp(base + _xlogy(col, z) + count * (_RESCALE_BITS * math.log(2.0))) * p
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

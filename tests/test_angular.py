@@ -159,6 +159,62 @@ class TestAngularCS:
             angular_cs(1027, EulerAngles(1.1, 0.7, 2.3))
 
 
+
+def _spin_direction_error(labels, ls=(1, 7, 60)):
+    """Largest |<L> - l n| / l over the channel-l blocks of angular_cs(60, label) / sqrt(2l+1).
+
+    Each block is the spin coherent state along n = (sin tb cos pb, sin tb
+    sin pb, cos tb): <L_z> = sum_m m |c_m|^2 and <L_+> = <L_x> + i <L_y>
+    = sum_m conj(c_{m+1}) sqrt(l(l+1) - m(m+1)) c_m, from the ladder
+    operators alone.
+    """
+    worst = 0.0
+    for ob in labels:
+        coeffs = angular_cs(60, ob)
+        direction = np.array(
+            [
+                math.sin(ob.theta_bar) * math.cos(ob.phi_bar),
+                math.sin(ob.theta_bar) * math.sin(ob.phi_bar),
+                math.cos(ob.theta_bar),
+            ]
+        )
+        for l in ls:
+            c = coeffs[l * l : (l + 1) ** 2] / math.sqrt(2 * l + 1)
+            m = np.arange(-l, l + 1)
+            raise_ = np.sum(np.conj(c[1:]) * np.sqrt(l * (l + 1) - m[:-1] * (m[:-1] + 1)) * c[:-1])
+            moment = np.array([raise_.real, raise_.imag, np.sum(m * np.abs(c) ** 2)])
+            worst = max(worst, float(np.linalg.norm(moment - l * direction)) / l)
+    return worst
+
+
+class TestSpinCoherence:
+    """Pins the angular convention: the phase e^{-i m phi_bar} must point <L> along phi_bar."""
+
+    LABELS = [
+        EulerAngles(*v)
+        for v in np.random.default_rng(26).uniform((0.0, 0.0, 0.0), (math.pi, 2 * math.pi, 2 * math.pi), (50, 3))
+    ]
+
+    def test_mean_angular_momentum_points_along_the_label(self):
+        # the phases m phi_bar round to about eps l 2 pi: 8.9e-14 at l = 60 for these labels
+        assert _spin_direction_error(self.LABELS) <= 1e-12
+
+    def test_azimuth_flipped_mutant_fails(self, monkeypatch):
+        from hcs import angular
+
+        original = angular._channel_coefficients
+
+        def flipped(l_max, theta_bar, phi_bar, psi_bar):
+            return original(l_max, theta_bar, -np.asarray(phi_bar), psi_bar)
+
+        monkeypatch.setattr(angular, "_channel_coefficients", flipped)
+        angular_cs.cache_clear()
+        try:
+            assert _spin_direction_error(self.LABELS) > 1.0
+        finally:
+            angular_cs.cache_clear()
+
+
 class TestAngularResolution:
     def test_shell_zero_is_scalar_one(self):
         rep = angular_resolution_check(0)

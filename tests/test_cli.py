@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,17 @@ class TestEval:
         assert "numerical failure" in err and "M^2(s^2)" in err
         assert not out.exists()
 
+    def test_far_radius_at_deep_shell_is_finite(self, tmp_path):
+        # r = 5e5 lies inside 2 N^2 of shell 600, where the Laguerre recurrence used to overflow
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": {"r": [1, 500000], "theta": [1], "phi": [0.5]}}))
+        out = tmp_path / "density.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--n-max", "600", "--s", "3", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and np.all(np.isfinite(rows))
+
 
 def _reference_csv(path, header, rows):
     """The per-row CSV writer whose bytes ``write_csv`` keeps: csv.writer, %.17g per value."""
@@ -486,9 +498,9 @@ class TestEvolve:
         residual = hydrogen._coefficient_residual
         calls = []
 
-        def breach_at_one(evolved, shifted):  # the third time, t = 1
+        def breach_at_one(evolved, shifted, peaks):  # the third time, t = 1
             calls.append(None)
-            return 1e-9 if len(calls) == 3 else residual(evolved, shifted)
+            return 1e-9 if len(calls) == 3 else residual(evolved, shifted, peaks)
 
         monkeypatch.setattr(hydrogen, "_coefficient_residual", breach_at_one)
         out = tmp_path / "evolve.csv"

@@ -7,15 +7,12 @@ import pytest
 
 from hcs.errors import ConfigurationError, TruncationError
 from hcs.fock1d import (
-    FockExpansion,
     Spectrum,
     degen_cs,
-    evolve_spectral,
     generalized_cs,
     oscillator_cs,
     radial_factor_matrix,
     resolution_check_1d,
-    stability_residual,
 )
 from hcs.weights import builtin_family
 
@@ -28,6 +25,14 @@ def exponential():
 @pytest.fixture(scope="module")
 def sqrt_exponential():
     return builtin_family("sqrt-exponential")
+
+
+def _norm_squared(coeffs):
+    return float(np.sum(np.abs(coeffs) ** 2))
+
+
+def _evolve(coeffs, spectrum, t):
+    return coeffs * spectrum.evolution_phases(len(coeffs), t)
 
 
 def _oscillator_kernel(z, w):
@@ -54,21 +59,21 @@ class TestSpectrum:
 class TestOscillatorCS:
     def test_vacuum(self):
         x = oscillator_cs(0.0, 16)
-        assert x.coeffs[0] == 1.0
-        assert np.all(x.coeffs[1:] == 0.0)
+        assert x[0] == 1.0
+        assert np.all(x[1:] == 0.0)
 
     def test_known_coefficient(self):
         x = oscillator_cs(1.0, 32)
-        assert x.coeffs[2] == pytest.approx(0.4288819424803534, rel=1e-13)
+        assert x[2] == pytest.approx(0.4288819424803534, rel=1e-13)
 
     def test_unit_norm(self):
         for z in (1.0, 1 + 1j, 2.2 - 0.3j):
-            assert oscillator_cs(z, 64).norm_squared() == pytest.approx(1.0, abs=1e-12)
+            assert _norm_squared(oscillator_cs(z, 64)) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_modulus(self):
         a = oscillator_cs(1.0, 64)
         b = oscillator_cs(1 + 1j, 64)
-        assert abs(np.vdot(a.coeffs, b.coeffs)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-10)
+        assert abs(np.vdot(a, b)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
@@ -78,8 +83,8 @@ class TestOscillatorCS:
 class TestGeneralizedCS:
     def test_vacuum(self, exponential):
         x = generalized_cs(0.0, 0.7, exponential, 16)
-        assert x.coeffs[0] == 1.0
-        assert np.all(x.coeffs[1:] == 0.0)
+        assert x[0] == 1.0
+        assert np.all(x[1:] == 0.0)
 
     def test_exponential_reproduces_oscillator(self, exponential):
         rng = np.random.default_rng(3)
@@ -88,15 +93,15 @@ class TestGeneralizedCS:
             theta = rng.uniform(-math.pi, math.pi)
             gen = generalized_cs(r, theta, exponential, 64)
             osc = oscillator_cs(r * cmath.exp(1j * theta), 64)
-            assert np.max(np.abs(gen.coeffs - osc.coeffs)) <= 1e-13
+            assert np.max(np.abs(gen - osc)) <= 1e-13
 
     def test_phase_period(self, sqrt_exponential):
         a = generalized_cs(1.0, 0.0, sqrt_exponential, 32)
         b = generalized_cs(1.0, 2 * math.pi, sqrt_exponential, 32)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
+        assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_unit_norm(self, sqrt_exponential):
-        assert generalized_cs(2.0, 1.0, sqrt_exponential, 48).norm_squared() == pytest.approx(
+        assert _norm_squared(generalized_cs(2.0, 1.0, sqrt_exponential, 48)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -104,97 +109,97 @@ class TestGeneralizedCS:
 class TestDegenCS:
     def test_vacuum_carries_phase(self, exponential):
         x = degen_cs(0.0, 7.3, exponential, 8)
-        assert x.coeffs[0] == pytest.approx(cmath.exp(7.3j), abs=1e-15)
-        assert np.all(x.coeffs[1:] == 0.0)
+        assert x[0] == pytest.approx(cmath.exp(7.3j), abs=1e-15)
+        assert np.all(x[1:] == 0.0)
 
     def test_zero_phase_real_positive(self, exponential):
         x = degen_cs(1.0, 0.0, exponential, 32)
         n = np.arange(33)
         expected = np.exp(-0.5 - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
-        assert np.max(np.abs(x.coeffs - expected)) <= 1e-14
-        assert np.all(x.coeffs.imag == 0.0)
+        assert np.max(np.abs(x - expected)) <= 1e-14
+        assert np.all(x.imag == 0.0)
 
     def test_covering_space_phase_not_periodic(self, exponential):
         a = degen_cs(1.0, 0.0, exponential, 32)
         b = degen_cs(1.0, 2 * math.pi, exponential, 32)
         # 2*pi/(n+1)^2 is not a multiple of 2*pi for n >= 1
-        assert abs(a.coeffs[1] - b.coeffs[1]) > 0.1 * abs(a.coeffs[1])
+        assert abs(a[1] - b[1]) > 0.1 * abs(a[1])
 
 
 class TestOverlap:
     def test_self_overlap(self, sqrt_exponential):
         x = generalized_cs(1.3, 0.4, sqrt_exponential, 48)
-        assert np.vdot(x.coeffs, x.coeffs) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_labels(self):
-        got = np.vdot(oscillator_cs(1.0, 64).coeffs, oscillator_cs(-1.0, 64).coeffs)
+        got = np.vdot(oscillator_cs(1.0, 64), oscillator_cs(-1.0, 64))
         assert got == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_vacuum_against_displaced(self):
-        vac = FockExpansion(np.array([1.0 + 0.0j]))
+        vac = np.array([1.0 + 0.0j])
         displaced = oscillator_cs(2.0, 64)
         # the vacuum has one level: <vac|b> reads the first coefficient of b
-        assert np.vdot(vac.coeffs, displaced.coeffs[:1]) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert np.vdot(vac, displaced[:1]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_reproduces_analytic_kernel(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            got = np.vdot(oscillator_cs(z, 64, check_tail=False).coeffs, oscillator_cs(w, 64, check_tail=False).coeffs)
+            got = np.vdot(oscillator_cs(z, 64, check_tail=False), oscillator_cs(w, 64, check_tail=False))
             assert abs(got - _oscillator_kernel(z, w)) <= 1e-10
 
 
 class TestEvolution:
     def test_identity_at_zero_time(self, exponential):
         x = degen_cs(1.0, 0.3, exponential, 32)
-        y = evolve_spectral(x, Spectrum("inverse-square", 1.0), 0.0)
-        assert np.array_equal(x.coeffs, y.coeffs)
+        y = _evolve(x, Spectrum("inverse-square", 1.0), 0.0)
+        assert np.array_equal(x, y)
 
     def test_oscillator_label_shift(self):
         z, omega, t = 1.0, 1.0, 0.7
-        evolved = evolve_spectral(oscillator_cs(z, 48), Spectrum("oscillator", omega), t)
+        evolved = _evolve(oscillator_cs(z, 48), Spectrum("oscillator", omega), t)
         shifted = oscillator_cs(z * cmath.exp(-1j * omega * t), 48)
-        assert np.max(np.abs(evolved.coeffs - shifted.coeffs)) <= 1e-14
+        assert np.max(np.abs(evolved - shifted)) <= 1e-14
 
     def test_degenerate_label_shift(self, exponential):
         s, gamma, omega, t = 1.0, 0.4, 1.0, 2.5
-        evolved = evolve_spectral(degen_cs(s, gamma, exponential, 48), Spectrum("inverse-square", omega), t)
+        evolved = _evolve(degen_cs(s, gamma, exponential, 48), Spectrum("inverse-square", omega), t)
         shifted = degen_cs(s, gamma + omega * t, exponential, 48)
-        assert np.max(np.abs(evolved.coeffs - shifted.coeffs)) <= 1e-14
+        assert np.max(np.abs(evolved - shifted)) <= 1e-14
 
     def test_norm_preserved(self, sqrt_exponential):
         x = generalized_cs(1.5, 1.0, sqrt_exponential, 48)
-        y = evolve_spectral(x, Spectrum("oscillator", 1.3), 2.0)
+        y = _evolve(x, Spectrum("oscillator", 1.3), 2.0)
         # pure phases: preserved up to a couple of ulps of rounding
-        assert y.norm_squared() == pytest.approx(x.norm_squared(), rel=1e-15)
+        assert _norm_squared(y) == pytest.approx(_norm_squared(x), rel=1e-15)
 
     def test_period_is_exact_identity(self):
         x = oscillator_cs(1.3, 48)
-        y = evolve_spectral(x, Spectrum("oscillator", 1.0), 2 * math.pi)
-        assert np.array_equal(x.coeffs, y.coeffs)
+        y = _evolve(x, Spectrum("oscillator", 1.0), 2 * math.pi)
+        assert np.array_equal(x, y)
 
 
 class TestStabilityResidual:
+    """Evolution equals the label shift to roundoff, the identity ``cli.stability_sweep`` checks."""
+
     def test_oscillator_example(self):
-        res = stability_residual("oscillator", 1 + 2j, Spectrum("oscillator", 1.0), 0.7)
-        assert res <= 5e-15
+        z, spectrum, t = 1 + 2j, Spectrum("oscillator", 1.0), 0.7
+        evolved = _evolve(oscillator_cs(z, 48, check_tail=False), spectrum, t)
+        shifted = oscillator_cs(z * cmath.exp(-1j * spectrum.omega * t), 48, check_tail=False)
+        assert np.max(np.abs(evolved - shifted)) <= 5e-15
 
     def test_degenerate_example(self, exponential):
-        res = stability_residual(
-            "degenerate", (1.5, 3.0), Spectrum("inverse-square", 1.0), 10.0, family=exponential
-        )
-        assert res <= 5e-15
+        (s, gamma), spectrum, t = (1.5, 3.0), Spectrum("inverse-square", 1.0), 10.0
+        evolved = _evolve(degen_cs(s, gamma, exponential, 48, check_tail=False), spectrum, t)
+        shifted = degen_cs(s, gamma + spectrum.omega * t, exponential, 48, check_tail=False)
+        assert np.max(np.abs(evolved - shifted)) <= 5e-15
 
     def test_generalized_example(self, sqrt_exponential):
-        res = stability_residual(
-            "generalized", (2.0, 1.0), Spectrum("oscillator", 1.0), math.pi, family=sqrt_exponential
-        )
-        assert res <= 5e-15
-
-    def test_kind_spectrum_mismatch(self, exponential):
-        with pytest.raises(ConfigurationError):
-            stability_residual("degenerate", (1.0, 0.0), Spectrum("oscillator", 1.0), 1.0, family=exponential)
+        (r, theta), spectrum, t = (2.0, 1.0), Spectrum("oscillator", 1.0), math.pi
+        evolved = _evolve(generalized_cs(r, theta, sqrt_exponential, 48, check_tail=False), spectrum, t)
+        shifted = generalized_cs(r, theta - spectrum.omega * t, sqrt_exponential, 48, check_tail=False)
+        assert np.max(np.abs(evolved - shifted)) <= 5e-15
 
 
 class TestResolution1D:
@@ -204,6 +209,17 @@ class TestResolution1D:
         assert rep.offdiag_max == 0.0
         off = ~np.eye(21, dtype=bool)
         assert np.all(rep.matrix[off] == 0.0)
+
+    def test_periodic_certificate_is_computed(self, exponential):
+        # one path for both phases: the window is one period, the bound R / (pi |n - n'|)
+        rep = resolution_check_1d(exponential, "periodic", n_max=8, radial_nodes=64)
+        assert rep.window == math.pi and rep.certificate_satisfied
+        n = np.arange(9)
+        off = n[:, None] != n[None, :]
+        radial = radial_factor_matrix(exponential, 8, 64)
+        bound = radial[off] / (math.pi * np.abs(n[:, None] - n[None, :])[off])
+        assert np.array_equal(rep.certificate_matrix[off], bound)
+        assert rep.certificate_bound == np.max(bound)
 
     def test_periodic_sqrt_exponential(self, sqrt_exponential):
         rep = resolution_check_1d(sqrt_exponential, "periodic", n_max=12, radial_nodes=64)

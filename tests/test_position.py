@@ -398,7 +398,7 @@ class TestGramForms:
         for s in (0.0, 0.5, 1.4):
             angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
-            amps = degen_cs(label.s, label.gamma, exponential, n_max, check_tail=False).coeffs
+            amps = degen_cs(label.s, label.gamma, exponential, n_max, check_tail=False)
             state = hydrogen_cs(label, exponential, n_max, check_tail=False)
             omega, t = rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0)
             phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)

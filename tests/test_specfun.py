@@ -204,7 +204,8 @@ def _divided_difference_scale(values, points):
 def _confluent(n, l, z):
     """F(-n+l, 2l+2, z) = k!/(a+1)_k L_k^(a)(z), k = n - l, a = 2l + 1 (DLMF 18.5.12), at points z."""
     k, a = n - l, 2 * l + 1
-    return _laguerre(np.array([k]), a, np.asarray(z, dtype=float))[0] / math.sqrt(math.comb(k + a, k))
+    p, _ = _laguerre(np.array([k]), a, np.asarray(z, dtype=float))
+    return p[0] / math.sqrt(math.comb(k + a, k))
 
 
 class TestConfluentPolynomial:
@@ -302,6 +303,18 @@ class TestRadialOracle:
         assert np.all(np.isfinite(u))
         ref = _mpmath_radial(n, l, r)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [300, 600, 1026])
+    def test_deep_shells_against_mpmath(self, n):
+        # past n = 250 the recurrence used to overflow inside r < 3 N^2 and give nan;
+        # 1026 is the last shell the commands accept
+        big_n = n + 1
+        r = np.append(np.linspace(0.0, 4.0 * big_n**2, 41), 1e3 * big_n**2)
+        for l in (0, n // 2, n):
+            u = radial_eigenfunction(n, l, r)
+            assert np.all(np.isfinite(u)), (n, l)
+            ref = _mpmath_radial(n, l, r)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, l)
 
     def test_finite_to_shell_200(self):
         # radii at 0, 1/3, 2/3 and 1 of 3(n+1)^2 for shells spread over 0..200
