@@ -21,10 +21,12 @@ from .specfun import log_factorial, make_quadrature
 
 __all__ = [
     "EulerAngles",
+    "AngularFactor",
     "AngularResolutionReport",
     "angular_cs",
     "angular_resolution_check",
     "shell_dimension",
+    "spin_direction_error",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -70,10 +72,10 @@ def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=8)
 def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
-    """(l - m, l + m, sqrt_binomial_weight, sqrt(2l+1)) per channel l <= l_max; built once, read-only.
+    """(l - m, l + m, sqrt_binomial_weight, sqrt(2l+1)) per channel l <= l_max, and i k/2 per power k <= 2 l_max.
 
-    One log-factorial table, the same subtraction order and math.exp keep
-    every weight bit-identical to sqrt_binomial_weight.
+    Built once, read-only.  One log-factorial table, the same subtraction
+    order and math.exp keep every weight bit-identical to sqrt_binomial_weight.
     """
     if l_max > _MAX_SHELL:
         raise ConfigurationError(
@@ -83,48 +85,89 @@ def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
     l, m = _channels(l_max)
     log_fact = np.array([log_factorial(k) for k in range(2 * l_max + 1)])
     exponent = 0.5 * (log_fact[2 * l] - log_fact[l + np.abs(m)] - log_fact[l - np.abs(m)])
-    table = (l - m, l + m, np.array([math.exp(v) for v in exponent.tolist()]), np.sqrt(2.0 * l + 1))
+    weight = np.array([math.exp(v) for v in exponent.tolist()])
+    table = (l - m, l + m, weight, np.sqrt(2.0 * l + 1), 0.5j * np.arange(2 * l_max + 1))
     for column in table:
         column.flags.writeable = False
     return table
 
 
-def _theta_factor(l_max: int, theta_bar) -> np.ndarray:
-    """A_lm = sqrt(2l+1) sqrt((2l)!/((l+m)!(l-m)!)) sin(tb/2)^(l-m) cos(tb/2)^(l+m), channels first."""
-    down, up, weight, root = _theta_weights(l_max)
-    half = 0.5 * np.asarray(theta_bar, dtype=float)
-    # per-exponent power tables, each with a scalar exponent: numpy squares x ** 2
-    # as x*x but sends an exponent array through pow, which rounds differently
-    sin_pow, cos_pow = (np.array([x**k for k in range(2 * l_max + 1)]) for x in (np.sin(half), np.cos(half)))
-    col = (-1,) + (1,) * np.ndim(half)
-    return weight.reshape(col) * sin_pow[down] * cos_pow[up] * root.reshape(col)
-
-
 def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray:
-    """coeff(l, m) = A_lm(theta_bar) exp(-i(m phi_bar + l psi_bar)) for every channel l <= l_max.
+    """coeff(l, m) = A_lm e^{-i(m phi_bar + l psi_bar)} = w_lm sqrt(2l+1) beta^(l-m) alpha^(l+m), l <= l_max.
 
-    Angles are scalars or aligned arrays; the result has shape ((l_max+1)^2,) + angle shape.
+    w_lm = sqrt((2l)!/((l+m)!(l-m)!)); the label's spinor alpha = cos(tb/2) e^{-i(pb+sb)/2}, beta =
+    sin(tb/2) e^{i(pb-sb)/2} takes one exponential per power k <= 2 l_max.  Angles are scalars or
+    aligned arrays; the result has shape ((l_max+1)^2,) + angle shape.
     """
     tb, pb, sb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (theta_bar, phi_bar, psi_bar)))
-    l, m = (v.reshape((-1,) + (1,) * tb.ndim) for v in _channels(l_max))
-    return _theta_factor(l_max, tb) * np.exp(-1j * (m * pb + l * sb))
+    down, up, weight, root, half_k = _theta_weights(l_max)
+    col = (-1,) + (1,) * tb.ndim
+    half = 0.5 * tb
+    # per-exponent power tables, each with a scalar exponent: numpy squares x ** 2
+    # as x*x but sends an exponent array through pow, which rounds differently
+    beta, alpha = (
+        np.array([x**k for k in range(2 * l_max + 1)]) * np.exp(half_k.reshape(col) * angle)
+        for x, angle in ((np.sin(half), pb - sb), (np.cos(half), -(pb + sb)))
+    )
+    # w_lm meets the moduli first: w_lm sqrt(2l+1) overflows at l = 1026, and beta^d alpha^u can be subnormal
+    coeffs = beta[down] * weight.reshape(col)
+    coeffs *= alpha[up]
+    coeffs *= root.reshape(col)
+    return coeffs
+
+
+@dataclass(frozen=True, eq=False)
+class AngularFactor:
+    """A channel vector and, per shell k, W_k = sum |coeffs[:(k+1)^2]|^2 and max |coeffs[:(k+1)^2]|; read-only."""
+
+    coeffs: np.ndarray
+    shell_weights: np.ndarray
+    shell_peaks: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def angular_cs(n: int, omega_bar: EulerAngles) -> np.ndarray:
+def angular_cs(n: int, omega_bar: EulerAngles) -> AngularFactor:
     """Shell-n angular-momentum coherent state at Euler angles omega_bar.
 
-    The (n+1)^2 channel coefficients A_lm e^{-i(m phi_bar + l psi_bar)}, in
-    channel order l^2 + l + m.  Not unit-normalized: the squared norm is the
-    shell dimension (n+1)^2.  Shell k <= n of a hydrogen state uses the first
-    (k+1)^2 entries, so each (n, omega_bar) is built once and shared, and
-    the array is read-only.
+    ``coeffs`` holds the (n+1)^2 channel coefficients A_lm e^{-i(m phi_bar + l psi_bar)}, in
+    channel order l^2 + l + m; the squared norm is the shell dimension (n+1)^2.  Shell k <= n of
+    a hydrogen state uses the first (k+1)^2 entries, so each (n, omega_bar) is built once, with
+    its shell weights and peaks, and shared.
     """
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
     coeffs = _channel_coefficients(n, omega_bar.theta_bar, omega_bar.phi_bar, omega_bar.psi_bar)
-    coeffs.flags.writeable = False
-    return coeffs
+    modulus = np.abs(coeffs)
+    # max is exact, so the running max over shell blocks l^2.. has the bits of one over channels
+    peaks = np.maximum.accumulate(np.maximum.reduceat(modulus, np.arange(n + 1) ** 2))
+    factor = AngularFactor(coeffs, np.cumsum(modulus**2)[np.arange(1, n + 2) ** 2 - 1], peaks)
+    for array in vars(factor).values():
+        array.flags.writeable = False
+    return factor
+
+
+def spin_direction_error(n: int, omega_bar: EulerAngles) -> float:
+    """Largest |<L> - l n_hat| / l over the channel-l blocks 1 <= l <= n of ``angular_cs(n, omega_bar)``.
+
+    Block l over sqrt(2l+1) is the spin-l coherent state along the label's
+    direction n_hat = (sin tb cos pb, sin tb sin pb, cos tb) (Radcliffe,
+    J. Phys. A 4, 313 (1971)), so <L> = l n_hat.  <L_z> = sum_m m |c_m|^2 and
+    <L_+> = <L_x> + i <L_y> = sum_m conj(c_{m+1}) sqrt(l(l+1) - m(m+1)) c_m
+    come from the ladder operators alone; a sign slip in an azimuthal phase
+    turns <L> away from n_hat.  0.0 at n = 0, which has no l >= 1 block.
+    """
+    l, m = _channels(n)
+    c = angular_cs(n, omega_bar).coeffs / np.sqrt(2.0 * l + 1)
+    starts = np.arange(n + 1) ** 2
+    # the ladder factor is 0 at m = l, so no term pairs channels of two blocks
+    ladder = np.append(np.conj(c[1:]) * np.sqrt(l * (l + 1.0) - m * (m + 1.0))[:-1] * c[:-1], 0.0)
+    raise_ = np.add.reduceat(ladder, starts)
+    moment = np.stack([raise_.real, raise_.imag, np.add.reduceat(m * np.abs(c) ** 2, starts)])
+    tb, pb = omega_bar.theta_bar, omega_bar.phi_bar
+    direction = np.array([math.sin(tb) * math.cos(pb), math.sin(tb) * math.sin(pb), math.cos(tb)])
+    ls = np.arange(1, n + 1)
+    miss = moment[:, 1:] - direction[:, None] * ls
+    return float(np.max(np.sqrt(np.sum(miss**2, axis=0)) / ls, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +212,7 @@ def angular_resolution_check(n: int) -> AngularResolutionReport:
         raise ValueError(f"shell index must be >= 0, got {n}")
     nodes = exactness_threshold(n)
     x_rule = make_quadrature("legendre", nodes)
-    a = _theta_factor(n, np.arccos(x_rule.nodes))  # (channel, theta node)
+    a = _channel_coefficients(n, np.arccos(x_rule.nodes), 0.0, 0.0).real  # A_lm: zero azimuths, phases 1
     l, m = _channels(n)
     # sin(theta_bar) d(theta_bar) / 2 is half the Legendre weight in cos(theta_bar)
     gram = 0.5 * (a * x_rule.weights) @ a.T * _difference_means(m, nodes) * _difference_means(l, nodes)

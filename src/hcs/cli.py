@@ -261,7 +261,14 @@ def _checks_angular(cfg, family, rng):
     for n in range(min(cfg.n_max, 6) + 1):
         rep = angular.angular_resolution_check(n)
         worst = max(worst, rep.max_identity_dev)
-    return [CheckResult.at_most("angular-resolution", worst, 1e-12, "shells n <= 6")]
+    n = min(cfg.n_max, 14)
+    labels = rng.uniform(low=(0.0, 0.0, 0.0), high=(math.pi, 2 * math.pi, 2 * math.pi), size=(10, 3))
+    # the phases m phi_bar round to about eps l 2 pi
+    coherence = max(angular.spin_direction_error(n, angular.EulerAngles(*ob)) for ob in labels.tolist())
+    return [
+        CheckResult.at_most("angular-resolution", worst, 1e-12, "shells n <= 6"),
+        CheckResult.at_most("angular-coherence", coherence, 1e-12, f"<L> = l n along 10 random labels, l <= {n}"),
+    ]
 
 
 def _checks_shell_norms(cfg, family, rng):
@@ -461,7 +468,7 @@ def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     """Trace rows (t, residual, autocorrelation) and the exit code.
 
     The state is built once.  Each time evolves it, builds the shifted
-    label's state and compares the two shell by shell; the autocorrelation
+    label's amplitudes and compares the two shell by shell; the autocorrelation
     <x|x(t)> / <x|x> sums the shells' squared norms times their phases.  A
     row whose residual passes RESIDUAL_EPS_PER_RAD eps max(1, |gamma +
     omega t|) is named on stderr, and the code is 1.
@@ -472,12 +479,11 @@ def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     shell_norms = state.shell_norms()
     norm_sq = float(np.sum(shell_norms))
     spectrum = fock1d.Spectrum("inverse-square", cfg.omega)
-    peaks = hydrogen._shell_peaks(state)
     rows, code = [], EXIT_OK
     for t in cfg.times:
         phases = spectrum.evolution_phases(cfg.n_max + 1, t)
-        shifted = hydrogen.hydrogen_cs(label.shifted(cfg.omega, t), family, cfg.n_max, check_tail=False)
-        residual = hydrogen._coefficient_residual(state.phased(phases), shifted, peaks)
+        shifted = fock1d.degen_cs(label.s, label.shifted(cfg.omega, t).gamma, family, cfg.n_max, check_tail=False)
+        residual = hydrogen._coefficient_residual(state.phased(phases), shifted)
         auto = complex(np.sum(shell_norms * phases)) / norm_sq
         rows.append((float(t), residual, auto.real, auto.imag, abs(auto)))
         bound = RESIDUAL_EPS_PER_RAD * _EPS * max(1.0, abs(cfg.gamma + cfg.omega * t))

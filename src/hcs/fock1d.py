@@ -11,6 +11,7 @@ multiplies it by ``Spectrum.evolution_phases``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,11 +63,18 @@ class Spectrum:
         For the oscillator the angle omega*t is reduced mod 2*pi first, so
         evolution by an exact period is the exact identity on coefficients.
         """
-        n = np.arange(count)
         if self.kind == "oscillator":
             w = math.remainder(self.omega * t, _TWO_PI)
-            return np.exp(-1j * w * n)
-        return np.exp(1j * ((self.omega * t) / (n + 1.0) ** 2))
+            return np.exp(-1j * w * np.arange(count))
+        return np.exp(1j * ((self.omega * t) / _level_squares(count)))
+
+
+@functools.lru_cache(maxsize=8)
+def _level_squares(count: int) -> np.ndarray:
+    """(n + 1.0)^2 for n < count: the shell degeneracies; built once per count, read-only."""
+    squares = (np.arange(count) + 1.0) ** 2
+    squares.flags.writeable = False
+    return squares
 
 
 def tail_guard(weights: np.ndarray, radius: float, what: str) -> None:

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import (
+    AngularFactor,
     AngularResolutionReport,
     EulerAngles,
     angular_cs,
     angular_resolution_check,
     shell_dimension,
 )
-from .fock1d import ResolutionReport, Spectrum, degen_cs, resolution_check_1d, tail_guard
+from .fock1d import ResolutionReport, Spectrum, _level_squares, degen_cs, resolution_check_1d, tail_guard
 from .specfun import logsumexp
 from .weights import WeightFamily
 
@@ -48,11 +49,6 @@ def shell_offset(n: int) -> int:
 def total_dimension(n_max: int) -> int:
     """Dimension of the truncated basis with shells 0..n_max."""
     return shell_offset(n_max + 1)
-
-
-def _last_channels(n_max: int) -> np.ndarray:
-    """Channel index (n+1)^2 - 1 where shell n's channels end, for n <= n_max."""
-    return (np.arange(n_max + 1) + 1) ** 2 - 1
 
 
 @dataclass(frozen=True)
@@ -83,43 +79,30 @@ class HydrogenLabel:
 class HydrogenExpansion:
     """A coherent state over basis states (n, l, m), shells 0..n_max, as its two factors.
 
-    Shell n is the amplitude amps[n] times the first (n+1)^2 entries of
-    ``angular``, one shell coherent state's channel vector A_lm in channel
-    order (l ascending, m ascending within l).  Both arrays are read-only;
-    ``angular`` is shared by every state with the same Euler angles.
+    Shell n is amps[n] times the first (n+1)^2 entries of ``angular.coeffs``, one shell coherent
+    state's channel vector A_lm in channel order (l ascending, m ascending within l).  Both are
+    read-only; ``angular`` is the ``angular_cs`` entry shared by every state with the same angles.
     """
 
     n_max: int
     amps: np.ndarray
-    angular: np.ndarray
+    angular: AngularFactor
 
     def __post_init__(self):
-        for name, size in (("amps", self.n_max + 1), ("angular", shell_dimension(self.n_max))):
-            array = np.ascontiguousarray(getattr(self, name), dtype=complex)
-            if array.shape != (size,):
-                raise ValueError(f"{name} must have shape ({size},), got {array.shape}")
-            if array.flags.writeable:  # a read-only view; a shared read-only factor stays itself
-                array = array.view()
-                array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        amps = np.ascontiguousarray(self.amps, dtype=complex).view()
+        amps.flags.writeable = False
+        if amps.shape != (self.n_max + 1,) or self.angular.coeffs.shape != (shell_dimension(self.n_max),):
+            raise ValueError(f"amps and angular must be of shell {self.n_max}, got {amps.shape} amplitudes")
+        object.__setattr__(self, "amps", amps)
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The flat coefficient vector, built on demand: index shell_offset(n) + l^2 + l + m.
-
-        One scalar-by-slice product amps[n] * angular[:(n+1)^2] per shell.
-        """
-        coeffs = np.empty(total_dimension(self.n_max), dtype=complex)
-        start = 0
-        for n in range(self.n_max + 1):
-            d = shell_dimension(n)
-            np.multiply(self.amps[n], self.angular[:d], out=coeffs[start : start + d])
-            start += d
-        return coeffs
+        """The flat vector, index shell_offset(n) + l^2 + l + m: amps[n] * angular.coeffs[:(n+1)^2] per shell."""
+        return np.concatenate([a * self.angular.coeffs[: shell_dimension(n)] for n, a in enumerate(self.amps)])
 
     def shell_norms(self) -> np.ndarray:
-        """|amps[n]|^2 W_n per shell, W_n the sum of |angular|^2 over the shell's (n+1)^2 channels."""
-        return np.abs(self.amps) ** 2 * np.cumsum(np.abs(self.angular) ** 2)[_last_channels(self.n_max)]
+        """|amps[n]|^2 W_n per shell, W_n the sum of |A_ch|^2 over the shell's (n+1)^2 channels."""
+        return np.abs(self.amps) ** 2 * self.angular.shell_weights
 
     def norm_squared(self) -> float:
         return float(np.sum(self.shell_norms()))
@@ -141,8 +124,7 @@ def hydrogen_cs(
     """
     amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False)
     if check_tail:
-        shell_weights = np.abs(amps) ** 2 * (np.arange(n_max + 1) + 1.0) ** 2
-        tail_guard(shell_weights, label.s, f"hydrogen_cs at s={label.s}")
+        tail_guard(np.abs(amps) ** 2 * _level_squares(n_max + 1), label.s, f"hydrogen_cs at s={label.s}")
     return HydrogenExpansion(n_max, amps, angular_cs(n_max, label.omega_bar))
 
 
@@ -156,21 +138,13 @@ def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExp
     return x.phased(phases)
 
 
-def _shell_peaks(x: HydrogenExpansion) -> np.ndarray:
-    """max |angular| over each shell's (n+1)^2 channels, for n <= n_max."""
-    return np.maximum.accumulate(np.abs(x.angular))[_last_channels(x.n_max)]
+def _coefficient_residual(x: HydrogenExpansion, amps: np.ndarray) -> float:
+    """max |x - y| over the (n, l, m) coefficients, y the state of shell amplitudes amps and x's angular factor.
 
-
-def _coefficient_residual(x: HydrogenExpansion, y: HydrogenExpansion, peaks: np.ndarray) -> float:
-    """max |x - y| over the (n, l, m) coefficients of two states with one angular factor.
-
-    Shell n differs by (amps_x[n] - amps_y[n]) angular[:(n+1)^2], so the
-    maximum is max_n |amps_x[n] - amps_y[n]| times peaks[n], the largest
-    |angular| entry of the shell (``_shell_peaks``), without the roundoff
-    of forming the coefficients.  Both states must carry the factor the
-    peaks were taken from.
+    Shell n differs by (x.amps[n] - amps[n]) A[:(n+1)^2], so the maximum is |x.amps[n] - amps[n]|
+    times the shell's peak max |A_ch|, without the roundoff of forming the coefficients.
     """
-    return float(np.max(np.abs(x.amps - y.amps) * peaks))
+    return float(np.max(np.abs(x.amps - amps) * x.angular.shell_peaks))
 
 
 def hydrogen_stability_residual(
@@ -179,13 +153,12 @@ def hydrogen_stability_residual(
     """Max coefficient deviation between evolution and the gamma shift.
 
     This is an exact label identity; the residual is pure roundoff and
-    scales like eps * |gamma + omega t|.  The evolved and shifted states
-    share one angular factor, so only their shell amplitudes are compared
-    (``_coefficient_residual``).
+    scales like eps * |gamma + omega t|.  The evolved and shifted states share one angular factor,
+    so only their shell amplitudes, the shifted ones from ``degen_cs``, are compared.
     """
     state = hydrogen_cs(label, family, n_max, check_tail=False)
-    shifted = hydrogen_cs(label.shifted(omega, t), family, n_max, check_tail=False)
-    return _coefficient_residual(evolve_hydrogen(state, omega, t), shifted, _shell_peaks(state))
+    amps = degen_cs(label.s, label.shifted(omega, t).gamma, family, n_max, check_tail=False)
+    return _coefficient_residual(evolve_hydrogen(state, omega, t), amps)
 
 
 def state_norm(label: HydrogenLabel, family: WeightFamily, n_max: int) -> float:
@@ -266,7 +239,7 @@ def hydrogen_resolution_check(
     )
     # largest |angular entry| in each leading block gram[:d_a, :d_b], with
     # the operator diagonal left out of same-shell blocks
-    ends = _last_channels(n_max)
+    ends = np.arange(1, n_max + 2) ** 2 - 1  # where each shell's channels end
     magnitude = np.abs(ang.gram)
     block_peak = _leading_block_max(magnitude)[np.ix_(ends, ends)]
     np.fill_diagonal(magnitude, 0.0)

@@ -64,7 +64,7 @@ class GridSpec:
 
 
 def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
-    """g[ch, :] = angular[ch] R_l, R_l = sum over shells n >= l of amps[n] table[n, l, :].
+    """g[ch, :] = A[ch] R_l, R_l = sum over shells n >= l of amps[n] table[n, l, :].
 
     ``table`` is a radial table of shape (shell, l, r) from radial_table,
     zero for l > n, so all radial profiles R_l come from one real
@@ -74,7 +74,7 @@ def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
     parts = table.reshape(shells, -1).T @ x.amps.view(float).reshape(-1, 2)  # (l r, re/im)
     profiles = parts.view(complex).reshape(channels, points)
     g = np.repeat(profiles, 2 * np.arange(channels) + 1, axis=0)
-    g *= x.angular[:, None]
+    g *= x.angular.coeffs[:, None]
     return g
 
 

@@ -178,7 +178,11 @@ def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np
     n, l = np.asarray(n), np.asarray(l)
     shell, col = n[..., None], l[..., None]  # (1,) for one value, (rows, 1) per row
     z = 2.0 * r / (shell + 1)
-    p, count = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, z)
+    # past z = 2^_RESCALE_BITS one recurrence step may grow by more than a rescaling absorbs, but
+    # e^{-z/2} there puts u below the least double: the recurrence runs at the clamped z, past
+    # every zero of L_k too, so u is the exact 0 with the sign of L_k(z); the copy is made only then
+    far = 2.0**_RESCALE_BITS
+    p, count = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, np.minimum(z, far) if np.max(z, initial=0.0) > far else z)
     # math.log per shell and l, looked up per row: the same bits for every caller
     log_fact = np.array([log_factorial(2 * k + 1) for k in range(int(l.max()) + 1)])[col]
     shells = range(int(n.max()) + 1)

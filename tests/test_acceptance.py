@@ -93,7 +93,7 @@ def test_criterion_05_degeneracy_bookkeeping():
             ob = EulerAngles(
                 rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
             )
-            assert abs(float(np.sum(np.abs(angular_cs(n, ob)) ** 2)) - target) <= 1e-12
+            assert abs(float(np.sum(np.abs(angular_cs(n, ob).coeffs) ** 2)) - target) <= 1e-12
     _report(5, "shell dimension and norm^2 both equal (n+1)^2 for n <= 6, 100 random labels")
 
 

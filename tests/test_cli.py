@@ -140,6 +140,26 @@ class TestVerify:
         assert report["n_max"] == 24
         assert all(c["pass"] for c in report["checks"])
 
+    def test_azimuth_flipped_mutant_fails_the_report(self, monkeypatch):
+        # a flipped azimuth keeps every norm and Gram entry; only angular-coherence sees it
+        from hcs import angular, cli
+
+        original = angular._channel_coefficients
+
+        def flipped(l_max, theta_bar, phi_bar, psi_bar):
+            return original(l_max, theta_bar, -np.asarray(phi_bar), psi_bar)
+
+        monkeypatch.setattr(angular, "_channel_coefficients", flipped)
+        angular.angular_cs.cache_clear()
+        try:
+            report, code = cli.run_verify(_build_config("verify", {}, {"seed": 0}))
+        finally:
+            angular.angular_cs.cache_clear()
+        assert code == 1
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["angular-coherence"]
+        assert failed[0]["measured"] > 1.0
+
     def test_shell_norm_labels_are_the_scalar_draws(self, monkeypatch):
         from hcs import angular, cli
 
@@ -498,9 +518,9 @@ class TestEvolve:
         residual = hydrogen._coefficient_residual
         calls = []
 
-        def breach_at_one(evolved, shifted, peaks):  # the third time, t = 1
+        def breach_at_one(*args):  # the third time, t = 1
             calls.append(None)
-            return 1e-9 if len(calls) == 3 else residual(evolved, shifted, peaks)
+            return 1e-9 if len(calls) == 3 else residual(*args)
 
         monkeypatch.setattr(hydrogen, "_coefficient_residual", breach_at_one)
         out = tmp_path / "evolve.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -320,6 +321,28 @@ class TestRadialOracle:
         # radii at 0, 1/3, 2/3 and 1 of 3(n+1)^2 for shells spread over 0..200
         r = np.unique([3.0 * (n + 1) ** 2 * q for n in range(0, 201, 50) for q in (0, 1 / 3, 2 / 3, 1)])
         assert np.all(np.isfinite(radial_table(200, r)))
+
+    @pytest.mark.parametrize("n", [0, 10, 600, 1026])
+    def test_far_radii_are_signed_zeros(self, n):
+        # e^{-r/(n+1)} is far below the least double there; the recurrence used to overflow and give nan
+        far = np.array([1e126, 1e150, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (0, n // 2, n):
+                u = radial_eigenfunction(n, l, far)
+                assert np.all(u == 0.0), (n, l)
+                # past every zero of L_k the polynomial, and so the zero, has the sign (-1)^k
+                assert np.all(np.signbit(u) == bool((n - l) % 2)), (n, l)
+
+    def test_far_radii_leave_near_values_alone(self):
+        # far radii in the same call used to overflow, and the nan they left in the rescaling
+        # test held back the rescaling of every other radius
+        near = np.array([1.0, 4.49e4, 2.06e5, 5e5])
+        for n in (200, 600):
+            for l in (0, 7, n):
+                alone = radial_eigenfunction(n, l, near)
+                mixed = radial_eigenfunction(n, l, np.concatenate([near, [1e126, 1e150, 1e300]]))
+                assert mixed[: near.size].tobytes() == alone.tobytes(), (n, l)
 
     def test_table_rows_equal_single_functions(self):
         r = np.linspace(0.0, 120.0, 57)
