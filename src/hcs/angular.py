@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .specfun import log_factorial, make_quadrature
+from .fock1d import _level_squares
+from .specfun import _log_factorials, make_quadrature
 
 __all__ = [
     "EulerAngles",
@@ -70,23 +71,27 @@ def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return l, m
 
 
-@functools.lru_cache(maxsize=8)
-def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
-    """(l - m, l + m, sqrt_binomial_weight, sqrt(2l+1)) per channel l <= l_max, and i k/2 per power k <= 2 l_max.
-
-    Built once, read-only.  One log-factorial table, the same subtraction
-    order and math.exp keep every weight bit-identical to sqrt_binomial_weight.
-    """
+def _binomial_weights(l_max: int, l: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """sqrt_binomial_weight(l, up - l) per entry, l <= l_max, bit for bit: its log factorials, order and math.exp."""
     if l_max > _MAX_SHELL:
         raise ConfigurationError(
             f"shell {l_max} is past {_MAX_SHELL}, the last shell whose angular weights "
             "sqrt((2l)!/((l+m)!(l-m)!)) are finite doubles"
         )
+    log_fact = _log_factorials(2 * l_max + 1)
+    down = 2 * l - up
+    exponent = 0.5 * (log_fact[2 * l] - log_fact[np.maximum(up, down)] - log_fact[np.minimum(up, down)])
+    return np.fromiter(map(math.exp, exponent.ravel().tolist()), float, exponent.size).reshape(exponent.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
+    """(l - m, l + m, sqrt_binomial_weight, sqrt(2l+1)) per channel l <= l_max, and i k/2 per power k <= 2 l_max.
+
+    Built once, read-only.
+    """
     l, m = _channels(l_max)
-    log_fact = np.array([log_factorial(k) for k in range(2 * l_max + 1)])
-    exponent = 0.5 * (log_fact[2 * l] - log_fact[l + np.abs(m)] - log_fact[l - np.abs(m)])
-    weight = np.array([math.exp(v) for v in exponent.tolist()])
-    table = (l - m, l + m, weight, np.sqrt(2.0 * l + 1), 0.5j * np.arange(2 * l_max + 1))
+    table = (l - m, l + m, _binomial_weights(l_max, l, l + m), np.sqrt(2.0 * l + 1), 0.5j * np.arange(2 * l_max + 1))
     for column in table:
         column.flags.writeable = False
     return table
@@ -118,11 +123,19 @@ def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class AngularFactor:
-    """A channel vector and, per shell k, W_k = sum |coeffs[:(k+1)^2]|^2 and max |coeffs[:(k+1)^2]|; read-only."""
+    """Shell n at omega_bar: per shell k <= n, W_k = (k+1)^2 and max |coeffs[:(k+1)^2]|; coeffs built on first read."""
 
-    coeffs: np.ndarray
+    n: int
+    omega_bar: EulerAngles
     shell_weights: np.ndarray
     shell_peaks: np.ndarray
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        ob = self.omega_bar
+        coeffs = _channel_coefficients(self.n, ob.theta_bar, ob.phi_bar, ob.psi_bar)
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,19 +144,23 @@ def angular_cs(n: int, omega_bar: EulerAngles) -> AngularFactor:
 
     ``coeffs`` holds the (n+1)^2 channel coefficients A_lm e^{-i(m phi_bar + l psi_bar)}, in
     channel order l^2 + l + m; the squared norm is the shell dimension (n+1)^2.  Shell k <= n of
-    a hydrogen state uses the first (k+1)^2 entries, so each (n, omega_bar) is built once, with
-    its shell weights and peaks, and shared.
+    a hydrogen state uses the first (k+1)^2 entries, so each (n, omega_bar) is built once and
+    shared: its channel vector on first read, its shell weights and peaks here, in O(n).  The peak
+    of channel l is |A_lm| = w_lm sqrt(2l+1) sin^(2l-j) cos^j of theta_bar/2 at the mode of
+    |A_lm|^2/(2l+1), Binomial(2l, cos^2(theta_bar/2)) in j = l + m (Arecchi et al., Phys. Rev. A 6,
+    2211 (1972)): j = r - 1 and r, r = round((2l+1) cos^2), hold the mode and both modes of a tie,
+    which the vector's weights (error up to 1.5e-15 (l+1)) may break either way.
     """
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
-    coeffs = _channel_coefficients(n, omega_bar.theta_bar, omega_bar.phi_bar, omega_bar.psi_bar)
-    modulus = np.abs(coeffs)
-    # max is exact, so the running max over shell blocks l^2.. has the bits of one over channels
-    peaks = np.maximum.accumulate(np.maximum.reduceat(modulus, np.arange(n + 1) ** 2))
-    factor = AngularFactor(coeffs, np.cumsum(modulus**2)[np.arange(1, n + 2) ** 2 - 1], peaks)
-    for array in vars(factor).values():
-        array.flags.writeable = False
-    return factor
+    l = np.arange(n + 1)[:, None]
+    half = 0.5 * np.float64(omega_bar.theta_bar)
+    sin, cos = np.sin(half), np.cos(half)
+    up = np.minimum(np.maximum(np.rint((2 * l + 1) * (cos * cos)).astype(int) - np.arange(2), 0), 2 * l)
+    modulus = sin ** (2 * l - up) * _binomial_weights(n, l, up) * cos**up * np.sqrt(2.0 * l + 1)
+    peaks = np.maximum.accumulate(modulus.max(axis=1))
+    peaks.flags.writeable = False
+    return AngularFactor(n, omega_bar, _level_squares(n + 1), peaks)
 
 
 def spin_direction_error(n: int, omega_bar: EulerAngles) -> float:

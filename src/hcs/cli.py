@@ -43,7 +43,7 @@ PHASE_ACCURACY_RAD = 1e-6
 # radian of max(1, |gamma + omega t|); measured ratios stay below 0.56
 RESIDUAL_EPS_PER_RAD = 4.0
 _EPS = sys.float_info.epsilon
-# eval and evolve build one angular factor: its weight tables and
+# eval builds one angular channel vector: its weight tables and
 # temporaries, per channel (measured in estimated_bytes)
 _ANGULAR_BYTES_PER_CHANNEL = 160
 
@@ -180,26 +180,27 @@ def estimated_bytes(cfg: RunConfig) -> int:
 
     verify: six (n_max+1)^2-square float64 arrays, the angular Gram with its
     factors and the hydrogen report's block maxima (estimated 817 MiB at
-    n_max 64, where the peak RSS measured 734 MiB).  eval and evolve: the
-    angular factor's build, _ANGULAR_BYTES_PER_CHANNEL per channel (an
-    11-time evolve at n_max 700 / 1000 peaked 56 / 122 MiB above one at
-    n_max 0, against estimates of 75 / 153 MiB).  eval: psi, four int32
+    n_max 64, where the peak RSS measured 734 MiB).  evolve and moments:
+    none, their arrays are per shell (an 11-time evolve at n_max 1000 or
+    1026 peaked within 0.4 MiB of one at n_max 0).  eval: the angular channel
+    vector's build, _ANGULAR_BYTES_PER_CHANNEL per channel, psi, four int32
     grid codes and |psi|^2 (40 B per CSV row), the angular and radial
     tables (32 B per channel and angle or radius) and one block of CSV
-    text.  At n_max 24 this estimates 32.2 / 62.2 / 158.0 / 158.0 MiB for
-    262,144 and 1,048,576 rows (64x32x32 grid, 4 and 16 times), 8192 angles
-    and 8192 radii, where the child's peak RSS less that of a one-row run
-    measured 15.2 / 44.9 / 114.2 / 119.4 MiB.
+    text.  A one-point eval at n_max 700 / 1000 peaked 71 / 148 MiB above
+    one at n_max 0, against estimates of 105 / 214 MiB.  At n_max 24 this
+    estimates 32.2 / 62.2 / 158.0 / 158.0 MiB for 262,144 and 1,048,576
+    rows (64x32x32 grid, 4 and 16 times), 8192 angles and 8192 radii, where
+    the child's peak RSS less that of a one-row run measured 15.2 / 44.9 /
+    114.2 / 119.4 MiB.
     """
     if cfg.command == "verify":
         return 6 * 8 * (cfg.n_max + 1) ** 4
-    states = _ANGULAR_BYTES_PER_CHANNEL * (cfg.n_max + 1) ** 2 if cfg.command in ("eval", "evolve") else 0
     if cfg.command == "eval":
         angles, radii = len(cfg.grid_theta) * len(cfg.grid_phi), len(cfg.grid_r)
         rows = radii * angles * len(cfg.times)
-        tables = 32 * (cfg.n_max + 1) ** 2 * (angles + radii)
-        return states + 40 * rows + tables + 7 * _FIELD * min(rows, _CSV_BLOCK_ROWS)
-    return states
+        channel_bytes = (_ANGULAR_BYTES_PER_CHANNEL + 32 * (angles + radii)) * (cfg.n_max + 1) ** 2
+        return channel_bytes + 40 * rows + 7 * _FIELD * min(rows, _CSV_BLOCK_ROWS)
+    return 0
 
 
 def _resolve_family(name: str) -> weights.WeightFamily:
@@ -353,7 +354,8 @@ def _checks_parseval(cfg, family, rng):
     label = hydrogen.HydrogenLabel(1.0, 0.4, angular.EulerAngles(1.1, 0.7, 2.3))
     state = hydrogen.hydrogen_cs(label, family, n_max=8, check_tail=False)
     quad = position.quadrature_norm_squared(state, radial_nodes=cfg.radial_nodes)
-    coeff = state.norm_squared()
+    # summed over the flat vector: norm_squared() is the closed form sum |a_n|^2 (n+1)^2
+    coeff = float(np.sum(np.abs(state.coeffs) ** 2))
     closed = hydrogen.state_norm(label, family, 8) ** 2
     # relative, as quadrature_norm_squared promises: the norm squared is about 5 here
     measured = max(abs(quad - coeff), abs(coeff - closed)) / coeff

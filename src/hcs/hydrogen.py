@@ -91,7 +91,7 @@ class HydrogenExpansion:
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amps, dtype=complex).view()
         amps.flags.writeable = False
-        if amps.shape != (self.n_max + 1,) or self.angular.coeffs.shape != (shell_dimension(self.n_max),):
+        if amps.shape != (self.n_max + 1,) or self.angular.n != self.n_max:
             raise ValueError(f"amps and angular must be of shell {self.n_max}, got {amps.shape} amplitudes")
         object.__setattr__(self, "amps", amps)
 
@@ -101,7 +101,7 @@ class HydrogenExpansion:
         return np.concatenate([a * self.angular.coeffs[: shell_dimension(n)] for n, a in enumerate(self.amps)])
 
     def shell_norms(self) -> np.ndarray:
-        """|amps[n]|^2 W_n per shell, W_n the sum of |A_ch|^2 over the shell's (n+1)^2 channels."""
+        """|amps[n]|^2 W_n per shell, W_n = (n+1)^2 the squared norm of the shell's angular state."""
         return np.abs(self.amps) ** 2 * self.angular.shell_weights
 
     def norm_squared(self) -> float:

@@ -49,6 +49,14 @@ def log_factorial(k: int) -> float:
     return math.lgamma(k + 1.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _log_factorials(count: int) -> np.ndarray:
+    """log_factorial(k) for k < count; built once per count, read-only."""
+    table = np.array([log_factorial(k) for k in range(count)])
+    table.flags.writeable = False
+    return table
+
+
 def sqrt_binomial_weight(l: int, m: int) -> float:
     """Square root of the central binomial ratio (2l)! / ((l+m)!(l-m)!).
 
@@ -177,14 +185,13 @@ def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np
         raise ValueError("radius must be >= 0")
     n, l = np.asarray(n), np.asarray(l)
     shell, col = n[..., None], l[..., None]  # (1,) for one value, (rows, 1) per row
-    z = 2.0 * r / (shell + 1)
     # past z = 2^_RESCALE_BITS one recurrence step may grow by more than a rescaling absorbs, but
-    # e^{-z/2} there puts u below the least double: the recurrence runs at the clamped z, past
-    # every zero of L_k too, so u is the exact 0 with the sign of L_k(z); the copy is made only then
-    far = 2.0**_RESCALE_BITS
-    p, count = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, np.minimum(z, far) if np.max(z, initial=0.0) > far else z)
+    # e^{-z/2} there puts u below the least double: r is clamped to z = 2^_RESCALE_BITS, past every
+    # zero of L_k, so u is the exact 0 with the sign of L_k(z), and 2r stays finite up to the largest double
+    z = 2.0 * np.minimum(r, 2.0 ** (_RESCALE_BITS - 1) * (shell + 1)) / (shell + 1)
+    p, count = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, z)
     # math.log per shell and l, looked up per row: the same bits for every caller
-    log_fact = np.array([log_factorial(2 * k + 1) for k in range(int(l.max()) + 1)])[col]
+    log_fact = _log_factorials(2 * int(l.max()) + 2)[2 * col + 1]
     shells = range(int(n.max()) + 1)
     lead = np.array([1.5 * math.log(2.0 / (s + 1)) for s in shells])[shell]
     half = np.array([math.log(2.0 * (s + 1)) for s in shells])[shell]

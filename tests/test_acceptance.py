@@ -128,7 +128,7 @@ def test_criterion_08_position_space_parseval():
     label = HydrogenLabel(1.0, 0.0, EulerAngles(1.1, 0.7, 2.3))
     state = hydrogen_cs(label, EXPONENTIAL, 8, check_tail=False)
     quad = quadrature_norm_squared(state, radial_nodes=96)
-    coeff = state.norm_squared()
+    coeff = float(np.sum(np.abs(state.coeffs) ** 2))
     closed = math.exp(-1.0) * sum((n + 1) ** 2 / math.factorial(n) for n in range(9))
     assert abs(quad - coeff) <= 1e-8
     assert abs(coeff - closed) <= 1e-8

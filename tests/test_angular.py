@@ -120,15 +120,26 @@ class TestAngularCS:
                     error = _block_error(coeffs[l * l : (l + 1) ** 2].tolist(), _mp_block(l, ob))
                     assert error <= 1.534e-15 * (l + 1), (l, ob)
 
-    @pytest.mark.parametrize("n", [0, 1, 48, 1026])
+    @pytest.mark.parametrize("n", [0, 1, 2, 48, 300, 1026])
     def test_cached_shell_weights_and_peaks(self, n):
+        # W_k is the paper's (k+1)^2, and the two mode channels of each l give the brute-force peak
         ends = (np.arange(n + 1) + 1) ** 2 - 1
-        for ob in (EulerAngles(1.1, 0.7, 2.3), EulerAngles(0.0, 0.0, 0.0), EulerAngles(math.pi / 2, 6.2, 6.2)):
+        rng = np.random.default_rng([n, 28])
+        labels = [EulerAngles(*v) for v in rng.uniform((0, 0, 0), (math.pi, 2 * math.pi, 2 * math.pi), (50, 3))]
+        labels += [EulerAngles(0.0, 0.7, 2.3), EulerAngles(math.pi, 0.7, 2.3)]
+        # ties of the mode: (2l+1) cos^2(theta_bar/2) = k, where channels k and k - 1 weigh the same
+        for l in sorted({min(n, 1), n // 2, n} - {0}):
+            labels += [EulerAngles(2 * math.acos(math.sqrt(k / (2 * l + 1))), 0.7, 2.3) for k in (1, l, 2 * l)]
+        squares = (np.arange(n + 1) + 1.0) ** 2
+        for ob in labels:
             factor = angular_cs(n, ob)
             modulus = np.abs(factor.coeffs)
-            assert factor.shell_weights.tobytes() == np.cumsum(modulus**2)[ends].tobytes()
-            assert factor.shell_peaks.tobytes() == np.maximum.accumulate(modulus)[ends].tobytes()
+            assert factor.shell_weights.tobytes() == squares.tobytes()
+            assert np.max(np.abs(np.cumsum(modulus**2)[ends] / squares - 1.0)) <= 1e-12, ob
+            brute = np.maximum.accumulate(modulus)[ends]
+            assert np.max(np.abs(factor.shell_peaks / brute - 1.0)) <= 4 * np.finfo(float).eps, ob
             assert not any(a.flags.writeable for a in (factor.coeffs, factor.shell_weights, factor.shell_peaks))
+        angular_cs.cache_clear()
 
     def test_shell_zero(self):
         shell = angular_cs(0, EulerAngles(1.0, 2.0, 3.0)).coeffs

@@ -279,6 +279,47 @@ def test_operator_tables_built_once_per_n_max(exponential, monkeypatch):
     assert builds == [12]
 
 
+def test_state_pipeline_builds_no_channel_vector(exponential, monkeypatch):
+    # the library pipeline reads the angular factor's closed-form weights and O(n) peaks only
+    from hcs import angular
+    from hcs.hydrogen import hydrogen_stability_residual, state_norm
+
+    def refuse(*args):
+        raise AssertionError("the channel vector was built")
+
+    monkeypatch.setattr(angular, "_channel_coefficients", refuse)
+    angular_cs.cache_clear()
+    try:
+        label = HydrogenLabel(1.3, 0.4, EulerAngles(1.1, 0.7, 2.3))
+        state = hydrogen_cs(label, exponential, 48)
+        evolved = evolve_hydrogen(state, 1.2, 2.5)
+        assert hydrogen_stability_residual(label, exponential, 1.2, 2.5, 48) <= 5e-15
+        closed = state_norm(label, exponential, 48) ** 2
+        for x in (state, evolved):
+            assert abs(x.norm_squared() - closed) <= 1e-12 * closed
+        assert radial_uncertainty_product(evolved) >= 0.25
+    finally:
+        angular_cs.cache_clear()
+
+
+def test_export_builds_the_channel_vector_once_per_label(exponential, monkeypatch):
+    from hcs import angular
+
+    builds = []
+    coefficients = angular._channel_coefficients
+    monkeypatch.setattr(angular, "_channel_coefficients", lambda *args: builds.append(args) or coefficients(*args))
+    angular_cs.cache_clear()
+    try:
+        grid = GridSpec((0.5, 2.0), (1.2,), (0.3,))
+        for angles in (ANGLES, EulerAngles(0.3, 2.0, 5.1)):
+            for s in (0.4, 0.8):
+                x = hydrogen_cs(HydrogenLabel(s, 0.3, angles), exponential, 12, check_tail=False)
+                export_density_grid(x, grid, [0.0, 1.0, 2.5])
+        assert [args[0] for args in builds] == [12, 12]
+    finally:
+        angular_cs.cache_clear()
+
+
 def _mpmath_pair_integrals(l, a, b):
     """int u_a u_b r^3, int u_a u_b r^4, int h_a h_b' and int h_a' h_b' (h = r u) by 40-digit mpmath.quad."""
     with mp.workdps(40):

@@ -325,7 +325,8 @@ class TestRadialOracle:
     @pytest.mark.parametrize("n", [0, 10, 600, 1026])
     def test_far_radii_are_signed_zeros(self, n):
         # e^{-r/(n+1)} is far below the least double there; the recurrence used to overflow and give nan
-        far = np.array([1e126, 1e150, 1e300])
+        # 1.7e308 passes half the largest double, where 2 r used to overflow to inf and u to nan
+        far = np.array([1e126, 1e150, 1e300, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for l in (0, n // 2, n):
