@@ -43,9 +43,6 @@ PHASE_ACCURACY_RAD = 1e-6
 # radian of max(1, |gamma + omega t|); measured ratios stay below 0.56
 RESIDUAL_EPS_PER_RAD = 4.0
 _EPS = sys.float_info.epsilon
-# eval builds one angular channel vector: its weight tables and
-# temporaries, per channel (measured in estimated_bytes)
-_ANGULAR_BYTES_PER_CHANNEL = 160
 
 _DEFAULT_N_MAX = {"verify": 8, "moments": 12, "eval": 24, "evolve": 24}
 _DEFAULT_OUT = {
@@ -182,24 +179,26 @@ def estimated_bytes(cfg: RunConfig) -> int:
     factors and the hydrogen report's block maxima (estimated 817 MiB at
     n_max 64, where the peak RSS measured 734 MiB).  evolve and moments:
     none, their arrays are per shell (an 11-time evolve at n_max 1000 or
-    1026 peaked within 0.4 MiB of one at n_max 0).  eval: the angular channel
-    vector's build, _ANGULAR_BYTES_PER_CHANNEL per channel, psi, four int32
-    grid codes and |psi|^2 (40 B per CSV row), the angular and radial
-    tables (32 B per channel and angle or radius) and one block of CSV
-    text.  A one-point eval at n_max 700 / 1000 peaked 71 / 148 MiB above
-    one at n_max 0, against estimates of 105 / 214 MiB.  At n_max 24 this
-    estimates 32.2 / 62.2 / 158.0 / 158.0 MiB for 262,144 and 1,048,576
-    rows (64x32x32 grid, 4 and 16 times), 8192 angles and 8192 radii, where
-    the child's peak RSS less that of a one-row run measured 15.2 / 44.9 /
-    114.2 / 119.4 MiB.
+    1026 peaked within 0.4 MiB of one at n_max 0).  eval: the power table of
+    xi (16 B per shell and angle), the radial table with its recurrence
+    temporaries (32 B per shell, l and radius) and recurrence coefficients
+    (48 B per shell and l), psi, four int32 grid codes and |psi|^2 (40 B per
+    CSV row) and one block of CSV text, with its concatenation and bytes.
+    A one-point eval at n_max 700 / 1000 peaked 30 / 66 MiB above one at
+    n_max 0, against estimates of 38 / 77 MiB.  At n_max 24 this estimates
+    15.6 / 45.6 / 7.4 / 160.5 MiB for 262,144 and 1,048,576 rows (64x32x32
+    grid, 4 and 16 times), 8192 angles and 8192 radii, where the child's peak
+    RSS less that of a one-row run measured 14.6 / 44.6 / 4.2 / 119.7 MiB;
+    at n_max 96 on 16x64x128 (131,072 rows) 26.1 against 15.9 MiB.
     """
     if cfg.command == "verify":
         return 6 * 8 * (cfg.n_max + 1) ** 4
     if cfg.command == "eval":
         angles, radii = len(cfg.grid_theta) * len(cfg.grid_phi), len(cfg.grid_r)
         rows = radii * angles * len(cfg.times)
-        channel_bytes = (_ANGULAR_BYTES_PER_CHANNEL + 32 * (angles + radii)) * (cfg.n_max + 1) ** 2
-        return channel_bytes + 40 * rows + 7 * _FIELD * min(rows, _CSV_BLOCK_ROWS)
+        shells = cfg.n_max + 1
+        tables = 16 * shells * angles + (32 * radii + 48) * shells**2
+        return tables + 40 * rows + 3 * 7 * _FIELD * min(rows, _CSV_BLOCK_ROWS)
     return 0
 
 
@@ -513,6 +512,9 @@ _CSV_BLOCK_ROWS = 4096
 _FIELD = 48
 # rows of _format_tables' patterns: 4-digit groups, leading digits, exponents
 _LEADS, _EXPONENTS = 10000, 10010 + 400
+# write_csv frees one array of this size first: under glibc's 32 MiB DEFAULT_MMAP_THRESHOLD_MAX,
+# past which a free moves no threshold
+_HEAP_PRIMER_BYTES = 16 * 2**20
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,12 +538,13 @@ def _format_tables() -> tuple[np.ndarray, ...]:
         p, q = (num / den).as_integer_ratio()
         pow10[:, j + 300] = num / den, (num * q - p * den) / (den * q)
     k = np.arange(-400, 401)
-    groups = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint8).reshape(-1, 4)
+    # ASCII digits by integer arithmetic: "%04d" of each group, "%+04d" of each exponent
+    groups = 48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     patterns = np.full((_EXPONENTS + 401, 8), 255, np.uint8)
     patterns[:_LEADS, ::2] = groups
     patterns[_LEADS : _LEADS + 10, 6] = np.arange(48, 58)
-    exponents = np.frombuffer("".join(f"{j:+04d}" for j in k).encode(), np.uint8)
-    patterns[_LEADS + 10 :, :4] = exponents.reshape(-1, 4)
+    patterns[_LEADS + 10 :, 0] = np.where(k < 0, 45, 43)  # "-", "+"
+    patterns[_LEADS + 10 :, 1:4] = 48 + np.abs(k)[:, None] // np.array([100, 10, 1]) % 10
     ends = np.full(_LEADS + 10, 3, np.int16)
     ends[:_LEADS] = np.where(groups[:, ::-1] != 48, np.arange(3, -1, -1), -99).max(axis=1)
     kinds = 17 * np.where((k >= -4) & (k < 17), k + 4, 21 + (np.abs(k) >= 100))
@@ -645,6 +648,11 @@ def write_csv(path, header, columns) -> None:
     levels = {j: _level_text(c[0]) for j, c in enumerate(columns) if isinstance(c, tuple)}
     plain = [c for j, c in enumerate(columns) if j not in levels]
     n_rows = len(columns[0][1] if 0 in levels else columns[0])
+    # glibc raises its mmap threshold to the size of a freed mmapped chunk and its trim
+    # threshold to twice that (mallopt(3), "dynamic mmap threshold"): this untouched array,
+    # freed at once, keeps every block's temporaries on reused heap pages whatever the caller
+    # freed before.  Its pages are never touched, and other allocators just free it.
+    np.empty(_HEAP_PRIMER_BYTES, np.uint8)
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())

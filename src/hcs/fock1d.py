@@ -128,7 +128,11 @@ def _weighted_amplitudes(r: float, family: WeightFamily, n_max: int) -> np.ndarr
 def generalized_cs(
     r: float, theta: float, family: WeightFamily, n_max: int, check_tail: bool = True
 ) -> np.ndarray:
-    """Moment-weight coherent state: c_n = M(r^2) r^n e^{i n theta} / sqrt(rho_n)."""
+    """Moment-weight coherent state: c_n = M(r^2) r^n e^{i n theta} / sqrt(rho_n).
+
+    ``check_tail`` applies the truncation guard and, for a family without a
+    closed form, the tail rule of its normalization series at r^2.
+    """
     if r < 0:
         raise ValueError(f"radial label must be >= 0, got r={r}")
     if n_max < 0:
@@ -136,6 +140,7 @@ def generalized_cs(
     n = np.arange(n_max + 1)
     coeffs = _weighted_amplitudes(r, family, n_max) * np.exp(1j * n * theta)
     if check_tail:
+        family.check_series_tail(r * r)
         tail_guard(np.abs(coeffs) ** 2, r, "generalized_cs")
     return coeffs
 
@@ -147,6 +152,7 @@ def degen_cs(
 
     c_n = M(s^2) s^n e^{i gamma/(n+1)^2} / sqrt(rho_n); gamma is unbounded
     because the frequencies 1/(n+1)^2 are incommensurate with 2*pi.
+    ``check_tail`` guards as in ``generalized_cs``.
     """
     if s < 0:
         raise ValueError(f"radial label must be >= 0, got s={s}")
@@ -155,6 +161,7 @@ def degen_cs(
     phases = Spectrum("inverse-square").evolution_phases(n_max + 1, gamma)  # e^{i gamma/(n+1)^2}
     coeffs = _weighted_amplitudes(s, family, n_max) * phases
     if check_tail:
+        family.check_series_tail(s * s)
         tail_guard(np.abs(coeffs) ** 2, s, "degen_cs")
     return coeffs
 

@@ -119,11 +119,14 @@ def hydrogen_cs(
 
     The shell amplitudes are the degenerate-spectrum coefficients of
     ``degen_cs``.  The tail-adequacy guard requires the last shell to carry
-    at most TAIL_TOL of the total weight; pass ``check_tail=False`` when
+    at most TAIL_TOL of the total weight, and a family without a closed
+    form to have converged its normalization series at s^2
+    (``WeightFamily.check_series_tail``); pass ``check_tail=False`` when
     comparing identically truncated vectors, where adequacy is irrelevant.
     """
     amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False)
     if check_tail:
+        family.check_series_tail(label.s * label.s)
         tail_guard(np.abs(amps) ** 2 * _level_squares(n_max + 1), label.s, f"hydrogen_cs at s={label.s}")
     return HydrogenExpansion(n_max, amps, angular_cs(n_max, label.omega_bar))
 

@@ -1,7 +1,10 @@
 """Configuration-space evaluation of hydrogen coherent states.
 
 Wavefunctions are assembled from the radial eigenfunctions and spherical
-harmonics, organized by (l, m) channel.  Radial expectation values and
+harmonics, organized by (l, m) channel; the density export instead sums
+n_max + 1 radial profiles times powers of one complex number per angle,
+since each channel of a shell coherent state is a spin coherent state.
+Radial expectation values and
 the radial uncertainty product are quadratic forms in the shell
 amplitudes of a coherent state: coefficients sharing a channel interfere
 across shells, channels add incoherently after the exact angular
@@ -63,8 +66,8 @@ class GridSpec:
             raise ValueError("azimuth angles must lie in [0, 2*pi)")
 
 
-def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
-    """g[ch, :] = A[ch] R_l, R_l = sum over shells n >= l of amps[n] table[n, l, :].
+def _radial_profiles(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
+    """R[l, :] = sum over shells n >= l of amps[n] table[n, l, :], one row per l.
 
     ``table`` is a radial table of shape (shell, l, r) from radial_table,
     zero for l > n, so all radial profiles R_l come from one real
@@ -72,8 +75,12 @@ def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
     """
     shells, channels, points = table.shape
     parts = table.reshape(shells, -1).T @ x.amps.view(float).reshape(-1, 2)  # (l r, re/im)
-    profiles = parts.view(complex).reshape(channels, points)
-    g = np.repeat(profiles, 2 * np.arange(channels) + 1, axis=0)
+    return parts.view(complex).reshape(channels, points)
+
+
+def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
+    """g[ch, :] = A[ch] R_l: the radial profiles repeated over m, times the channel vector."""
+    g = np.repeat(_radial_profiles(x, table), 2 * np.arange(table.shape[1]) + 1, axis=0)
     g *= x.angular.coeffs[:, None]
     return g
 
@@ -219,23 +226,52 @@ def radial_uncertainty_product(x: HydrogenExpansion) -> float:
     return float((r_sq - r_mean**2) * (p_sq - p_mean**2))
 
 
+def _xi_powers(x: HydrogenExpansion, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """P[l, a] = c_l xi_a^l for l <= n_max at the angles a of theta broadcast against phi, flattened.
+
+    Channel l of a shell coherent state is a spin-l coherent state, so its angular part
+    sum_m A_lm e^{-i(m phi_bar + l psi_bar)} Y_lm(n) is c_l xi^l, xi = v.n with the null vector
+    v = (beta^2 - alpha^2, -i(alpha^2 + beta^2), 2 alpha beta) of the label's spinor alpha =
+    cos(tb/2) e^{-i(pb+sb)/2}, beta = sin(tb/2) e^{i(pb-sb)/2} (Radcliffe, J. Phys. A 4, 313
+    (1971)).  c_l = sqrt(2l+1) K_l with K_l the normalization of Y_ll ~ (x+iy)^l: K_0 = 1/sqrt(4 pi),
+    K_l = K_(l-1) sqrt((2l+1)/(2l)).  |xi| <= 1, so the running product of the powers stays finite.
+    """
+    ob = x.angular.omega_bar
+    half = 0.5 * np.float64(ob.theta_bar)
+    alpha = np.cos(half) * np.exp(0.5j * -(ob.phi_bar + ob.psi_bar))
+    beta = np.sin(half) * np.exp(0.5j * (ob.phi_bar - ob.psi_bar))
+    vx, vy, vz = beta * beta - alpha * alpha, -1j * (alpha * alpha + beta * beta), 2.0 * alpha * beta
+    xi = (np.sin(theta) * (vx * np.cos(phi) + vy * np.sin(phi)) + vz * np.cos(theta)).reshape(-1)
+    l = np.arange(x.n_max + 1)
+    k = np.cumprod(np.append(1.0 / math.sqrt(4.0 * math.pi), np.sqrt((2.0 * l[1:] + 1) / (2.0 * l[1:]))))
+    powers = np.empty((l.size, xi.size), dtype=complex)
+    powers[0] = 1.0
+    for row in range(1, l.size):
+        np.multiply(powers[row - 1], xi, out=powers[row])
+    powers *= (np.sqrt(2.0 * l + 1) * k)[:, None]
+    return powers
+
+
 def export_density_grid(
     x: HydrogenExpansion, grid: GridSpec, t_values: Sequence[float], omega: float = 1.0
 ) -> np.ndarray:
     """Wavefunction samples psi on the grid at each time, one complex entry per CSV row.
 
     Each time evolves the state with ``evolve_hydrogen`` under the
-    spectrum -omega/(n+1)^2, which realizes the gamma shift.  The samples
-    run in deterministic t-major order, then r, theta, phi: entry i is the
-    sample at np.unravel_index(i, (T, R, Theta, Phi)).
+    spectrum -omega/(n+1)^2, which realizes the gamma shift, and forms
+    psi = sum_l c_l xi^l R_l(r, t) (``_xi_powers``, ``_radial_profiles``):
+    one (radii x l) by (l x angles) product, with no spherical-harmonic
+    table and no channel vector.  The samples run in deterministic
+    t-major order, then r, theta, phi: entry i is the sample at
+    np.unravel_index(i, (T, R, Theta, Phi)).
     """
     times = np.asarray(t_values, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError(f"t_values must be finite, got {t_values!r}")
     r = np.asarray(grid.r)
-    ylm = spherical_harmonic_table(x.n_max, np.asarray(grid.theta)[:, None], grid.phi)
+    powers = _xi_powers(x, np.asarray(grid.theta)[:, None], np.asarray(grid.phi))
     u = radial_table(x.n_max, r)
-    psi = np.empty((times.size, r.size, ylm.shape[1]), dtype=complex)
+    psi = np.empty((times.size, r.size, powers.shape[1]), dtype=complex)
     for psi_t, t in zip(psi, times.tolist()):
-        np.matmul(_channel_radial_sums(evolve_hydrogen(x, omega, t), u).T, ylm, out=psi_t)
+        np.matmul(_radial_profiles(evolve_hydrogen(x, omega, t), u).T, powers, out=psi_t)
     return psi.reshape(-1)

@@ -191,6 +191,16 @@ class WeightFamily:
             )
         return math.exp(-0.5 * log_s[0])
 
+    def check_series_tail(self, u: float) -> None:
+        """Raise TruncationError where M^2(u) comes from a series that has not converged.
+
+        A family without a closed form sums [sum_n u^n / rho_n]^{-1} to
+        series_n_max; this applies the tail rule of ``normalization_m`` to
+        that sum.  A closed form has no series, so there is nothing to check.
+        """
+        if self._m_squared_closed is None:
+            self.normalization_m(u)
+
     def m_value(self, u: float) -> float:
         """sqrt(M^2(u)), the amplitude prefactor used by state constructors.
 

@@ -3,6 +3,7 @@ import decimal
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -21,7 +22,10 @@ from hcs.cli import (
     RESIDUAL_EPS_PER_RAD,
     RunConfig,
     _build_config,
+    _EXPONENTS,
+    _LEADS,
     _decimal_digits,
+    _format_tables,
     _text_fields,
     estimated_bytes,
     main,
@@ -325,6 +329,14 @@ class TestEval:
         assert main(["eval", "--s", "2.5", "--n-max", "8", "--out", str(out)]) == 3
         assert "truncation" in capsys.readouterr().err.lower()
 
+    def test_unconverged_family_series_is_numerical_failure(self, tmp_path, capsys):
+        # a 7-moment table sums M^2 from 7 terms: at s^2 = 4 the last is 0.117 of the sum
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"name": "tab-exp", "grid_u": _TABLE_U, "rho": _TABLE_RHO, "n_max": 6}))
+        out = tmp_path / "density.csv"
+        assert main(["eval", "--family", str(family), "--s", "2", "--out", str(out)]) == 3
+        assert "normalization series tail at u=4.0 not converged" in capsys.readouterr().err
+
     def test_underflowing_m_squared_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "density.csv"
         assert main(["eval", "--s", "50", "--out", str(out)]) == 3
@@ -419,6 +431,31 @@ class TestWriteCsv:
         assert written.count(b"\r\n") == n_rows + 1
 
 
+# a fresh writer's minor page faults over 65,536 rows of the eval columns (16 blocks)
+_HEAP_CHILD = """
+import resource, sys
+import numpy as np
+from hcs.cli import write_csv
+codes = np.indices((2, 8, 64, 64), dtype=np.int32).reshape(4, -1)
+levels = [np.linspace(0.0, 1.0, size) for size in (2, 8, 64, 64)]
+psi = np.random.default_rng(0).standard_normal((2, codes.shape[1]))
+columns = [*zip(levels, codes), psi[0], psi[1], psi[0] ** 2 + psi[1] ** 2]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+write_csv(sys.argv[1], "t r theta phi re im density".split(), columns)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's dynamic mmap threshold")
+def test_writer_blocks_reuse_heap_pages(tmp_path):
+    # measured 847 faults (the formatter tables and the first block's pages); with each block's
+    # temporaries unmapped or trimmed and faulted in again, 4746: the bound sits 2.4x from each
+    child = [sys.executable, "-c", _HEAP_CHILD, str(tmp_path / "heap.csv")]
+    proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2000
+
+
 def _vector_text(values):
     """The formatter's text of each value, field padding dropped."""
     text = _text_fields(np.asarray(values, dtype=float))
@@ -490,6 +527,15 @@ class TestFormatter:
     @given(st.lists(st.floats(), min_size=1, max_size=20))
     def test_any_floats(self, values):
         assert _mismatches(values) == []
+
+    def test_digit_patterns_match_the_string_construction(self):
+        # the 4-digit groups and exponents come from integer arithmetic, bit for bit "%04d" and "%+04d"
+        patterns = _format_tables()[1].view(np.uint8).reshape(-1, 8)
+        groups = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint8).reshape(-1, 4)
+        exponents = np.frombuffer("".join(f"{j:+04d}" for j in range(-400, 401)).encode(), np.uint8)
+        assert np.array_equal(patterns[:_LEADS, ::2], groups)
+        assert np.array_equal(patterns[_EXPONENTS - 400 :, :4], exponents.reshape(-1, 4))
+        assert np.all(patterns[:_LEADS, 1::2] == 255) and np.all(patterns[_EXPONENTS - 400 :, 4:] == 255)
 
 
 class TestEvolve:
@@ -602,14 +648,38 @@ class TestMemoryBudget:
         assert "memory budget" in capsys.readouterr().err
 
     def test_eval_angle_tables_count_against_the_budget(self, tmp_path, capsys):
-        # 1e6 rows, but a spherical-harmonic table of 625 channels at 1e6 angles
-        grid = {"r": [1.0], "theta": [0.5] * 1000, "phi": [0.0] * 1000}
+        # 3e5 rows, but a power table of 601 powers of xi at 3e5 angles
+        grid = {"r": [1.0], "theta": [0.5] * 1000, "phi": [0.0] * 300}
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"grid": grid}))
-        run = RunConfig("eval", n_max=24, grid_r=grid["r"], grid_theta=grid["theta"], grid_phi=grid["phi"])
-        assert estimated_bytes(run) > 16 * 625 * 1e6 > MEMORY_BUDGET_BYTES
-        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+        run = RunConfig("eval", n_max=600, grid_r=grid["r"], grid_theta=grid["theta"], grid_phi=grid["phi"], times=(0.0,))
+        assert estimated_bytes(run) > 16 * 601 * 3e5 > MEMORY_BUDGET_BYTES > 100 * 40 * 3e5
+        assert main(["eval", "--n-max", "600", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
         assert "memory budget" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_deep_eval_runs_within_its_estimate(self, tmp_path):
+        # n_max 96 on 16x64x128 at one time (131,072 rows): a Ylm table there was 1.2 GB and the
+        # run was refused at 2.31 GiB; the peak measured 16 MiB above an n_max 0 run, estimate 26 MiB
+        grid = {
+            "r": [0.5 + 2.0 * i for i in range(16)],
+            "theta": [math.pi * i / 63 for i in range(64)],
+            "phi": [2 * math.pi * i / 128 for i in range(128)],
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+
+        def peak_bytes(out, *args):
+            child = [sys.executable, "-c", _PEAK_CHILD, "eval", *args, "--out", str(out)]
+            proc = subprocess.run(child, capture_output=True, text=True, env=_child_env())
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        estimate = estimated_bytes(_build_config("eval", {"grid": grid}, {"n_max": 96}))
+        assert estimate < 2**25
+        deep, small = tmp_path / "deep.csv", tmp_path / "small.csv"
+        assert peak_bytes(deep, "--n-max", "96", "--config", str(cfg)) - peak_bytes(small, "--n-max", "0", "--s", "0") < estimate
+        assert sum(1 for _ in open(deep, "rb")) == 131_073
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
     def test_evolve_builds_no_per_channel_array(self, tmp_path):

@@ -302,20 +302,22 @@ def test_state_pipeline_builds_no_channel_vector(exponential, monkeypatch):
         angular_cs.cache_clear()
 
 
-def test_export_builds_the_channel_vector_once_per_label(exponential, monkeypatch):
+def test_export_builds_no_channel_vector(exponential, monkeypatch):
+    # the export reads the label's spinor: neither the channel vector nor a spherical-harmonic table
     from hcs import angular
 
-    builds = []
-    coefficients = angular._channel_coefficients
-    monkeypatch.setattr(angular, "_channel_coefficients", lambda *args: builds.append(args) or coefficients(*args))
+    def refuse(*args):
+        raise AssertionError("the channel vector or a spherical-harmonic table was built")
+
+    monkeypatch.setattr(angular, "_channel_coefficients", refuse)
+    monkeypatch.setattr(position, "spherical_harmonic_table", refuse)
     angular_cs.cache_clear()
     try:
-        grid = GridSpec((0.5, 2.0), (1.2,), (0.3,))
+        grid = GridSpec((0.5, 2.0), (0.0, 1.2), (0.3, 4.0))
         for angles in (ANGLES, EulerAngles(0.3, 2.0, 5.1)):
             for s in (0.4, 0.8):
                 x = hydrogen_cs(HydrogenLabel(s, 0.3, angles), exponential, 12, check_tail=False)
-                export_density_grid(x, grid, [0.0, 1.0, 2.5])
-        assert [args[0] for args in builds] == [12, 12]
+                assert np.all(np.isfinite(export_density_grid(x, grid, [0.0, 1.0, 2.5])))
     finally:
         angular_cs.cache_clear()
 
@@ -531,26 +533,31 @@ class TestExportDensityGrid:
         grid = GridSpec((0.5, 1.5, 4.0), (0.0, 0.9, 2.5), (0.2, 3.0))
         psi = export_density_grid(x, grid, times, omega=omega)
         u = radial_table(n_max, np.asarray(grid.r))
-        ylm = spherical_harmonic_table(n_max, np.repeat(grid.theta, 2), np.tile(grid.phi, 3))
+        powers = position._xi_powers(x, np.repeat(grid.theta, 2), np.tile(grid.phi, 3))
         for t, block in zip(times, psi.reshape(len(times), -1)):
             phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)
-            reference = np.matmul(position._channel_radial_sums(x.phased(phases), u).T, ylm)
+            reference = np.matmul(position._radial_profiles(x.phased(phases), u).T, powers)
             assert block.tobytes() == reference.ravel().tobytes()
 
-    @pytest.mark.parametrize("n_max,s", [(0, 0.0), (12, 1.2), (24, 0.4), (48, 3.0)])
+    @pytest.mark.parametrize(
+        "n_max,s", [(0, 0.0), (1, 0.0), (12, 1.2), (24, 0.4), (48, 3.0), (60, 1.5), (96, 0.0), (96, 1.5)]
+    )
     def test_samples_match_the_flat_coefficient_oracle(self, exponential, n_max, s):
+        # the factored sum_l c_l xi^l R_l against spherical-harmonic sums over the (l, m) channels,
+        # at the poles and both polar labels: 1.4e-15 of max|psi| measured at worst
         rng = np.random.default_rng(n_max)
-        angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-        x = hydrogen_cs(HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles), exponential, n_max, check_tail=False)
         grid = GridSpec((0.3, 1.0, 4.0, 15.0, 40.0), (0.0, 0.7, 1.9, math.pi), (0.0, 2.5, 5.0))
         times = [0.0, 1.7, 6.0]
-        psi = export_density_grid(x, grid, times, omega=1.3).reshape(len(times), -1)
         r, theta, phi = (axis.ravel() for axis in np.meshgrid(grid.r, grid.theta, grid.phi, indexing="ij"))
-        for t, block in zip(times, psi):
-            expected = _flat_position(evolve_hydrogen(x, 1.3, t).coeffs, n_max, r, theta, phi)
-            assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
-            pt = eval_hydrogen_cs_position(evolve_hydrogen(x, 1.3, t), r, theta, phi)
-            assert np.max(np.abs(pt - expected)) <= 1e-13 * np.max(np.abs(expected))
+        for theta_bar in (rng.uniform(0, math.pi), 0.0, math.pi):
+            angles = EulerAngles(theta_bar, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+            x = hydrogen_cs(HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles), exponential, n_max, check_tail=False)
+            psi = export_density_grid(x, grid, times, omega=1.3).reshape(len(times), -1)
+            for t, block in zip(times, psi):
+                expected = _flat_position(evolve_hydrogen(x, 1.3, t).coeffs, n_max, r, theta, phi)
+                assert np.max(np.abs(block - expected)) <= 1e-13 * np.max(np.abs(expected))
+                pt = eval_hydrogen_cs_position(evolve_hydrogen(x, 1.3, t), r, theta, phi)
+                assert np.max(np.abs(pt - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_gamma_shift_consistency(self, exponential):
         omega, t = 1.0, 2.2

@@ -187,6 +187,25 @@ class TestTabulatedFamily:
         with pytest.raises(TruncationError):
             fam.normalization_m(1.0, n_max=6)
 
+    def test_state_constructors_apply_the_series_tail_rule(self):
+        # M^2 from a 7-term series at u = 4 (last term / sum 0.117): the state's norm^2 is 1.124
+        from hcs.angular import EulerAngles
+        from hcs.fock1d import degen_cs, generalized_cs
+        from hcs.hydrogen import HydrogenLabel, hydrogen_cs
+
+        grid = np.linspace(0.0, 60.0, 601)
+        fam = tabulated_family("tab-exp", grid, np.exp(-grid), 6)
+        for build in (
+            lambda check: generalized_cs(2.0, 0.0, fam, 30, check_tail=check),
+            lambda check: degen_cs(2.0, 0.3, fam, 30, check_tail=check),
+            lambda check: hydrogen_cs(HydrogenLabel(2.0, 0.3, EulerAngles(1.0, 0.0, 0.0)), fam, 30, check),
+        ):
+            with pytest.raises(TruncationError, match="not converged"):
+                build(True)
+            build(False)  # identically truncated comparisons still build the state
+        assert np.sum(np.abs(generalized_cs(2.0, 0.0, fam, 30, check_tail=False)) ** 2) == pytest.approx(1.124, abs=1e-3)
+        assert np.sum(np.abs(generalized_cs(0.05, 0.0, fam, 30)) ** 2) == pytest.approx(1.0, abs=1e-12)
+
     def test_json_round_trip(self, tmp_path):
         grid = np.linspace(1e-4, 40.0, 300)
         payload = {
