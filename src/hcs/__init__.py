@@ -47,7 +47,6 @@ from .specfun import (
     sqrt_binomial_weight,
 )
 from .weights import (
-    FamilyValidation,
     WeightFamily,
     builtin_family,
     family_from_file,

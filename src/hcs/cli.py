@@ -228,8 +228,8 @@ def _report_entry(check: CheckResult) -> dict:
 
 
 def _family_checks(family, n_max: int) -> list[CheckResult]:
-    validation = weights.validate_family(family, n_max=n_max, tol=1e-9)
-    return [replace(c, name=f"family-{c.name}") for c in validation.checks]
+    checks = weights.validate_family(family, n_max=n_max, tol=1e-9)
+    return [replace(c, name=f"family-{c.name}") for c in checks]
 
 
 def _checks_family(cfg, family, rng):
@@ -237,7 +237,7 @@ def _checks_family(cfg, family, rng):
 
 
 def _checks_resolution_periodic(cfg, family, rng):
-    rep = fock1d.resolution_check_1d(family, "periodic", n_max=20, radial_nodes=64)
+    rep = fock1d.resolution_check_1d(family, "periodic", n_max=20)
     ok = rep.diag_max_dev <= 1e-10 and rep.offdiag_max == 0.0
     detail = "diagonal deviation; off-diagonals vanish under exact phase integration"
     return [CheckResult("resolution-1d-periodic", ok, rep.diag_max_dev, 1e-10, detail)]
@@ -245,10 +245,7 @@ def _checks_resolution_periodic(cfg, family, rng):
 
 def _checks_resolution_covering(cfg, family, rng):
     windows = (1e3, 1e4, 1e5)
-    reports = [
-        fock1d.resolution_check_1d(family, "covering", n_max=8, radial_nodes=64, gamma_window=g)
-        for g in windows
-    ]
+    reports = [fock1d.resolution_check_1d(family, "covering", n_max=8, gamma_window=g) for g in windows]
     sinc_ok = all(r.certificate_satisfied for r in reports)
     ratios = [reports[i].certificate_bound / reports[i + 1].certificate_bound for i in range(2)]
     scaling_dev = max(abs(r / 10.0 - 1.0) for r in ratios)
@@ -386,7 +383,7 @@ def _checks_uncertainty_floor(cfg, family, rng):
 
 
 def _checks_hydrogen_resolution(cfg, family, rng):
-    rep = hydrogen.hydrogen_resolution_check(family, cfg.n_max, 64, cfg.gamma_window)
+    rep = hydrogen.hydrogen_resolution_check(family, cfg.n_max, cfg.gamma_window)
     ok = rep.diag_max_dev <= 1e-10 and rep.certificate_satisfied
     detail = (
         f"diagonal deviation at gamma window {rep.shells.window:g}; "

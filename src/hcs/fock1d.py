@@ -166,7 +166,7 @@ def degen_cs(
     return coeffs
 
 
-def radial_factor_matrix(family: WeightFamily, n_max: int, radial_nodes: int = 64) -> np.ndarray:
+def radial_factor_matrix(family: WeightFamily, n_max: int) -> np.ndarray:
     """Normalized radial overlap factors R[n, n'].
 
     R[n, n'] = int k(u) M^2(u) u^{(n+n')/2} du / sqrt(rho_n rho_n').  The
@@ -175,9 +175,10 @@ def radial_factor_matrix(family: WeightFamily, n_max: int, radial_nodes: int = 6
     diagonal, a factorial-moment family (rho_n = f(n)!) takes the closed
     form Gamma(f(nu) + 1) / sqrt(rho_n rho_n'), nu = (n+n')/2, because an
     odd n + n' leaves a factor sqrt(u) for which no Gauss-Laguerre rule is
-    exact; other families use the rule there too.
+    exact; other families use the rule there too.  The rule has 64 nodes
+    (a tabulated family's grid rule takes no count).
     """
-    u, log_w = family.radial_log_rule(radial_nodes)
+    u, log_w = family.radial_log_rule(64)
     k_vals = np.asarray(family.k_weight(u), dtype=float)
     m2_vals = np.asarray(family.M_squared(u), dtype=float)
     with np.errstate(divide="ignore"):
@@ -226,11 +227,7 @@ class ResolutionReport:
 
 
 def resolution_check_1d(
-    family: WeightFamily,
-    phase: str,
-    n_max: int,
-    radial_nodes: int = 64,
-    gamma_window: float | None = None,
+    family: WeightFamily, phase: str, n_max: int, gamma_window: float | None = None
 ) -> ResolutionReport:
     """Gram operator of the coherent-state measure over number states.
 
@@ -257,7 +254,7 @@ def resolution_check_1d(
         average = np.sinc(window * delta / math.pi)
     else:
         raise ConfigurationError(f"phase mode must be 'periodic' or 'covering', got {phase!r}")
-    radial = radial_factor_matrix(family, n_max, radial_nodes)
+    radial = radial_factor_matrix(family, n_max)
     matrix = radial * average
     off = ~np.eye(n_max + 1, dtype=bool)
     cert = np.full_like(radial, np.inf)

@@ -218,10 +218,7 @@ def _leading_block_max(values: np.ndarray) -> np.ndarray:
 
 
 def hydrogen_resolution_check(
-    family: WeightFamily,
-    n_max: int,
-    radial_nodes: int = 64,
-    gamma_window: float = 1e5,
+    family: WeightFamily, n_max: int, gamma_window: float = 1e5
 ) -> HydrogenResolutionReport:
     """Gram operator of the coherent-state measure in the (n, l, m) basis.
 
@@ -232,7 +229,7 @@ def hydrogen_resolution_check(
     quadrature, not assumed diagonal).  The sinc certificate is a shell-pair
     test, so a cross-shell entry obeys |entry| <= certificate * |angular|.
     """
-    shells = resolution_check_1d(family, "covering", n_max, radial_nodes, gamma_window)
+    shells = resolution_check_1d(family, "covering", n_max, gamma_window)
     ang = angular_resolution_check(n_max)
 
     diag = np.diag(ang.gram)

@@ -1,9 +1,10 @@
 """Configuration-space evaluation of hydrogen coherent states.
 
-Wavefunctions are assembled from the radial eigenfunctions and spherical
-harmonics, organized by (l, m) channel; the density export instead sums
-n_max + 1 radial profiles times powers of one complex number per angle,
-since each channel of a shell coherent state is a spin coherent state.
+The pointwise wavefunction is assembled from the radial eigenfunctions and
+spherical harmonics, organized by (l, m) channel; the density export and
+the quadrature norm instead sum n_max + 1 radial profiles times powers of
+one complex number per angle, since each channel of a shell coherent state
+is a spin coherent state.
 Radial expectation values and
 the radial uncertainty product are quadratic forms in the shell
 amplitudes of a coherent state: coefficients sharing a channel interfere
@@ -78,13 +79,6 @@ def _radial_profiles(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
     return parts.view(complex).reshape(channels, points)
 
 
-def _channel_radial_sums(x: HydrogenExpansion, table: np.ndarray) -> np.ndarray:
-    """g[ch, :] = A[ch] R_l: the radial profiles repeated over m, times the channel vector."""
-    g = np.repeat(_radial_profiles(x, table), 2 * np.arange(table.shape[1]) + 1, axis=0)
-    g *= x.angular.coeffs[:, None]
-    return g
-
-
 def eval_hydrogen_cs_position(x: HydrogenExpansion, r, theta, phi):
     """Position representation of a hydrogen coherent-state expansion.
 
@@ -92,7 +86,9 @@ def eval_hydrogen_cs_position(x: HydrogenExpansion, r, theta, phi):
     spherical harmonic, organized by (l, m) channel.
     """
     rb, tb, pb = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, theta, phi)))
-    g = _channel_radial_sums(x, radial_table(x.n_max, rb.ravel()))
+    profiles = _radial_profiles(x, radial_table(x.n_max, rb.ravel()))
+    g = np.repeat(profiles, 2 * np.arange(x.n_max + 1) + 1, axis=0)  # R_l once per channel (l, m)
+    g *= x.angular.coeffs[:, None]
     ylm = spherical_harmonic_table(x.n_max, tb.ravel(), pb.ravel())
     out = np.einsum("cp,cp->p", g, ylm).reshape(rb.shape)
     if out.shape == ():
@@ -199,12 +195,12 @@ def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> flo
     n_phi = 2 * x.n_max + 1
     phi = make_quadrature("trapezoid", n_phi).nodes
     w_ang = np.repeat(x_rule.weights, n_phi) * (2.0 * math.pi / n_phi)
-    ylm = spherical_harmonic_table(x.n_max, np.arccos(x_rule.nodes)[:, None], phi)
+    powers = _xi_powers(x, np.arccos(x_rule.nodes)[:, None], phi)  # sampled as eval samples (export_density_grid)
 
     values = []
     for nodes in (radial_nodes, radial_nodes + 32 if radial_nodes <= 96 else radial_nodes - 32):
         r, wr = exp_decay_rule(2.0 / (x.n_max + 1.0), nodes)  # the slowest decay present
-        psi = _channel_radial_sums(x, radial_table(x.n_max, r)).T @ ylm  # (n_r, n_ang)
+        psi = _radial_profiles(x, radial_table(x.n_max, r)).T @ powers  # (n_r, n_ang)
         values.append(float(np.einsum("r,a,ra->", wr * r * r, w_ang, np.abs(psi) ** 2)))
     error = abs(values[0] - values[1])
     if not error <= 1e-8 * values[0]:

@@ -24,7 +24,6 @@ from .specfun import _LAGUERRE_MAX_NODES, exp_decay_rule, log_factorial, logsume
 __all__ = [
     "WeightFamily",
     "CheckResult",
-    "FamilyValidation",
     "builtin_family",
     "tabulated_family",
     "family_from_dict",
@@ -34,8 +33,11 @@ __all__ = [
 
 BUILTIN_NAMES = ("exponential", "sqrt-exponential")
 
-#: truncation order of normalization series when no closed form exists
+#: truncation order of the normalization series of a family with neither a closed form nor a table
 DEFAULT_SERIES_N_MAX = 64
+
+#: Gauss-Legendre points per grid cell in a tabulated family's composite rule
+GRID_RULE_POINTS = 8
 
 #: relative size below which a series tail is considered converged
 SERIES_TAIL_TOL = 1e-14
@@ -59,8 +61,6 @@ class WeightFamily:
         k_closed: Callable[[np.ndarray], np.ndarray] | None = None,
         subst_power: int = 1,
         declared_moments: Sequence[float] | None = None,
-        series_n_max: int = DEFAULT_SERIES_N_MAX,
-        u_range: tuple[float, float] = (1e-3, 50.0),
         grid: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.name = name
@@ -77,8 +77,6 @@ class WeightFamily:
             if declared.ndim != 1 or declared.size == 0:
                 raise ConfigurationError("declared moments must be a nonempty sequence")
             self._declared = declared
-        self.series_n_max = int(series_n_max)
-        self.u_range = (float(u_range[0]), float(u_range[1]))
         self._grid = grid
         self._moment_memo: dict[int, float] = {}
         self._log_moments = np.empty(0)
@@ -129,12 +127,15 @@ class WeightFamily:
             self._log_moments = table
         return table[: n_max + 1]
 
-    def moment_by_quadrature(self, n: int, nodes: int | None = None) -> float:
-        """rho_n computed numerically, independent of any stored table."""
+    def moment_by_quadrature(self, n: int) -> float:
+        """rho_n computed numerically, independent of any stored table.
+
+        The rule is ``radial_log_rule(max(64, p n + 2))``: Gauss-Laguerre
+        nodes through u = x^p, or a tabulated family's composite grid rule.
+        """
         if n < 0:
             raise ValueError(f"moment order must be >= 0, got {n}")
-        if nodes is None:
-            nodes = max(64, self._subst_power * n + 2)
+        nodes = max(64, self._subst_power * n + 2)
         u, log_w = self.radial_log_rule(nodes)
         with np.errstate(divide="ignore"):
             log_rho = np.log(self.rho(u))
@@ -144,25 +145,31 @@ class WeightFamily:
             terms = terms + n * log_u
         value = float(np.exp(logsumexp(terms)))
         if not np.isfinite(value) or value <= 0:
-            raise NumericalError(
-                f"{self.name}: quadrature for rho_{n} returned {value} with {nodes} nodes"
-            )
+            rule = f"{nodes} Gauss-Laguerre nodes"  # radial_log_rule ignores the count on a grid
+            if self._grid is not None:
+                rule = f"the {self._grid[0].size - 1}-cell x {GRID_RULE_POINTS}-point composite rule on grid_u"
+            raise NumericalError(f"{self.name}: quadrature for rho_{n} returned {value} with {rule}")
         return value
 
     # -- normalization and measure density ----------------------------------
 
     def M_squared(self, u):
         """M^2(u): closed form when available, else the truncated series
-        [sum_n u^n / rho_n]^{-1} at series_n_max without the tail check of
-        ``normalization_m``."""
+        [sum_{n<=N} u^n / rho_n]^{-1}, N the declared table's last index
+        (DEFAULT_SERIES_N_MAX without a table); ``check_series_tail`` says
+        whether it has converged."""
         u = np.asarray(u, dtype=float)
         if self._m_squared_closed is not None:
             return self._m_squared_closed(u)
-        out = np.exp(-self._log_norm_sum(u.reshape(-1), self.series_n_max)[0])
+        out = np.exp(-self._log_norm_sum(u.reshape(-1))[0])
         return float(out[0]) if u.shape == () else out.reshape(u.shape)
 
-    def _log_norm_sum(self, u: np.ndarray, n_max: int):
-        """log sum_{n<=n_max} u^n/rho_n and the log of its last term."""
+    def _series_order(self) -> int:
+        return DEFAULT_SERIES_N_MAX if self._declared is None else self._declared.size - 1
+
+    def _log_norm_sum(self, u: np.ndarray):
+        """log sum_{n<=N} u^n/rho_n and the log of its last term, N = _series_order()."""
+        n_max = self._series_order()
         n = np.arange(n_max + 1)
         log_mom = self.log_moments(n_max)
         log_u = np.log(np.maximum(u, 1e-300))
@@ -172,34 +179,23 @@ class WeightFamily:
         log_terms[u == 0, 0] = -log_mom[0]
         return logsumexp(log_terms, axis=1), log_terms[:, -1]
 
-    def normalization_m(self, u: float, n_max: int | None = None) -> float:
-        """Truncated-series normalization [sum_{n<=n_max} u^n/rho_n]^{-1/2}.
-
-        Raises TruncationError when the last retained term is not below
-        SERIES_TAIL_TOL of the sum, i.e. the series has not converged at
-        this truncation.
-        """
-        if u < 0:
-            raise ValueError(f"argument must be >= 0, got u={u}")
-        if n_max is None:
-            n_max = self.series_n_max
-        log_s, log_last = self._log_norm_sum(np.array([float(u)]), n_max)
-        if u > 0 and log_last[0] - log_s[0] > math.log(SERIES_TAIL_TOL):
-            raise TruncationError(
-                f"{self.name}: normalization series tail at u={u} not converged "
-                f"with n_max={n_max} (last term / sum = {math.exp(log_last[0] - log_s[0]):.3e})"
-            )
-        return math.exp(-0.5 * log_s[0])
-
     def check_series_tail(self, u: float) -> None:
         """Raise TruncationError where M^2(u) comes from a series that has not converged.
 
-        A family without a closed form sums [sum_n u^n / rho_n]^{-1} to
-        series_n_max; this applies the tail rule of ``normalization_m`` to
-        that sum.  A closed form has no series, so there is nothing to check.
+        The series of ``M_squared`` has converged at u when its last term is
+        below SERIES_TAIL_TOL of the sum.  A closed form has no series, so
+        there is nothing to check.
         """
-        if self._m_squared_closed is None:
-            self.normalization_m(u)
+        if u < 0:
+            raise ValueError(f"argument must be >= 0, got u={u}")
+        if self._m_squared_closed is not None:
+            return
+        log_s, log_last = self._log_norm_sum(np.array([float(u)]))
+        if u > 0 and log_last[0] - log_s[0] > math.log(SERIES_TAIL_TOL):
+            raise TruncationError(
+                f"{self.name}: normalization series tail at u={u} not converged "
+                f"with n_max={self._series_order()} (last term / sum = {math.exp(log_last[0] - log_s[0]):.3e})"
+            )
 
     def m_value(self, u: float) -> float:
         """sqrt(M^2(u)), the amplitude prefactor used by state constructors.
@@ -217,16 +213,14 @@ class WeightFamily:
 
     def k_weight(self, u):
         """Measure density k(u) = rho(u) / M^2(u)."""
-        if self._k_closed is not None:
-            return self._k_closed(np.asarray(u, dtype=float))
         u = np.asarray(u, dtype=float)
+        if self._k_closed is not None:
+            return self._k_closed(u)
         m2 = np.asarray(self.M_squared(u), dtype=float)
         if np.any(m2 <= 0):
             raise NumericalError(f"{self.name}: M^2 vanished where k(u) was requested")
         out = self.rho(u) / m2
-        if out.shape == ():
-            return float(out)
-        return out
+        return float(out) if out.shape == () else out
 
     # -- quadrature over u ---------------------------------------------------
 
@@ -248,14 +242,12 @@ class WeightFamily:
             return x * x, log_w
         return x, log_w
 
-    def _composite_grid_rule(self, points_per_cell: int = 8):
+    def _composite_grid_rule(self):
         grid_u, _ = self._grid
-        base = make_quadrature("legendre", points_per_cell)
-        nodes, weights = [], []
-        for a, b in zip(grid_u[:-1], grid_u[1:]):
-            nodes.append(0.5 * (b - a) * base.nodes + 0.5 * (b + a))
-            weights.append(0.5 * (b - a) * base.weights)
-        return np.concatenate(nodes), np.log(np.concatenate(weights))
+        base = make_quadrature("legendre", GRID_RULE_POINTS)
+        half = (0.5 * np.diff(grid_u))[:, None]  # per cell
+        nodes = half * base.nodes + (0.5 * (grid_u[1:] + grid_u[:-1]))[:, None]
+        return nodes.ravel(), np.log((half * base.weights).ravel())
 
 
 def builtin_family(name: str) -> WeightFamily:
@@ -360,8 +352,6 @@ def tabulated_family(
         name,
         rho=rho,
         declared_moments=moments,
-        series_n_max=n_max,
-        u_range=(max(grid[0], 1e-3), float(grid[-1])),
         grid=(grid, vals),
     )
     if moments is None:
@@ -410,27 +400,16 @@ class CheckResult:
         return cls(name, measured <= bound, measured, bound, detail)
 
 
-@dataclass(frozen=True)
-class FamilyValidation:
-    family: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) -> FamilyValidation:
-    """Consistency report for a weight family.
+def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) -> tuple[CheckResult, ...]:
+    """Consistency checks of a weight family.
 
     Checks (a) stored moments against independent quadrature for n <= n_max,
-    (b) the factorization rho = M^2 k on a log-spaced grid, (c) positivity
-    of rho, k and the moments.  Failures are report entries, not exceptions.
-    A built-in's quadrature rule grows with the moment order, so n_max past
-    the order its largest Gauss-Laguerre rule reaches is refused.
+    (b) the factorization rho = M^2 k on a log-spaced grid over the
+    tabulated support (from 1e-3 at least), else over [1e-3, 50], (c)
+    positivity of rho, k and the moments.  Failures are failed checks, not
+    exceptions.  A built-in's quadrature rule grows with the moment order,
+    so n_max past the order its largest Gauss-Laguerre rule reaches is
+    refused.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -442,40 +421,23 @@ def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) ->
                 f"n_max = {n_max} is past {limit}, the largest moment order the {family.name} "
                 f"family's quadrature reaches within the {_LAGUERRE_MAX_NODES}-node Gauss-Laguerre cap"
             )
-    checks = []
+        lo, hi = 1e-3, 50.0
+    else:
+        lo, hi = max(family._grid[0][0], 1e-3), family._grid[0][-1]
+    pairs = [(family.moment(n), family.moment_by_quadrature(n)) for n in range(n_max + 1)]
+    devs = [abs(quad - stored) / abs(stored) for stored, quad in pairs]
+    worst_n = int(np.argmax(devs))
+    moments = np.array([stored for stored, _ in pairs])
 
-    worst = 0.0
-    worst_n = 0
-    for n in range(n_max + 1):
-        stored = family.moment(n)
-        quad = family.moment_by_quadrature(n)
-        dev = abs(quad - stored) / abs(stored)
-        if dev > worst:
-            worst, worst_n = dev, n
-    detail = f"worst relative deviation at moment n={worst_n}"
-    checks.append(CheckResult.at_most("moments", worst, tol, detail))
-
-    u_grid = np.geomspace(family.u_range[0], family.u_range[1], 40)
+    u_grid = np.geomspace(lo, hi, 40)
     rho_vals = np.asarray(family.rho(u_grid), dtype=float)
-    recon = np.asarray(family.M_squared(u_grid), dtype=float) * np.asarray(
-        family.k_weight(u_grid), dtype=float
-    )
-    scale = np.maximum(np.abs(rho_vals), 1e-300)
-    fact_dev = float(np.max(np.abs(recon - rho_vals) / scale))
-    detail = "max relative |rho - M^2 k| on log-spaced grid"
-    checks.append(CheckResult.at_most("factorization", fact_dev, 1e-10, detail))
-
     k_vals = np.asarray(family.k_weight(u_grid), dtype=float)
-    moments = np.array([family.moment(n) for n in range(n_max + 1)])
+    recon = np.asarray(family.M_squared(u_grid), dtype=float) * k_vals
+    fact_dev = float(np.max(np.abs(recon - rho_vals) / np.maximum(np.abs(rho_vals), 1e-300)))
     neg = min(float(rho_vals.min()), float(k_vals.min()), float(moments.min()))
-    checks.append(
-        CheckResult(
-            name="positivity",
-            passed=neg > 0 or (rho_vals.min() >= 0 and k_vals.min() >= 0 and moments.min() > 0),
-            measured=neg,
-            bound=0.0,
-            detail="min of rho, k on grid and of the moment table",
-        )
+    positive = bool(neg > 0 or (rho_vals.min() >= 0 and k_vals.min() >= 0 and moments.min() > 0))
+    return (
+        CheckResult.at_most("moments", devs[worst_n], tol, f"worst relative deviation at moment n={worst_n}"),
+        CheckResult.at_most("factorization", fact_dev, 1e-10, "max relative |rho - M^2 k| on log-spaced grid"),
+        CheckResult("positivity", positive, neg, 0.0, "min of rho, k on grid and of the moment table"),
     )
-
-    return FamilyValidation(family=family.name, checks=tuple(checks))

@@ -49,7 +49,7 @@ def test_criterion_01_moment_identities():
 def test_criterion_02_resolution_of_unity_1d():
     start = time.perf_counter()
     for fam in (EXPONENTIAL, SQRT_EXPONENTIAL):
-        rep = resolution_check_1d(fam, "periodic", n_max=20, radial_nodes=64)
+        rep = resolution_check_1d(fam, "periodic", n_max=20)
         assert rep.diag_max_dev <= 1e-10, fam.name
         off = ~np.eye(21, dtype=bool)
         assert np.all(rep.matrix[off] == 0.0), fam.name
@@ -63,7 +63,7 @@ def test_criterion_03_covering_space_certificates():
     windows = (1e3, 1e4, 1e5)
     bounds = []
     for window in windows:
-        rep = resolution_check_1d(EXPONENTIAL, "covering", n_max=8, radial_nodes=64, gamma_window=window)
+        rep = resolution_check_1d(EXPONENTIAL, "covering", n_max=8, gamma_window=window)
         off = ~np.eye(9, dtype=bool)
         assert np.all(np.abs(rep.matrix[off]) <= rep.certificate_matrix[off] * (1 + 1e-12)), window
         bounds.append(rep.certificate_bound)

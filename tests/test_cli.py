@@ -261,6 +261,16 @@ class TestMoments:
         report = json.loads(out.read_text())
         assert any(c["name"] == "family-moments" and not c["pass"] for c in report["checks"])
 
+    def test_vanishing_weight_names_the_grid_rule(self, tmp_path, capsys):
+        # a grid family integrates over its cells, whatever node count a built-in would take
+        family = tmp_path / "zero.json"
+        family.write_text(json.dumps({"name": "zero", "grid_u": _TABLE_U, "rho": [0.0] * 601, "n_max": 4}))
+        out = tmp_path / "m.json"
+        assert main(["moments", "--family", str(family), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "quadrature for rho_0 returned 0.0 with the 600-cell x 8-point composite rule on grid_u" in err
+        assert "nodes" not in err and not out.exists()
+
     @pytest.mark.parametrize("family,limit", [("exponential", 126), ("sqrt-exponential", 63)])
     def test_n_max_past_the_quadrature_cap_names_n_max(self, tmp_path, capsys, family, limit):
         out = tmp_path / "m.json"

@@ -204,7 +204,7 @@ class TestStabilityResidual:
 
 class TestResolution1D:
     def test_periodic_exponential(self, exponential):
-        rep = resolution_check_1d(exponential, "periodic", n_max=20, radial_nodes=64)
+        rep = resolution_check_1d(exponential, "periodic", n_max=20)
         assert rep.diag_max_dev <= 1e-12
         assert rep.offdiag_max == 0.0
         off = ~np.eye(21, dtype=bool)
@@ -212,28 +212,28 @@ class TestResolution1D:
 
     def test_periodic_certificate_is_computed(self, exponential):
         # one path for both phases: the window is one period, the bound R / (pi |n - n'|)
-        rep = resolution_check_1d(exponential, "periodic", n_max=8, radial_nodes=64)
+        rep = resolution_check_1d(exponential, "periodic", n_max=8)
         assert rep.window == math.pi and rep.certificate_satisfied
         n = np.arange(9)
         off = n[:, None] != n[None, :]
-        radial = radial_factor_matrix(exponential, 8, 64)
+        radial = radial_factor_matrix(exponential, 8)
         bound = radial[off] / (math.pi * np.abs(n[:, None] - n[None, :])[off])
         assert np.array_equal(rep.certificate_matrix[off], bound)
         assert rep.certificate_bound == np.max(bound)
 
     def test_periodic_sqrt_exponential(self, sqrt_exponential):
-        rep = resolution_check_1d(sqrt_exponential, "periodic", n_max=12, radial_nodes=64)
+        rep = resolution_check_1d(sqrt_exponential, "periodic", n_max=12)
         assert rep.diag_max_dev <= 1e-10
 
     def test_diagonal_is_moment_ratio(self, exponential):
-        rep = resolution_check_1d(exponential, "periodic", n_max=8, radial_nodes=64)
+        rep = resolution_check_1d(exponential, "periodic", n_max=8)
         for n in range(9):
-            quad_moment = exponential.moment_by_quadrature(n, nodes=64)
+            quad_moment = exponential.moment_by_quadrature(n)
             assert rep.matrix[n, n] == pytest.approx(quad_moment / exponential.moment(n), rel=1e-12)
 
     def test_covering_window_halving(self, exponential):
-        rep1 = resolution_check_1d(exponential, "covering", 10, 64, gamma_window=1e4)
-        rep2 = resolution_check_1d(exponential, "covering", 10, 64, gamma_window=2e4)
+        rep1 = resolution_check_1d(exponential, "covering", 10, gamma_window=1e4)
+        rep2 = resolution_check_1d(exponential, "covering", 10, gamma_window=2e4)
         ratio = rep1.offdiag_max / rep2.offdiag_max
         assert 0.3 <= ratio / 2.0 <= 3.0
         n = np.arange(11)
@@ -243,13 +243,13 @@ class TestResolution1D:
         assert rep2.offdiag_max <= 2.0 / (2e4 * min_delta)
 
     def test_covering_certificate_bounds_every_entry(self, exponential):
-        rep = resolution_check_1d(exponential, "covering", 10, 64, gamma_window=5e3)
+        rep = resolution_check_1d(exponential, "covering", 10, gamma_window=5e3)
         off = ~np.eye(11, dtype=bool)
         assert np.all(np.abs(rep.matrix[off]) <= rep.certificate_matrix[off] * (1 + 1e-12))
 
     def test_certificate_scales_inversely(self, exponential):
-        rep_a = resolution_check_1d(exponential, "covering", 8, 64, gamma_window=1e3)
-        rep_b = resolution_check_1d(exponential, "covering", 8, 64, gamma_window=1e4)
+        rep_a = resolution_check_1d(exponential, "covering", 8, gamma_window=1e3)
+        rep_b = resolution_check_1d(exponential, "covering", 8, gamma_window=1e4)
         assert rep_a.certificate_bound / rep_b.certificate_bound == pytest.approx(10.0, rel=1e-12)
 
     def test_bad_mode_and_window(self, exponential):
@@ -259,7 +259,7 @@ class TestResolution1D:
             resolution_check_1d(exponential, "covering", 4)
 
     def test_radial_factor_diagonal_is_unity(self, sqrt_exponential):
-        radial = radial_factor_matrix(sqrt_exponential, 10, 64)
+        radial = radial_factor_matrix(sqrt_exponential, 10)
         assert np.max(np.abs(np.diag(radial) - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("name", ["exponential", "sqrt-exponential"])

@@ -288,14 +288,14 @@ class TestHydrogenResolution:
         assert rep.certificate_satisfied
 
     def test_exponential_at_window(self, exponential):
-        rep = hydrogen_resolution_check(exponential, n_max=8, radial_nodes=64, gamma_window=1e5)
+        rep = hydrogen_resolution_check(exponential, n_max=8, gamma_window=1e5)
         assert rep.diag_max_dev <= 1e-10
         assert rep.certificate_satisfied
         assert rep.angular.max_identity_dev <= 1e-12
         assert rep.dimension == total_dimension(8)
 
     def test_channel_mismatch_entries_vanish(self, exponential):
-        rep = hydrogen_resolution_check(exponential, n_max=3, radial_nodes=64, gamma_window=1e4)
+        rep = hydrogen_resolution_check(exponential, n_max=3, gamma_window=1e4)
         # same-shell blocks reproduce the angular Gram: off-channel noise only
         for n in range(4):
             block = rep.shells.matrix[n, n] * rep.angular.gram[: shell_dimension(n), : shell_dimension(n)]
@@ -309,7 +309,7 @@ class TestHydrogenResolution:
         assert rep_a.certificate_bound / rep_b.certificate_bound == pytest.approx(4.0, rel=1e-12)
 
     def test_sqrt_family(self, sqrt_exponential):
-        rep = hydrogen_resolution_check(sqrt_exponential, n_max=6, radial_nodes=64, gamma_window=1e5)
+        rep = hydrogen_resolution_check(sqrt_exponential, n_max=6, gamma_window=1e5)
         assert rep.diag_max_dev <= 1e-10
         assert rep.certificate_satisfied
 
@@ -318,9 +318,9 @@ class TestHydrogenResolution:
     @pytest.mark.parametrize("window", [123.0, 1e3, 1e5])
     def test_factored_fields_match_dense(self, name, n_max, window):
         family = builtin_family(name)
-        rep = hydrogen_resolution_check(family, n_max=n_max, radial_nodes=64, gamma_window=window)
+        rep = hydrogen_resolution_check(family, n_max=n_max, gamma_window=window)
         # dense reference: the operator and its sinc certificate entry by entry
-        radial = radial_factor_matrix(family, n_max, 64)
+        radial = radial_factor_matrix(family, n_max)
         n = np.arange(n_max + 1)
         delta = 1.0 / (n[:, None] + 1.0) ** 2 - 1.0 / (n[None, :] + 1.0) ** 2
         sinc = np.sinc(window * delta / math.pi)

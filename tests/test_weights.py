@@ -83,39 +83,57 @@ class TestBuiltinFamilies:
             exponential.log_moments(5)[0] = 1.0
 
 
+def _declared_table(builtin: str) -> WeightFamily:
+    """A tabulated family that declares the built-in's exact moments up to n = 64: M^2 is its series."""
+    grid = np.linspace(0.0, 60.0, 601)
+    fam = builtin_family(builtin)
+    return tabulated_family(builtin, grid, fam.rho(grid), 64, moments=[fam.moment(n) for n in range(65)])
+
+
+@pytest.fixture(scope="module")
+def factorial_table():
+    return _declared_table("exponential")
+
+
 class TestNormalization:
-    def test_vacuum_limit(self, exponential):
-        assert exponential.normalization_m(0.0) == 1.0
+    def test_vacuum_limit(self, factorial_table):
+        assert factorial_table.M_squared(0.0) == 1.0
+        factorial_table.check_series_tail(0.0)
 
-    def test_exponential_closed_form(self, exponential):
-        assert exponential.normalization_m(4.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    def test_exponential_closed_form(self, factorial_table):
+        for u in (0.0, 0.01, 1.0, 4.0, 10.0):
+            assert factorial_table.M_squared(u) == pytest.approx(math.exp(-u), rel=1e-12, abs=0.0)
 
-    def test_sqrt_exponential_value(self, sqrt_exponential):
+    def test_sqrt_exponential_value(self):
         # sum u^n/(2n+1)! = sinh(sqrt u)/sqrt u
-        assert sqrt_exponential.normalization_m(1.0) == pytest.approx(
-            0.9224522362915716, rel=1e-12
+        assert _declared_table("sqrt-exponential").M_squared(1.0) == pytest.approx(
+            0.9224522362915716**2, rel=1e-12
         )
 
     def test_series_agrees_with_closed_form(self, exponential, sqrt_exponential):
         for fam in (exponential, sqrt_exponential):
+            table = _declared_table(fam.name)
             for u in (0.3, 1.0, 4.0, 9.0):
-                series = fam.normalization_m(u)
-                assert series**2 == pytest.approx(float(fam.M_squared(u)), rel=1e-10)
+                table.check_series_tail(u)
+                assert table.M_squared(u) == pytest.approx(float(fam.M_squared(u)), rel=1e-10)
 
-    def test_self_consistency(self, exponential):
+    def test_self_consistency(self, factorial_table):
         # M^2 * sum = 1 by construction
         u = 2.7
         n = np.arange(65)
-        total = float(np.sum(u**n / np.array([exponential.moment(int(k)) for k in n])))
-        assert exponential.normalization_m(u, 64) ** 2 * total == pytest.approx(1.0, rel=1e-12)
+        total = float(np.sum(u**n / np.array([float(math.factorial(int(k))) for k in n])))
+        assert factorial_table.M_squared(u) * total == pytest.approx(1.0, rel=1e-12)
 
-    def test_unconverged_tail_raises(self, exponential):
-        with pytest.raises(TruncationError):
-            exponential.normalization_m(100.0, n_max=5)
+    def test_unconverged_tail_raises(self, factorial_table):
+        # at u = 30 the last of 65 terms, 30^64/64!, is 2.5e-8 of the sum e^30
+        factorial_table.check_series_tail(4.0)
+        with pytest.raises(TruncationError, match="n_max=64 \\(last term / sum = 2.5"):
+            factorial_table.check_series_tail(30.0)
 
-    def test_negative_argument_rejected(self, exponential):
-        with pytest.raises(ValueError):
-            exponential.normalization_m(-1.0)
+    def test_negative_argument_rejected(self, factorial_table, exponential):
+        for fam in (factorial_table, exponential):
+            with pytest.raises(ValueError):
+                fam.check_series_tail(-1.0)
 
 
 class TestKWeight:
@@ -135,8 +153,8 @@ class TestKWeight:
 class TestValidateFamily:
     def test_builtins_pass(self, exponential, sqrt_exponential):
         for fam in (exponential, sqrt_exponential):
-            report = validate_family(fam, n_max=10, tol=1e-9)
-            assert report.passed, report.failures()
+            checks = validate_family(fam, n_max=10, tol=1e-9)
+            assert all(c.passed for c in checks), checks
 
     def test_corrupted_moment_detected(self):
         moments = [float(math.factorial(n)) for n in range(11)]
@@ -149,8 +167,7 @@ class TestValidateFamily:
             declared_moments=moments,
             subst_power=1,
         )
-        report = validate_family(fam, n_max=10, tol=1e-9)
-        failed = report.failures()
+        failed = [c for c in validate_family(fam, n_max=10, tol=1e-9) if not c.passed]
         assert failed and failed[0].name == "moments"
         assert "n=3" in failed[0].detail
 
@@ -162,8 +179,7 @@ class TestValidateFamily:
             m_squared_closed=lambda u: np.exp(-1.5 * np.asarray(u, dtype=float)),
             k_closed=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         )
-        report = validate_family(fam, n_max=4, tol=1e-9)
-        names = [c.name for c in report.failures()]
+        names = [c.name for c in validate_family(fam, n_max=4, tol=1e-9) if not c.passed]
         assert "factorization" in names
 
 
@@ -179,13 +195,14 @@ class TestTabulatedFamily:
 
     def test_series_normalization_usable_at_small_u(self):
         fam = self._exponential_table()
-        assert fam.normalization_m(0.01, n_max=6) == pytest.approx(math.exp(-0.005), rel=1e-4)
+        fam.check_series_tail(0.01)
+        assert fam.M_squared(0.01) == pytest.approx(math.exp(-0.01), rel=1e-4)
 
     def test_series_tail_guard_with_few_moments(self):
-        # six moments cannot converge the series at u = 1
+        # seven moments cannot converge the series at u = 1
         fam = self._exponential_table()
-        with pytest.raises(TruncationError):
-            fam.normalization_m(1.0, n_max=6)
+        with pytest.raises(TruncationError, match="with n_max=6"):
+            fam.check_series_tail(1.0)
 
     def test_state_constructors_apply_the_series_tail_rule(self):
         # M^2 from a 7-term series at u = 4 (last term / sum 0.117): the state's norm^2 is 1.124
