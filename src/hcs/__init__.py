@@ -40,11 +40,9 @@ from .position import (
     radial_uncertainty_product,
 )
 from .specfun import (
-    QuadratureRule,
     log_factorial,
     make_quadrature,
     radial_eigenfunction,
-    sqrt_binomial_weight,
 )
 from .weights import (
     WeightFamily,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fock1d import _level_squares
 from .specfun import _log_factorials, make_quadrature
 
 __all__ = [
@@ -72,12 +71,10 @@ def _channels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binomial_weights(l_max: int, l: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """sqrt_binomial_weight(l, up - l) per entry, l <= l_max, bit for bit: its log factorials, order and math.exp."""
-    if l_max > _MAX_SHELL:
-        raise ConfigurationError(
-            f"shell {l_max} is past {_MAX_SHELL}, the last shell whose angular weights "
-            "sqrt((2l)!/((l+m)!(l-m)!)) are finite doubles"
-        )
+    """w_lm = sqrt((2l)!/((l+m)!(l-m)!)) at m = up - l, l <= l_max, from log factorials, the larger of l +- m first.
+
+    Bit for bit the scalar ``sqrt_binomial_weight`` that the tests keep as its oracle.
+    """
     log_fact = _log_factorials(2 * l_max + 1)
     down = 2 * l - up
     exponent = 0.5 * (log_fact[2 * l] - log_fact[np.maximum(up, down)] - log_fact[np.minimum(up, down)])
@@ -86,7 +83,7 @@ def _binomial_weights(l_max: int, l: np.ndarray, up: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _theta_weights(l_max: int) -> tuple[np.ndarray, ...]:
-    """(l - m, l + m, sqrt_binomial_weight, sqrt(2l+1)) per channel l <= l_max, and i k/2 per power k <= 2 l_max.
+    """(l - m, l + m, w_lm, sqrt(2l+1)) per channel l <= l_max, and i k/2 per power k <= 2 l_max.
 
     Built once, read-only.
     """
@@ -123,11 +120,10 @@ def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class AngularFactor:
-    """Shell n at omega_bar: per shell k <= n, W_k = (k+1)^2 and max |coeffs[:(k+1)^2]|; coeffs built on first read."""
+    """Shell n at omega_bar: per shell k <= n, max |coeffs[:(k+1)^2]|; coeffs built on first read."""
 
     n: int
     omega_bar: EulerAngles
-    shell_weights: np.ndarray
     shell_peaks: np.ndarray
 
     @functools.cached_property
@@ -145,12 +141,18 @@ def angular_cs(n: int, omega_bar: EulerAngles) -> AngularFactor:
     ``coeffs`` holds the (n+1)^2 channel coefficients A_lm e^{-i(m phi_bar + l psi_bar)}, in
     channel order l^2 + l + m; the squared norm is the shell dimension (n+1)^2.  Shell k <= n of
     a hydrogen state uses the first (k+1)^2 entries, so each (n, omega_bar) is built once and
-    shared: its channel vector on first read, its shell weights and peaks here, in O(n).  The peak
+    shared: its channel vector on first read, its shell peaks here, in O(n).  The peak
     of channel l is |A_lm| = w_lm sqrt(2l+1) sin^(2l-j) cos^j of theta_bar/2 at the mode of
     |A_lm|^2/(2l+1), Binomial(2l, cos^2(theta_bar/2)) in j = l + m (Arecchi et al., Phys. Rev. A 6,
     2211 (1972)): j = r - 1 and r, r = round((2l+1) cos^2), hold the mode and both modes of a tie,
-    which the vector's weights (error up to 1.5e-15 (l+1)) may break either way.
+    which the vector's weights (error up to 1.5e-15 (l+1)) may break either way.  A shell past
+    _MAX_SHELL is refused before any per-shell work.
     """
+    if n > _MAX_SHELL:
+        raise ConfigurationError(
+            f"shell {n} is past {_MAX_SHELL}, the last shell whose angular weights "
+            "sqrt((2l)!/((l+m)!(l-m)!)) are finite doubles"
+        )
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
     l = np.arange(n + 1)[:, None]
@@ -160,7 +162,7 @@ def angular_cs(n: int, omega_bar: EulerAngles) -> AngularFactor:
     modulus = sin ** (2 * l - up) * _binomial_weights(n, l, up) * cos**up * np.sqrt(2.0 * l + 1)
     peaks = np.maximum.accumulate(modulus.max(axis=1))
     peaks.flags.writeable = False
-    return AngularFactor(n, omega_bar, _level_squares(n + 1), peaks)
+    return AngularFactor(n, omega_bar, peaks)
 
 
 def spin_direction_error(n: int, omega_bar: EulerAngles) -> float:
@@ -192,7 +194,6 @@ class AngularResolutionReport:
     """Gram matrix of the angle-averaged shell projector."""
 
     n: int
-    dimension: int
     gram: np.ndarray
     max_identity_dev: float
 
@@ -209,9 +210,9 @@ def exactness_threshold(n: int) -> int:
 
 def _difference_means(k: np.ndarray, nodes: int) -> np.ndarray:
     """Uniform-rule means of exp(-i(k_a - k_b)x) over one period, computed once per frequency."""
-    rule = make_quadrature("trapezoid", nodes)
+    x, w = make_quadrature("trapezoid", nodes)
     span = int(k.max() - k.min())
-    means = np.exp(-1j * np.outer(np.arange(-span, span + 1), rule.nodes)) @ rule.weights / _TWO_PI
+    means = np.exp(-1j * np.outer(np.arange(-span, span + 1), x)) @ w / _TWO_PI
     return means[np.subtract.outer(k, k) + span]
 
 
@@ -228,11 +229,10 @@ def angular_resolution_check(n: int) -> AngularResolutionReport:
     if n < 0:
         raise ValueError(f"shell index must be >= 0, got {n}")
     nodes = exactness_threshold(n)
-    x_rule = make_quadrature("legendre", nodes)
-    a = _channel_coefficients(n, np.arccos(x_rule.nodes), 0.0, 0.0).real  # A_lm: zero azimuths, phases 1
+    x, w = make_quadrature("legendre", nodes)
+    a = _channel_coefficients(n, np.arccos(x), 0.0, 0.0).real  # A_lm: zero azimuths, phases 1
     l, m = _channels(n)
     # sin(theta_bar) d(theta_bar) / 2 is half the Legendre weight in cos(theta_bar)
-    gram = 0.5 * (a * x_rule.weights) @ a.T * _difference_means(m, nodes) * _difference_means(l, nodes)
-    dim = shell_dimension(n)
-    dev = float(np.max(np.abs(gram - np.eye(dim))))
-    return AngularResolutionReport(n=n, dimension=dim, gram=gram, max_identity_dev=dev)
+    gram = 0.5 * (a * w) @ a.T * _difference_means(m, nodes) * _difference_means(l, nodes)
+    dev = float(np.max(np.abs(gram - np.eye(shell_dimension(n)))))
+    return AngularResolutionReport(n=n, gram=gram, max_identity_dev=dev)

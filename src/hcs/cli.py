@@ -65,7 +65,6 @@ class RunConfig:
     psi_bar: float = 0.0
     omega: float = 1.0
     gamma_window: float = 1e5
-    radial_nodes: int = 96
     out: str = ""
     seed: int = 0
     grid_r: tuple = (0.5, 1.0, 2.0, 4.0)
@@ -151,8 +150,6 @@ def _build_config(command: str, file_cfg: dict, flags: dict) -> RunConfig:
         errors.append(f"gamma_window must be positive, got {cfg.gamma_window}")
     if not _is_int(cfg.seed) or cfg.seed < 0:
         errors.append(f"seed must be an integer >= 0, got {cfg.seed!r}")
-    if not _is_int(cfg.radial_nodes) or cfg.radial_nodes < 1:
-        errors.append(f"radial_nodes must be a positive integer, got {cfg.radial_nodes!r}")
     if command in ("eval", "evolve") and cfg.times and numbers_ok["gamma"] and numbers_ok["omega"]:
         drift = max(abs(cfg.omega * t) for t in cfg.times)
         phase = max(abs(cfg.gamma + cfg.omega * t) for t in cfg.times)
@@ -228,7 +225,7 @@ def _report_entry(check: CheckResult) -> dict:
 
 
 def _family_checks(family, n_max: int) -> list[CheckResult]:
-    checks = weights.validate_family(family, n_max=n_max, tol=1e-9)
+    checks = weights.validate_family(family, n_max=n_max)
     return [replace(c, name=f"family-{c.name}") for c in checks]
 
 
@@ -349,7 +346,7 @@ def _checks_radial(cfg, family, rng):
 def _checks_parseval(cfg, family, rng):
     label = hydrogen.HydrogenLabel(1.0, 0.4, angular.EulerAngles(1.1, 0.7, 2.3))
     state = hydrogen.hydrogen_cs(label, family, n_max=8, check_tail=False)
-    quad = position.quadrature_norm_squared(state, radial_nodes=cfg.radial_nodes)
+    quad = position.quadrature_norm_squared(state)
     # summed over the flat vector: norm_squared() is the closed form sum |a_n|^2 (n+1)^2
     coeff = float(np.sum(np.abs(state.coeffs) ** 2))
     closed = hydrogen.state_norm(label, family, 8) ** 2

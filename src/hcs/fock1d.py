@@ -50,13 +50,6 @@ class Spectrum:
         if not self.omega > 0:
             raise ConfigurationError(f"omega must be positive, got {self.omega}")
 
-    def energy(self, n: int) -> float:
-        if n < 0:
-            raise ValueError(f"level index must be >= 0, got {n}")
-        if self.kind == "oscillator":
-            return self.omega * n
-        return -self.omega / (n + 1.0) ** 2
-
     def evolution_phases(self, count: int, t: float) -> np.ndarray:
         """Phase factors e^{-i E_n t} for n < count.
 

@@ -36,19 +36,7 @@ __all__ = [
     "hydrogen_stability_residual",
     "state_norm",
     "hydrogen_resolution_check",
-    "shell_offset",
-    "total_dimension",
 ]
-
-
-def shell_offset(n: int) -> int:
-    """Flat index where shell n starts: sum_{k<n} (k+1)^2."""
-    return n * (n + 1) * (2 * n + 1) // 6
-
-
-def total_dimension(n_max: int) -> int:
-    """Dimension of the truncated basis with shells 0..n_max."""
-    return shell_offset(n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -69,6 +57,9 @@ class HydrogenLabel:
             raise ValueError(f"labels must be finite, got s={self.s}, gamma={self.gamma}")
         if self.s < 0:
             raise ValueError(f"radial label must be >= 0, got s={self.s}")
+        # stored as floats, as EulerAngles stores its angles: s*s of an integer s may be an int past the double range
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     def shifted(self, omega: float, t: float) -> "HydrogenLabel":
         """Label after time t of evolution: gamma -> gamma + omega*t."""
@@ -97,12 +88,12 @@ class HydrogenExpansion:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The flat vector, index shell_offset(n) + l^2 + l + m: amps[n] * angular.coeffs[:(n+1)^2] per shell."""
+        """The flat vector, shell n from index sum_{k<n} (k+1)^2 on: amps[n] * angular.coeffs[:(n+1)^2]."""
         return np.concatenate([a * self.angular.coeffs[: shell_dimension(n)] for n, a in enumerate(self.amps)])
 
     def shell_norms(self) -> np.ndarray:
         """|amps[n]|^2 W_n per shell, W_n = (n+1)^2 the squared norm of the shell's angular state."""
-        return np.abs(self.amps) ** 2 * self.angular.shell_weights
+        return np.abs(self.amps) ** 2 * _level_squares(self.n_max + 1)
 
     def norm_squared(self) -> float:
         return float(np.sum(self.shell_norms()))
@@ -124,11 +115,12 @@ def hydrogen_cs(
     (``WeightFamily.check_series_tail``); pass ``check_tail=False`` when
     comparing identically truncated vectors, where adequacy is irrelevant.
     """
+    angular = angular_cs(n_max, label.omega_bar)  # first: it refuses a shell past the last finite one
     amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False)
     if check_tail:
         family.check_series_tail(label.s * label.s)
         tail_guard(np.abs(amps) ** 2 * _level_squares(n_max + 1), label.s, f"hydrogen_cs at s={label.s}")
-    return HydrogenExpansion(n_max, amps, angular_cs(n_max, label.omega_bar))
+    return HydrogenExpansion(n_max, amps, angular)
 
 
 def evolve_hydrogen(x: HydrogenExpansion, omega: float, t: float) -> HydrogenExpansion:
@@ -205,7 +197,8 @@ class HydrogenResolutionReport:
 
     @property
     def dimension(self) -> int:
-        return total_dimension(self.n_max)
+        """sum_{n <= n_max} (n+1)^2, the size of the truncated (n, l, m) basis."""
+        return (self.n_max + 1) * (self.n_max + 2) * (2 * self.n_max + 3) // 6
 
     @property
     def certificate_satisfied(self) -> bool:

@@ -181,30 +181,34 @@ def _normalized_forms(x: HydrogenExpansion, top: int = 2) -> np.ndarray:
     return forms / forms[2].real
 
 
-def quadrature_norm_squared(x: HydrogenExpansion, radial_nodes: int = 96) -> float:
+# quadrature_norm_squared's radial Gauss-Laguerre rule, checked against one of 32 more nodes
+_NORM_RULE_NODES = 96
+
+
+def quadrature_norm_squared(x: HydrogenExpansion) -> float:
     """Position-space squared norm by full quadrature over all of space.
 
     Radial Gauss-Laguerre with substitution matched to the slowest decay,
     Gauss-Legendre in cos(theta), uniform azimuth rule at the trig-
     polynomial exactness threshold.  Independent of the coefficient-space
-    norm, which it must reproduce to 1e-8 relative: the radial error is
-    estimated against a rule with 32 more nodes (32 fewer above 96), and a
-    larger estimate raises ``NumericalError``.
+    norm, which it must reproduce to 1e-8 relative: the radial error of the
+    _NORM_RULE_NODES rule is estimated against a rule with 32 more nodes,
+    and a larger estimate raises ``NumericalError``.
     """
-    x_rule = make_quadrature("legendre", x.n_max + 1)
+    theta, w_theta = make_quadrature("legendre", x.n_max + 1)
     n_phi = 2 * x.n_max + 1
-    phi = make_quadrature("trapezoid", n_phi).nodes
-    w_ang = np.repeat(x_rule.weights, n_phi) * (2.0 * math.pi / n_phi)
-    powers = _xi_powers(x, np.arccos(x_rule.nodes)[:, None], phi)  # sampled as eval samples (export_density_grid)
+    phi, _ = make_quadrature("trapezoid", n_phi)
+    w_ang = np.repeat(w_theta, n_phi) * (2.0 * math.pi / n_phi)
+    powers = _xi_powers(x, np.arccos(theta)[:, None], phi)  # sampled as eval samples (export_density_grid)
 
     values = []
-    for nodes in (radial_nodes, radial_nodes + 32 if radial_nodes <= 96 else radial_nodes - 32):
+    for nodes in (_NORM_RULE_NODES, _NORM_RULE_NODES + 32):
         r, wr = exp_decay_rule(2.0 / (x.n_max + 1.0), nodes)  # the slowest decay present
         psi = _radial_profiles(x, radial_table(x.n_max, r)).T @ powers  # (n_r, n_ang)
         values.append(float(np.einsum("r,a,ra->", wr * r * r, w_ang, np.abs(psi) ** 2)))
     error = abs(values[0] - values[1])
     if not error <= 1e-8 * values[0]:
-        raise NumericalError(f"radial rule of {radial_nodes} nodes: norm error {error:.2g} of {values[0]:.6g}")
+        raise NumericalError(f"radial rule of {_NORM_RULE_NODES} nodes: norm error {error:.2g} of {values[0]:.6g}")
     return values[0]
 
 

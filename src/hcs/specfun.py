@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 __all__ = [
-    "QuadratureRule",
     "log_factorial",
-    "sqrt_binomial_weight",
     "spherical_harmonic_table",
     "radial_eigenfunction",
     "radial_table",
@@ -29,14 +26,6 @@ __all__ = [
     "logsumexp",
     "pchip",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Immutable set of quadrature nodes and strictly positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 def log_factorial(k: int) -> float:
@@ -55,21 +44,6 @@ def _log_factorials(count: int) -> np.ndarray:
     table = np.array([log_factorial(k) for k in range(count)])
     table.flags.writeable = False
     return table
-
-
-def sqrt_binomial_weight(l: int, m: int) -> float:
-    """Square root of the central binomial ratio (2l)! / ((l+m)!(l-m)!).
-
-    This is the amplitude attached to |l m> inside a spin coherent state;
-    evaluated in log space so l of a few hundred is still finite.
-    """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if abs(m) > l:
-        raise ValueError(f"need |m| <= l, got m={m}, l={l}")
-    # canonical subtraction order makes the m <-> -m symmetry exact
-    hi, lo = l + abs(m), l - abs(m)
-    return math.exp(0.5 * (log_factorial(2 * l) - log_factorial(hi) - log_factorial(lo)))
 
 
 def _legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
@@ -236,8 +210,8 @@ def radial_table(n_max: int, r) -> np.ndarray:
     return out
 
 
-def make_quadrature(kind: str, m: int) -> QuadratureRule:
-    """Build a quadrature rule.
+def make_quadrature(kind: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and strictly positive weights of a quadrature rule.
 
     kind 'legendre': Gauss-Legendre on [-1, 1]; exact for polynomials of
     degree <= 2m-1.  The rule is built once per process for each node count
@@ -250,10 +224,10 @@ def make_quadrature(kind: str, m: int) -> QuadratureRule:
     if not isinstance(m, int) or m < 1:
         raise ConfigurationError(f"node count must be a positive integer, got {m!r}")
     if kind == "legendre":
-        return QuadratureRule(*_gauss_rule("legendre", m))
+        return _gauss_rule("legendre", m)
     if kind == "trapezoid":
         period = 2.0 * math.pi
-        return QuadratureRule(period * np.arange(m) / m, np.full(m, period / m))
+        return period * np.arange(m) / m, np.full(m, period / m)
     raise ConfigurationError(f"unknown quadrature kind {kind!r}")
 
 

@@ -244,10 +244,10 @@ class WeightFamily:
 
     def _composite_grid_rule(self):
         grid_u, _ = self._grid
-        base = make_quadrature("legendre", GRID_RULE_POINTS)
+        x, w = make_quadrature("legendre", GRID_RULE_POINTS)
         half = (0.5 * np.diff(grid_u))[:, None]  # per cell
-        nodes = half * base.nodes + (0.5 * (grid_u[1:] + grid_u[:-1]))[:, None]
-        return nodes.ravel(), np.log((half * base.weights).ravel())
+        nodes = half * x + (0.5 * (grid_u[1:] + grid_u[:-1]))[:, None]
+        return nodes.ravel(), np.log((half * w).ravel())
 
 
 def builtin_family(name: str) -> WeightFamily:
@@ -400,10 +400,11 @@ class CheckResult:
         return cls(name, measured <= bound, measured, bound, detail)
 
 
-def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) -> tuple[CheckResult, ...]:
+def validate_family(family: WeightFamily, n_max: int = 10) -> tuple[CheckResult, ...]:
     """Consistency checks of a weight family.
 
-    Checks (a) stored moments against independent quadrature for n <= n_max,
+    Checks (a) stored moments against independent quadrature for n <= n_max
+    to 1e-9 relative,
     (b) the factorization rho = M^2 k on a log-spaced grid over the
     tabulated support (from 1e-3 at least), else over [1e-3, 50], (c)
     positivity of rho, k and the moments.  Failures are failed checks, not
@@ -437,7 +438,7 @@ def validate_family(family: WeightFamily, n_max: int = 10, tol: float = 1e-9) ->
     neg = min(float(rho_vals.min()), float(k_vals.min()), float(moments.min()))
     positive = bool(neg > 0 or (rho_vals.min() >= 0 and k_vals.min() >= 0 and moments.min() > 0))
     return (
-        CheckResult.at_most("moments", devs[worst_n], tol, f"worst relative deviation at moment n={worst_n}"),
+        CheckResult.at_most("moments", devs[worst_n], 1e-9, f"worst relative deviation at moment n={worst_n}"),
         CheckResult.at_most("factorization", fact_dev, 1e-10, "max relative |rho - M^2 k| on log-spaced grid"),
         CheckResult("positivity", positive, neg, 0.0, "min of rho, k on grid and of the moment table"),
     )

@@ -127,7 +127,7 @@ def test_criterion_07_radial_eigenfunctions():
 def test_criterion_08_position_space_parseval():
     label = HydrogenLabel(1.0, 0.0, EulerAngles(1.1, 0.7, 2.3))
     state = hydrogen_cs(label, EXPONENTIAL, 8, check_tail=False)
-    quad = quadrature_norm_squared(state, radial_nodes=96)
+    quad = quadrature_norm_squared(state)
     coeff = float(np.sum(np.abs(state.coeffs) ** 2))
     closed = math.exp(-1.0) * sum((n + 1) ** 2 / math.factorial(n) for n in range(9))
     assert abs(quad - coeff) <= 1e-8

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcs
+from hcs import position
 from hcs.angular import EulerAngles
 from hcs.cli import (
     _CONFIG_KEYS,
@@ -186,18 +187,16 @@ class TestVerify:
             ]
             assert labels.tobytes() == np.array(scalar).tobytes()
 
-    def test_coarse_radial_rule_is_numerical_failure(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"radial_nodes": 12}))
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 3
+    def test_coarse_radial_rule_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(position, "_NORM_RULE_NODES", 12)
+        assert main(["verify", "--out", str(tmp_path / "r.json")]) == 3
         assert "radial rule of 12 nodes" in capsys.readouterr().err
 
-    def test_parseval_is_relative_to_the_norm(self, tmp_path):
+    def test_parseval_is_relative_to_the_norm(self, tmp_path, monkeypatch):
         # this rule misses the squared norm of about 5 by 1.9e-8: 3.9e-9 relative, inside 1e-8
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"radial_nodes": 56}))
+        monkeypatch.setattr(position, "_NORM_RULE_NODES", 56)
         out = tmp_path / "r.json"
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
         entry = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "position-parseval")
         assert 1e-9 < entry["measured"] <= 1e-8
 
@@ -608,6 +607,20 @@ class TestEvolve:
         assert "shell 1027 is past 1026" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_oversize_shell_is_refused_before_any_per_shell_work(self, tmp_path, capsys, monkeypatch):
+        from hcs import hydrogen
+
+        def per_shell_work(*args, **kwargs):
+            raise AssertionError("shell amplitudes built before the shell limit was checked")
+
+        monkeypatch.setattr(hydrogen, "degen_cs", per_shell_work)
+        out = tmp_path / "evolve.csv"
+        for n_max in ("1027", "20000000"):
+            assert main(["evolve", "--n-max", n_max, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"shell {n_max} is past 1026" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_repeated_time_repeats_its_row(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"n_max": 48, "s": 3.0, "times": [0.5, 2.0, 0.5]}))
@@ -739,7 +752,7 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command):
         ("moments", {"s": "abc"}, "s"),
         ("eval", {"gamma": None}, "gamma"),
         ("verify", {"n_max": True}, "n_max"),
-        ("verify", {"radial_nodes": True}, "radial_nodes"),
+        ("verify", {"radial_nodes": 96}, "radial_nodes"),  # the radial rule is fixed: an unknown key
         ("verify", {"gamma_window": math.inf}, "gamma_window"),
         ("eval", {"s": math.nan}, "s"),
         ("eval", {"times": []}, "times"),
@@ -753,7 +766,20 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, config, fie
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert re.search(rf"\b{field} must be", err) and "Traceback" not in err
+    message = rf"\b{field} must be" if field in _CONFIG_KEYS else rf"unknown config keys: {field}\b"
+    assert re.search(message, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "evolve"])
+def test_integer_s_past_the_double_range_is_numerical_failure(tmp_path, capsys, command):
+    # a JSON integer s = 10^300: s^2 passes the double range, as the float 1e300 does
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"s": 10**300}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -770,7 +796,7 @@ def test_build_config_types_or_config_error(command, file_cfg):
         cfg = _build_config(command, file_cfg, {})
     except ConfigurationError:
         return
-    for name in ("n_max", "seed", "radial_nodes"):
+    for name in ("n_max", "seed"):
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) >= 0
     for name in ("s", "gamma", "theta_bar", "phi_bar", "psi_bar", "omega", "gamma_window"):
         value = getattr(cfg, name)
@@ -792,7 +818,6 @@ _PLAUSIBLE = st.fixed_dictionaries(
         "theta_bar": st.floats(0.0, math.pi) | _FLOAT,
         **{name: _FLOAT for name in ("gamma", "phi_bar", "psi_bar")},
         **{name: st.floats(1e-3, 1e3) | _FLOAT for name in ("omega", "gamma_window")},
-        "radial_nodes": st.integers(0, 140),
         "seed": st.integers(-1, 2**64),
         "grid": st.fixed_dictionaries({}, optional={axis: _AXIS for axis in ("r", "theta", "phi")}),
         "times": st.lists(st.floats(-50.0, 50.0) | _FLOAT, max_size=3),

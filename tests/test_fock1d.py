@@ -15,6 +15,7 @@ from hcs.fock1d import (
     resolution_check_1d,
 )
 from hcs.weights import builtin_family
+from oracles import spectrum_energies
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +41,15 @@ def _oscillator_kernel(z, w):
 
 
 class TestSpectrum:
+    # the energies E_n that the evolution phases e^{-i E_n t} carry
     def test_oscillator_energies(self):
         spec = Spectrum("oscillator", 2.0)
-        assert spec.energy(3) == 6.0
+        assert spectrum_energies(spec, 4)[3] == pytest.approx(6.0, rel=1e-15)
 
     def test_inverse_square_energies(self):
         spec = Spectrum("inverse-square", 1.0)
-        e = np.array([spec.energy(n) for n in range(50)])
-        assert e[0] == -1.0
+        e = spectrum_energies(spec, 50)
+        assert e[0] == pytest.approx(-1.0, rel=1e-15)
         assert np.all(np.diff(e) > 0)
         assert np.all((e < 0) & (e > -1.0 - 1e-15))
 

@@ -15,11 +15,10 @@ from hcs.hydrogen import (
     hydrogen_cs,
     hydrogen_resolution_check,
     hydrogen_stability_residual,
-    shell_offset,
     state_norm,
-    total_dimension,
 )
 from hcs.weights import builtin_family
+from oracles import shell_offset, spectrum_energies, total_dimension
 
 
 @pytest.fixture(scope="module")
@@ -46,31 +45,36 @@ class TestHydrogenLabel:
 
 
 class TestSpectrum:
+    # the energies E_n = -omega/(n+1)^2 that the evolution phases e^{-i E_n t} carry
     def test_examples(self):
-        assert Spectrum("inverse-square", 1.0).energy(0) == -1.0
-        assert Spectrum("inverse-square", 1.0).energy(1) == -0.25
-        assert Spectrum("inverse-square", 0.5).energy(2) == pytest.approx(-0.5 / 9.0, rel=1e-15)
+        assert spectrum_energies(Spectrum("inverse-square", 1.0), 2) == pytest.approx([-1.0, -0.25], rel=1e-15)
+        assert spectrum_energies(Spectrum("inverse-square", 0.5), 3)[2] == pytest.approx(-0.5 / 9.0, rel=1e-15)
 
     def test_accumulation(self):
         omega = 1.3
-        e = np.array([Spectrum("inverse-square", omega).energy(n) for n in range(40)])
+        e = spectrum_energies(Spectrum("inverse-square", omega), 40)
         assert np.all(np.diff(e) > 0)
-        assert np.all((e >= -omega) & (e < 0))
+        assert np.all((e >= -omega * (1 + 1e-15)) & (e < 0))
 
     def test_domain(self):
         with pytest.raises(ValueError):
             Spectrum("inverse-square", -1.0)
         with pytest.raises(ValueError):
-            Spectrum("inverse-square", 1.0).energy(-1)
+            Spectrum("inverse-square", 0.0)
 
 
 class TestIndexing:
-    def test_shell_offsets(self):
-        assert shell_offset(0) == 0
-        assert shell_offset(1) == 1
-        assert shell_offset(2) == 5
-        assert shell_offset(3) == 14
+    def test_shell_offsets(self, exponential):
+        # the flat vector holds shell n from sum_{k<n} (k+1)^2 = 0, 1, 5, 14, ... on
+        assert [shell_offset(n) for n in range(4)] == [0, 1, 5, 14]
         assert total_dimension(8) == sum((n + 1) ** 2 for n in range(9))
+        x = hydrogen_cs(HydrogenLabel(0.8, 0.3, ANGLES), exponential, 8, check_tail=False)
+        assert len(x.coeffs) == total_dimension(8)
+        for n in range(9):
+            block = x.coeffs[shell_offset(n) : shell_offset(n + 1)]
+            assert np.array_equal(block, x.amps[n] * x.angular.coeffs[: (n + 1) ** 2])
+        rep = hydrogen_resolution_check(exponential, n_max=8)
+        assert rep.dimension == total_dimension(8)
 
 
 class TestHydrogenCS:

@@ -15,8 +15,6 @@ from hcs.hydrogen import (
     HydrogenLabel,
     evolve_hydrogen,
     hydrogen_cs,
-    shell_offset,
-    total_dimension,
 )
 from hcs.position import (
     DENSITY_CSV_HEADER,
@@ -29,6 +27,7 @@ from hcs.position import (
 )
 from hcs.specfun import radial_eigenfunction, radial_table, spherical_harmonic_table
 from hcs.weights import builtin_family
+from oracles import shell_offset, total_dimension
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +167,6 @@ class TestRadialExpectation:
         x = hydrogen_cs(HydrogenLabel(0.9, 0.7, ANGLES), exponential, 6, check_tail=False)
         got = radial_expectation(x, 1)
         # pairwise oracle: adaptive quadrature of every radial overlap
-        from hcs.hydrogen import shell_offset
-
         def overlap(n, n2, l, power):
             return quad(
                 lambda r: radial_eigenfunction(n, l, r) * radial_eigenfunction(n2, l, r) * r**power,
@@ -483,10 +480,11 @@ class TestQuadratureNormContract:
             return
         assert abs(value - x.norm_squared()) <= 1e-8 * x.norm_squared()
 
-    def test_coarse_rule_raises(self, exponential):
+    def test_coarse_rule_raises(self, exponential, monkeypatch):
         x = hydrogen_cs(HydrogenLabel(1.0, 0.4, ANGLES), exponential, 8, check_tail=False)
-        with pytest.raises(NumericalError, match="norm error"):
-            quadrature_norm_squared(x, radial_nodes=12)
+        monkeypatch.setattr(position, "_NORM_RULE_NODES", 12)
+        with pytest.raises(NumericalError, match="radial rule of 12 nodes: norm error"):
+            quadrature_norm_squared(x)
 
 
 class TestExportDensityGrid:

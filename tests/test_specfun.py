@@ -11,6 +11,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import roots_laguerre, roots_legendre, sph_harm_y
 
+from hcs import angular
+from hcs.angular import EulerAngles, _binomial_weights, _channels, angular_cs
 from hcs.errors import ConfigurationError
 from hcs.specfun import (
     _gauss_rule,
@@ -24,8 +26,8 @@ from hcs.specfun import (
     radial_eigenfunction,
     radial_table,
     spherical_harmonic_table,
-    sqrt_binomial_weight,
 )
+from oracles import sqrt_binomial_weight
 
 
 class TestLogFactorial:
@@ -47,33 +49,60 @@ class TestLogFactorial:
             log_factorial(-1)
 
 
+def _weights(l_max):
+    """w[l*l + l + m] = sqrt((2l)!/((l+m)!(l-m)!)) for l <= l_max, from the library's one copy."""
+    l, m = _channels(l_max)
+    return _binomial_weights(l_max, l, l + m)
+
+
 class TestSqrtBinomialWeight:
+    """The spin coherent-state amplitudes of ``angular._binomial_weights``, on specfun's log factorials."""
+
     def test_edge_cases(self):
-        assert sqrt_binomial_weight(0, 0) == 1.0
-        assert sqrt_binomial_weight(1, 0) == pytest.approx(math.sqrt(2), rel=1e-14)
-        assert sqrt_binomial_weight(2, 2) == pytest.approx(1.0, rel=1e-14)
+        w = _weights(2)
+        assert w[0] == 1.0
+        assert w[2] == pytest.approx(math.sqrt(2), rel=1e-14)  # (l, m) = (1, 0)
+        assert w[8] == pytest.approx(1.0, rel=1e-14)  # (2, 2)
 
     def test_mirror_symmetry(self):
+        w = _weights(12)
         for l in range(13):
             for m in range(l + 1):
-                assert sqrt_binomial_weight(l, m) == sqrt_binomial_weight(l, -m)
+                assert w[l * l + l + m] == w[l * l + l - m]
 
     def test_against_exact_combinatorics(self):
+        w = _weights(12)
         for l in range(13):
             for m in range(-l, l + 1):
                 exact = math.sqrt(math.comb(2 * l, l + m))
-                assert sqrt_binomial_weight(l, m) == pytest.approx(exact, rel=1e-13)
+                assert w[l * l + l + m] == pytest.approx(exact, rel=1e-13)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            sqrt_binomial_weight(2, 3)
+    def test_domain_error(self, monkeypatch):
+        # the central weight of l = 1027, e^709.84, is past the largest double: angular_cs refuses
+        # the shell before it forms any weight
+        with pytest.raises(OverflowError):
+            _binomial_weights(1027, np.array([1027]), np.array([1027]))
+        assert np.all(np.isfinite(_weights(1026)))
+        monkeypatch.setattr(angular, "_binomial_weights", None)  # any call would raise TypeError
+        for n in (1027, 20_000_000):
+            with pytest.raises(ConfigurationError, match=f"shell {n} is past 1026"):
+                angular_cs(n, EulerAngles(1.1, 0.7, 2.3))
+
+    @pytest.mark.parametrize("l_max", [60, 500, 1026])
+    def test_bit_for_bit_against_the_scalar_oracle(self, l_max):
+        # every channel l <= 60, and the top block of 500 and 1026
+        l, m = _channels(l_max)
+        pick = slice(None) if l_max <= 60 else slice(l_max * l_max, None)
+        oracle = [sqrt_binomial_weight(a, b) for a, b in zip(l[pick].tolist(), m[pick].tolist())]
+        assert _binomial_weights(l_max, l[pick], (l + m)[pick]).tobytes() == np.array(oracle).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(l=st.integers(0, 12), theta=st.floats(0.0, math.pi))
     def test_binomial_collapse(self, l, theta):
         # sum_m w^2 sin^(2(l-m)) cos^(2(l+m)) of the half angle telescopes to 1
+        w = _weights(l)
         total = sum(
-            sqrt_binomial_weight(l, m) ** 2
+            w[l * l + l + m] ** 2
             * math.sin(theta / 2) ** (2 * (l - m))
             * math.cos(theta / 2) ** (2 * (l + m))
             for m in range(-l, l + 1)
@@ -81,10 +110,11 @@ class TestSqrtBinomialWeight:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_collapse_on_grid(self):
+        w = _weights(12)
         for l in range(13):
             for theta in np.linspace(0.0, math.pi, 50):
                 total = sum(
-                    sqrt_binomial_weight(l, m) ** 2
+                    w[l * l + l + m] ** 2
                     * math.sin(theta / 2) ** (2 * (l - m))
                     * math.cos(theta / 2) ** (2 * (l + m))
                     for m in range(-l, l + 1)
@@ -122,13 +152,13 @@ class TestSphericalHarmonic:
     def test_gram_identity(self):
         # exact quadrature: Gauss-Legendre in cos(theta), uniform azimuth
         l_max = 6
-        x_rule = make_quadrature("legendre", l_max + 1)
+        x, w_x = make_quadrature("legendre", l_max + 1)
         n_phi = 2 * l_max + 1
-        phi = make_quadrature("trapezoid", n_phi).nodes
-        theta = np.arccos(x_rule.nodes)
+        phi, _ = make_quadrature("trapezoid", n_phi)
+        theta = np.arccos(x)
         tb = np.repeat(theta, n_phi)
         pb = np.tile(phi, theta.size)
-        w = np.repeat(x_rule.weights, n_phi) * (2 * math.pi / n_phi)
+        w = np.repeat(w_x, n_phi) * (2 * math.pi / n_phi)
         table = spherical_harmonic_table(l_max, tb, pb)
         gram = np.einsum("ap,p,bp->ab", table, w, table.conj())
         assert np.max(np.abs(gram - np.eye((l_max + 1) ** 2))) <= 1e-12
@@ -359,9 +389,9 @@ class TestRadialOracle:
 
 class TestMakeQuadrature:
     def test_single_node_legendre(self):
-        rule = make_quadrature("legendre", 1)
-        assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
-        assert rule.weights[0] == pytest.approx(2.0, rel=1e-15)
+        nodes, weights = make_quadrature("legendre", 1)
+        assert nodes[0] == pytest.approx(0.0, abs=1e-15)
+        assert weights[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_laguerre_two_nodes_closed_form(self):
         x, scaled = exp_decay_rule(1.0, 2)
@@ -371,8 +401,8 @@ class TestMakeQuadrature:
         )
 
     def test_legendre_monomial(self):
-        rule = make_quadrature("legendre", 16)
-        assert rule.weights @ rule.nodes**14 == pytest.approx(2.0 / 15.0, rel=1e-13)
+        nodes, weights = make_quadrature("legendre", 16)
+        assert weights @ nodes**14 == pytest.approx(2.0 / 15.0, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -382,17 +412,17 @@ class TestMakeQuadrature:
     def test_legendre_polynomial_exactness(self, m, coeffs):
         degree = min(len(coeffs) - 1, 2 * m - 1)
         coeffs = coeffs[: degree + 1]
-        rule = make_quadrature("legendre", m)
-        got = rule.weights @ sum(c * rule.nodes**k for k, c in enumerate(coeffs))
+        nodes, weights = make_quadrature("legendre", m)
+        got = weights @ sum(c * nodes**k for k, c in enumerate(coeffs))
         exact = sum(2.0 * c / (k + 1) for k, c in enumerate(coeffs) if k % 2 == 0)
         assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
     def test_trapezoid_kills_integer_frequencies(self):
-        rule = make_quadrature("trapezoid", 9)
+        nodes, weights = make_quadrature("trapezoid", 9)
         for k in range(1, 9):
-            val = np.sum(rule.weights * np.exp(1j * k * rule.nodes))
+            val = np.sum(weights * np.exp(1j * k * nodes))
             assert abs(val) <= 1e-13
-        assert np.sum(rule.weights) == pytest.approx(2 * math.pi, rel=1e-15)
+        assert np.sum(weights) == pytest.approx(2 * math.pi, rel=1e-15)
 
     def test_laguerre_stable_at_128(self):
         x, scaled = exp_decay_rule(1.0, 128)
@@ -403,11 +433,11 @@ class TestMakeQuadrature:
 
     def test_invariants_all_kinds(self):
         rules = [make_quadrature("legendre", 24), make_quadrature("trapezoid", 24)]
-        for nodes, weights in [(rule.nodes, rule.weights) for rule in rules] + [exp_decay_rule(1.0, 24)]:
+        for nodes, weights in rules + [exp_decay_rule(1.0, 24)]:
             assert np.all(np.diff(nodes) > 0)
             assert np.all(weights > 0)
-        assert -1.0 < rules[0].nodes[0] and rules[0].nodes[-1] < 1.0
-        assert rules[1].nodes[0] == 0.0 and rules[1].nodes[-1] < 2 * math.pi
+        assert -1.0 < rules[0][0][0] and rules[0][0][-1] < 1.0
+        assert rules[1][0][0] == 0.0 and rules[1][0][-1] < 2 * math.pi
 
     def test_configuration_errors(self):
         with pytest.raises(ConfigurationError):
@@ -474,8 +504,7 @@ class TestGaussRuleOracle:
     def test_legendre(self, m):
         sx, sw = roots_legendre(m)
         ref = _mp_gauss_rule("legendre", m, sx)
-        rule = make_quadrature("legendre", m)
-        ours = _rule_errors("legendre", rule.nodes, rule.weights, *ref)
+        ours = _rule_errors("legendre", *make_quadrature("legendre", m), *ref)
         theirs = _rule_errors("legendre", sx, sw, *ref)
         assert ours[0] <= theirs[0] and ours[1] <= theirs[1], (ours, theirs)
 

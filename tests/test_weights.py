@@ -153,7 +153,7 @@ class TestKWeight:
 class TestValidateFamily:
     def test_builtins_pass(self, exponential, sqrt_exponential):
         for fam in (exponential, sqrt_exponential):
-            checks = validate_family(fam, n_max=10, tol=1e-9)
+            checks = validate_family(fam, n_max=10)
             assert all(c.passed for c in checks), checks
 
     def test_corrupted_moment_detected(self):
@@ -167,7 +167,7 @@ class TestValidateFamily:
             declared_moments=moments,
             subst_power=1,
         )
-        failed = [c for c in validate_family(fam, n_max=10, tol=1e-9) if not c.passed]
+        failed = [c for c in validate_family(fam, n_max=10) if not c.passed]
         assert failed and failed[0].name == "moments"
         assert "n=3" in failed[0].detail
 
@@ -179,7 +179,7 @@ class TestValidateFamily:
             m_squared_closed=lambda u: np.exp(-1.5 * np.asarray(u, dtype=float)),
             k_closed=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         )
-        names = [c.name for c in validate_family(fam, n_max=4, tol=1e-9) if not c.passed]
+        names = [c.name for c in validate_family(fam, n_max=4) if not c.passed]
         assert "factorization" in names
 
 
