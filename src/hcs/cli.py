@@ -177,16 +177,16 @@ def estimated_bytes(cfg: RunConfig) -> int:
     n_max 64, where the peak RSS measured 734 MiB).  evolve and moments:
     none, their arrays are per shell (an 11-time evolve at n_max 1000 or
     1026 peaked within 0.4 MiB of one at n_max 0).  eval: the power table of
-    xi (16 B per shell and angle), the radial table with its recurrence
-    temporaries (32 B per shell, l and radius) and recurrence coefficients
-    (48 B per shell and l), psi, four int32 grid codes and |psi|^2 (40 B per
-    CSV row) and one block of CSV text, with its concatenation and bytes.
-    A one-point eval at n_max 700 / 1000 peaked 30 / 66 MiB above one at
-    n_max 0, against estimates of 38 / 77 MiB.  At n_max 24 this estimates
-    15.6 / 45.6 / 7.4 / 160.5 MiB for 262,144 and 1,048,576 rows (64x32x32
-    grid, 4 and 16 times), 8192 angles and 8192 radii, where the child's peak
-    RSS less that of a one-row run measured 14.6 / 44.6 / 4.2 / 119.7 MiB;
-    at n_max 96 on 16x64x128 (131,072 rows) 26.1 against 15.9 MiB.
+    xi (16 B per shell and angle), the radial table (8 B per shell, l and
+    radius) and the ladder's twelve float64 working rows (96 B per shell and
+    radius), psi, four int32 grid codes and |psi|^2 (40 B per CSV row) and
+    one block of CSV text, with its concatenation and bytes.  A one-point
+    eval at n_max 700 / 1000 peaked 2.9 / 6.4 MiB above one at n_max 0,
+    against estimates of 3.8 / 7.8 MiB.  At n_max 24 this estimates 14.8 /
+    44.8 / 7.4 / 62.1 MiB for 262,144 and 1,048,576 rows (64x32x32 grid, 4
+    and 16 times), 8192 angles and 8192 radii, where the child's peak RSS
+    less that of a four-row run measured 13.8 / 43.8 / 3.0 / 54.8 MiB; at
+    n_max 96 on 16x64x128 (131,072 rows) 22.4 against 15.0 MiB.
     """
     if cfg.command == "verify":
         return 6 * 8 * (cfg.n_max + 1) ** 4
@@ -194,7 +194,7 @@ def estimated_bytes(cfg: RunConfig) -> int:
         angles, radii = len(cfg.grid_theta) * len(cfg.grid_phi), len(cfg.grid_r)
         rows = radii * angles * len(cfg.times)
         shells = cfg.n_max + 1
-        tables = 16 * shells * angles + (32 * radii + 48) * shells**2
+        tables = 16 * shells * angles + (8 * shells + 96) * shells * radii
         return tables + 40 * rows + 3 * 7 * _FIELD * min(rows, _CSV_BLOCK_ROWS)
     return 0
 

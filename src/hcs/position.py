@@ -25,7 +25,7 @@ from .errors import ConfigurationError, NumericalError
 from .hydrogen import HydrogenExpansion, evolve_hydrogen
 from .specfun import (
     _LAGUERRE_MAX_NODES,
-    _radial_shell,
+    _radial_ladder,
     exp_decay_rule,
     make_quadrature,
     radial_table,
@@ -107,10 +107,11 @@ def _radial_operators(n_max: int, top: int = 2) -> tuple[np.ndarray, ...]:
     times that exponential.  The radial equation h'' = (l(l+1)/r^2 - 2/r +
     1/N^2) h, N = n+1, gives int h'_n h'_n' = -int h_n h''_n', and the
     commutator h' = -[H, r] h gives int h_n h'_n' = (E_n' - E_n) int h_n r h_n'
-    with E = -1/(2N^2).  The rules do not depend on l, so each channel samples
-    every shell at its pairs' nodes in one recurrence.  Each u is rescaled to
-    the unit norm its own rule measures, which drops the ~1e-13 scale error
-    of the log-space normalization.  Shared, so read-only.
+    with E = -1/(2N^2).  The rules do not depend on l, so one sweep of the
+    ladder in l samples every shell at its pairs' nodes for every channel.
+    Each u is rescaled to the unit norm its own rule measures, which drops
+    the ~1e-13 scale error of the log-space normalization.  Shared, so
+    read-only.
     """
     # pairs n <= n' by descending n, so the pairs of channel l are a prefix
     pairs = np.array([(a, b) for a in range(n_max, -1, -1) for b in range(a, n_max + 1)])
@@ -118,28 +119,35 @@ def _radial_operators(n_max: int, top: int = 2) -> tuple[np.ndarray, ...]:
     sizes = np.array([r.size for r, _ in rules])
     ends = np.cumsum(sizes)
     radius, weight = (np.concatenate(part) for part in zip(*rules))
-    shells = np.concatenate(np.repeat(pairs, sizes, axis=0).T)  # each node for its lower, then its upper shell
-    order = np.argsort(-shells, kind="stable")  # the recurrence takes shells descending
-    u = np.empty(shells.size)
-    tables = []
-    for l in range(n_max + 1):
-        count = (n_max + 1 - l) * (n_max + 2 - l) // 2  # pairs of shells >= l
-        nodes = ends[count - 1]
-        pick = order[order % radius.size < nodes]
-        u[pick] = _radial_shell(shells[pick], l, radius[pick % radius.size, None])[:, 0]
-        products = weight[:nodes] * u[:nodes] * u[radius.size : radius.size + nodes]  # w u_n u_n' per node
-        terms = products * radius[:nodes] ** np.arange(top + 3)[:, None]
+    tables = [np.empty((top + 5, n_max + 1 - l, n_max + 1 - l)) for l in range(n_max + 1)]
+    # one ladder sweep per block of the pairs whose nodes start in the same 2^14, which bounds the
+    # sweep's memory at any n_max
+    starts = ends - sizes
+    for block in np.split(np.arange(len(pairs)), np.flatnonzero(np.diff(starts // 2**14)) + 1):
+        block_pairs, block_sizes = pairs[block], sizes[block]
+        block_ends = np.cumsum(block_sizes)
+        r, w = (part[starts[block[0]] : ends[block[-1]]] for part in (radius, weight))
+        # each node for its lower, then its upper shell, sorted as the ladder takes them: node i sits
+        # at row rank[i] for its lower shell and at rank[r.size + i] for its upper
+        shells = np.concatenate(np.repeat(block_pairs, block_sizes, axis=0).T)
+        order = np.argsort(-shells, kind="stable")
+        rank = np.argsort(order)
+        for l, u in _radial_ladder(shells[order], np.tile(r, 2)[order, None]):
+            count = np.count_nonzero(block_pairs[:, 0] >= l)  # the block's pairs of shells >= l, a prefix
+            if count:
+                nodes = block_ends[count - 1]
+                terms = r[:nodes] ** np.arange(top + 3)[:, None]
+                terms *= w[:nodes] * u[rank[:nodes], 0] * u[rank[r.size : r.size + nodes], 0]  # w u_n u_n' r^t
+                a, b = block_pairs[:count].T - l
+                sums = np.add.reduceat(terms, block_ends[:count] - block_sizes[:count], axis=1)
+                tables[l][: top + 3, a, b] = tables[l][: top + 3, b, a] = sums
+    for l, table in enumerate(tables):
         inv_sq = 1.0 / np.arange(l + 1, n_max + 2) ** 2
-        table = np.empty((top + 5, inv_sq.size, inv_sq.size))
-        a, b = pairs[:count].T - l
-        table[: top + 3, a, b] = np.add.reduceat(terms, ends[:count] - sizes[:count], axis=1)
-        table[: top + 3, b, a] = table[: top + 3, a, b]
         norm = np.sqrt(np.diagonal(table[2]))
         table[: top + 3] /= np.multiply.outer(norm, norm)
         table[-2] = 0.5 * np.subtract.outer(inv_sq, inv_sq) * table[3]
         table[-1] = 2.0 * table[1] - l * (l + 1) * table[0] - 0.5 * np.add.outer(inv_sq, inv_sq) * table[2]
         table.flags.writeable = False
-        tables.append(table)
     return tuple(tables)
 
 

@@ -10,6 +10,7 @@ and the PCHIP interpolant are written here once for the whole package.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -97,116 +98,103 @@ def spherical_harmonic_table(l_max: int, theta, phi) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-# _laguerre scales an entry by 2^-_RESCALE_BITS, exactly, once it passes 2^_RESCALE_BITS
+# the ladder scales an entry by 2^-_RESCALE_BITS, exactly, once it passes 2^_RESCALE_BITS
 _RESCALE_BITS = 400
 
 
-def _laguerre(k: np.ndarray, a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
-    """Scaled Laguerre values P for rows of non-increasing degree k.
+def _radial_ladder(shells: np.ndarray, r: np.ndarray):
+    """Yield (l, u) for l = shells[0] down to 0: u[i] = u_{shells[i]}^l(r) on the rows of shell >= l.
 
-    P = L_k^(a)(z) / sqrt(C(k+a, k)), from the three-term recurrence in
-    degree (DLMF 18.9.1) in its symmetric form b_j P_j = (2j-1+a-z) P_{j-1}
-    - b_{j-1} P_{j-2}, b_j = sqrt(j(j+a)).  The scaling keeps P in double
-    range for large degrees.  a is one value or one per row, and the
-    recurrence coefficients are tabulated once per distinct a; z is shared
-    (points,) or per row (rows, points).  In the oscillatory region P grows
-    like e^{z/2}, so an entry past 2^_RESCALE_BITS and its predecessor are
-    rescaled.  Returns the values, shape (rows, points), and the number of
-    rescalings of each entry: 0 when there were none, else an int array.
-    """
-    values, row = np.unique(a, return_inverse=True)
-    row = row.reshape(-1, 1)
-    j = np.arange(int(k[0]) + 2)
-    b = np.sqrt(j * (j + values[:, None]))  # b[:, j] = b_j
-    c = 2.0 * j - 1.0 + values[:, None]  # c[:, j] - z multiplies P_{j-1}
-    # degrees do not increase, so the rows of degree >= j are a prefix; rows
-    # of degree j are [live[j+1], live[j]) and are read off after step j
-    live = np.searchsorted(-k, -j, side="right")
-    z = np.broadcast_to(z, k.shape + z.shape[-1:])
-    out = np.ones(z.shape)
-    count = 0
-    q_prev, q = np.zeros_like(out), out
-    for i in range(1, j.size - 1):
-        m, done = live[i], live[i + 1]
-        rows = row[:m]
-        q_next = (c[rows, i] - z[:m]) * q[:m]
-        q_next -= b[rows, i - 1] * q_prev[:m]
-        q_next /= b[rows, i]
-        q_prev, q = q[:m], q_next
-        # sum q^2 >= max q^2, and halving the threshold absorbs its rounding: one BLAS pass
-        # flags every step with an entry past 2^_RESCALE_BITS, whatever the thread count
-        if np.vdot(q, q) > 2.0 ** (2 * _RESCALE_BITS - 1):
-            big = np.abs(q) > 2.0**_RESCALE_BITS
-            q_prev, q = (np.where(big, v * 2.0**-_RESCALE_BITS, v) for v in (q_prev, q))
-            count = np.zeros(out.shape, dtype=np.int64) if np.isscalar(count) else count
-            count[:m] += big
-        out[done:m] = q[done:]
-    return out, count
-
-
-def _radial_shell(n: int | np.ndarray, l: int | np.ndarray, r: np.ndarray) -> np.ndarray:
-    """u_n^l(r) for rows (n, l) and radii r >= 0.
-
-    u = N k!/(a+1)_k z^l e^{-z/2} L_k^(a)(z) with z = 2r/(n+1); the prefactor
-    of the scaled Laguerre value P is sqrt(1/(2(n+1)(2l+1)!)) (2/(n+1))^(3/2)
-    z^l e^{-z/2}, assembled in log space, so neither z^l nor (2l+1)! has to
-    be representable on its own; an entry of P rescaled c times adds
-    c _RESCALE_BITS ln 2 to the log.  ``n`` and ``l`` are each one value or
-    one per row, with n - l not increasing down the rows; ``r`` is shared
-    (points,) or per row (rows, points).  Returns shape (rows, points).
+    The Infeld-Hull ladder in l at fixed shell N = n + 1 (Rev. Mod. Phys. 23,
+    21 (1951)): sqrt(1/l^2 - 1/N^2) u_(l-1) = (2l+1)(1/r - 1/(l(l+1))) u_l -
+    sqrt(1/(l+1)^2 - 1/N^2) u_(l+1), run downward from u_(n+1) = 0 and the
+    closed form log u_n = 1.5 log(2/N) - log((2n+2)!)/2 + n log z - z/2,
+    z = 2r/N.  ``shells`` descend, so the rows of shell >= l are a prefix,
+    and shell n joins at l = n.  ``r`` is shared (1, points) or per row
+    (rows, points), clamped at 2^512, where u is the exact 0 with the sign of
+    the recurrence.  The recurrence carries v_l = u_l / rho^l, rho = min(r,
+    1), so no step outgrows a double however small r is.  An entry past
+    2^_RESCALE_BITS is scaled down together with v_(l+1) and counted, and u =
+    sign(v) exp(base + count _RESCALE_BITS ln 2 + log|v| + l log rho), never
+    a product with an underflowed factor.  At r = 0, u is the closed form
+    2 / N^1.5 for l = 0 and 0 for every l >= 1.
     """
     if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    n, l = np.asarray(n), np.asarray(l)
-    shell, col = n[..., None], l[..., None]  # (1,) for one value, (rows, 1) per row
-    # past z = 2^_RESCALE_BITS one recurrence step may grow by more than a rescaling absorbs, but
-    # e^{-z/2} there puts u below the least double: r is clamped to z = 2^_RESCALE_BITS, past every
-    # zero of L_k, so u is the exact 0 with the sign of L_k(z), and 2r stays finite up to the largest double
-    z = 2.0 * np.minimum(r, 2.0 ** (_RESCALE_BITS - 1) * (shell + 1)) / (shell + 1)
-    p, count = _laguerre(np.atleast_1d(n - l), 2.0 * l + 1.0, z)
-    # math.log per shell and l, looked up per row: the same bits for every caller
-    log_fact = _log_factorials(2 * int(l.max()) + 2)[2 * col + 1]
-    shells = range(int(n.max()) + 1)
-    lead = np.array([1.5 * math.log(2.0 / (s + 1)) for s in shells])[shell]
-    half = np.array([math.log(2.0 * (s + 1)) for s in shells])[shell]
-    base = lead - 0.5 * (half + log_fact + z)
-    return np.exp(base + _xlogy(col, z) + count * (_RESCALE_BITS * math.log(2.0))) * p
-
-
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x log y, with 0 wherever x == 0 (so 0 log 0 = 0) and -inf for x > 0, y = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # the x == 0 entries are replaced
-        return np.where(x == 0, 0.0, x * np.log(y))
+    # every per-entry array gets the full (rows, points) shape, so no step broadcasts
+    r = np.minimum(np.broadcast_to(r, (shells.size, r.shape[-1])), 2.0**512)
+    col = shells[:, None]
+    big_n = col + 1.0
+    near, far = np.minimum(r, 1.0), 1.0 / np.maximum(r, 1.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: u = 0 at r = 0 for every l >= 1
+        log_near = np.log(near)
+    top = int(shells[0])
+    lead = 1.5 * np.log(2.0 / big_n) - 0.5 * _log_factorials(2 * top + 3)[2 * col + 2]  # log u_n - n log z + z/2
+    base = lead + col * np.log(2.0 * np.maximum(r, 1.0) / big_n) - r / big_n
+    live = np.searchsorted(-shells, -np.arange(top + 2), side="right")  # live[l]: the rows of shell >= l
+    v, v_up, spare, work = (np.empty(base.shape) for _ in range(4))
+    down, up = np.zeros(big_n.shape), np.zeros(big_n.shape)  # sqrt(1/l^2 - 1/N^2), sqrt(1/(l+1)^2 - 1/N^2)
+    shift, count = base.copy(), np.zeros(base.shape, dtype=np.int64)  # shift = base + count _RESCALE_BITS ln 2
+    for l in range(top, -1, -1):
+        m = live[l]
+        v[live[l + 1] : m], v_up[live[l + 1] : m] = 1.0, 0.0  # shell l joins, with u_(l+1) = 0
+        with np.errstate(divide="ignore"):  # log 0 = -inf where v is an exact zero, so u is 0 there
+            log_u = np.log(np.abs(v[:m], out=work[:m]), out=work[:m])
+        log_u += shift[:m]
+        if l:
+            log_u += np.multiply(log_near[:m], l, out=spare[:m])
+        u = np.copysign(np.exp(log_u, out=log_u), v[:m])
+        if l == 0:
+            yield 0, np.where(near[:m] == 0, 2.0 * big_n[:m] ** -1.5, u)
+            return
+        yield l, u
+        up, down = down, up  # this step's up is the last step's down, and 0 for shell l
+        np.sqrt((big_n[:m] - l) * (big_n[:m] + l), out=down[:m])
+        down[:m] /= l * big_n[:m]
+        new = np.multiply(far[:m], 2 * l + 1, out=spare[:m])
+        new -= np.multiply(near[:m], (2 * l + 1) / (l * (l + 1)), out=work[:m])
+        new *= v[:m]
+        lower = np.multiply(near[:m], near[:m], out=work[:m])
+        lower *= v_up[:m]
+        lower *= up[:m]
+        new -= lower
+        new /= down[:m]
+        v_up, v, spare = v, spare, v_up
+        if np.abs(new, out=work[:m]).max(initial=0.0) > 2.0**_RESCALE_BITS:
+            big = work[:m] > 2.0**_RESCALE_BITS
+            new[big] *= 2.0**-_RESCALE_BITS
+            v_up[:m][big] *= 2.0**-_RESCALE_BITS
+            count[:m] += big
+            shift[:m] = base[:m] + count[:m] * (_RESCALE_BITS * math.log(2.0))
 
 
 def radial_eigenfunction(n: int, l: int, r):
     """Radial eigenfunction u of the shell-n bound state, in Bohr units.
 
     u(r) = N [2r/(n+1)]^l F(-n+l, 2l+2, 2r/(n+1)) exp(-r/(n+1)), orthonormal
-    under the measure r^2 dr.
+    under the measure r^2 dr; n - l steps of the ladder in l.
     """
     if not 0 <= l <= n:
         raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
     r = np.asarray(r, dtype=float)
-    out = _radial_shell(n, l, r.ravel())[0].reshape(r.shape)
+    _, u = next(itertools.islice(_radial_ladder(np.array([n]), r.reshape(1, -1)), n - l, None))
+    out = u[0].reshape(r.shape)
     if out.shape == ():
         return float(out)
     return out
 
 
 def radial_table(n_max: int, r) -> np.ndarray:
-    """All radial eigenfunctions up to shell n_max, from one recurrence.
+    """All radial eigenfunctions up to shell n_max, from one sweep of the ladder in l.
 
     Returns U of shape (n_max+1, n_max+1, len(r)), with U[n, l] = u_n^l(r)
     for l <= n and zeros for l > n: the radial twin of
     spherical_harmonic_table.
     """
     r = np.asarray(r, dtype=float).ravel()
-    n, l = np.tril_indices(n_max + 1)
-    order = np.argsort(l - n, kind="stable")  # n - l descending
-    n, l = n[order], l[order]
     out = np.zeros((n_max + 1, n_max + 1, r.size))
-    out[n, l] = _radial_shell(n, l, r)
+    for l, u in _radial_ladder(np.arange(n_max, -1, -1), r[None]):
+        out[l:, l] = u[::-1]
     return out
 
 

@@ -683,7 +683,7 @@ class TestMemoryBudget:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
     def test_deep_eval_runs_within_its_estimate(self, tmp_path):
         # n_max 96 on 16x64x128 at one time (131,072 rows): a Ylm table there was 1.2 GB and the
-        # run was refused at 2.31 GiB; the peak measured 16 MiB above an n_max 0 run, estimate 26 MiB
+        # run was refused at 2.31 GiB; the peak measured 15 MiB above an n_max 0 run, estimate 22 MiB
         grid = {
             "r": [0.5 + 2.0 * i for i in range(16)],
             "theta": [math.pi * i / 63 for i in range(64)],

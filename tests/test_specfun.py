@@ -16,7 +16,6 @@ from hcs.angular import EulerAngles, _binomial_weights, _channels, angular_cs
 from hcs.errors import ConfigurationError
 from hcs.specfun import (
     _gauss_rule,
-    _laguerre,
     _legendre_table,
     exp_decay_rule,
     log_factorial,
@@ -27,7 +26,7 @@ from hcs.specfun import (
     radial_table,
     spherical_harmonic_table,
 )
-from oracles import sqrt_binomial_weight
+from oracles import radial_by_degree, scaled_laguerre, sqrt_binomial_weight
 
 
 class TestLogFactorial:
@@ -235,8 +234,8 @@ def _divided_difference_scale(values, points):
 def _confluent(n, l, z):
     """F(-n+l, 2l+2, z) = k!/(a+1)_k L_k^(a)(z), k = n - l, a = 2l + 1 (DLMF 18.5.12), at points z."""
     k, a = n - l, 2 * l + 1
-    p, _ = _laguerre(np.array([k]), a, np.asarray(z, dtype=float))
-    return p[0] / math.sqrt(math.comb(k + a, k))
+    p, _ = scaled_laguerre(k, a, z)
+    return p / math.sqrt(math.comb(k + a, k))
 
 
 class TestConfluentPolynomial:
@@ -338,14 +337,45 @@ class TestRadialOracle:
     @pytest.mark.parametrize("n", [300, 600, 1026])
     def test_deep_shells_against_mpmath(self, n):
         # past n = 250 the recurrence used to overflow inside r < 3 N^2 and give nan;
-        # 1026 is the last shell the commands accept
+        # 1026 is the last shell the commands accept.  The 15 radii on [0.05, 6] sit below the
+        # grid's first nonzero radius, 4 N^2 / 40, where l = 0 takes its largest values
         big_n = n + 1
-        r = np.append(np.linspace(0.0, 4.0 * big_n**2, 41), 1e3 * big_n**2)
+        r = np.concatenate([np.linspace(0.0, 4.0 * big_n**2, 41), [1e3 * big_n**2], np.linspace(0.05, 6.0, 15)])
         for l in (0, n // 2, n):
             u = radial_eigenfunction(n, l, r)
             assert np.all(np.isfinite(u)), (n, l)
             ref = _mpmath_radial(n, l, r)
             assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, l)
+
+    @pytest.mark.parametrize("n", [600, 1026])
+    def test_far_tail_relative_accuracy(self, n):
+        # far below max|u|, where only a relative bound shows whether each value keeps its digits
+        big_n = n + 1
+        r = np.arange(2, 9) * 0.5 * big_n**2  # N^2 to 4 N^2 in steps of N^2 / 2
+        for l in (0, n // 2, n):
+            u, ref = radial_eigenfunction(n, l, r), _mpmath_radial(n, l, r)
+            kept = np.abs(ref) > 1e-280
+            assert np.any(kept), (n, l)
+            assert np.all(np.abs(u - ref)[kept] <= 1e-10 * np.abs(ref)[kept]), (n, l)
+
+    @pytest.mark.parametrize("n", [0, 1, 48, 600, 1026])
+    def test_origin_closed_form(self, n):
+        # u_n^0(0) = 2 / N^{3/2} and u_n^l(0) = 0 for l >= 1: every channel of the table, and
+        # the single function at the first, second, middle and last
+        big_n = n + 1
+        channels = sorted({0, min(1, n), n // 2, n})
+        for u in (radial_table(n, [0.0])[n, :, 0], [radial_eigenfunction(n, l, 0.0) for l in channels]):
+            assert u[0] == pytest.approx(2.0 / big_n**1.5, rel=1e-15, abs=0.0), n
+            assert all(value == 0.0 for value in u[1:]), n
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 61, 130, 200])
+    def test_ladder_matches_the_degree_recurrence(self, n):
+        # every channel of the shell, from one table sweep, against k = n - l steps in degree
+        r = np.linspace(0.0, 2.5 * (n + 1) ** 2, 41)
+        u = radial_table(n, r)[n]
+        for l in range(n + 1):
+            ref = radial_by_degree(n, l, r)
+            assert np.max(np.abs(u[l] - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, l)
 
     def test_finite_to_shell_200(self):
         # radii at 0, 1/3, 2/3 and 1 of 3(n+1)^2 for shells spread over 0..200
