@@ -16,9 +16,7 @@ from .errors import ConfigurationError, NumericalError, TruncationError
 from .fock1d import (
     ResolutionReport,
     Spectrum,
-    degen_cs,
-    generalized_cs,
-    oscillator_cs,
+    label_cs,
     resolution_check_1d,
 )
 from .hydrogen import (

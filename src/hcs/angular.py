@@ -120,13 +120,14 @@ def _channel_coefficients(l_max: int, theta_bar, phi_bar, psi_bar) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class AngularFactor:
-    """Shell n at omega_bar: per shell k <= n, max |coeffs[:(k+1)^2]|; coeffs built on first read."""
+    """Shell n at omega_bar: per shell k <= n, max |coeffs[:(k+1)^2]|; coeffs built on each read,
+    so a factor that the ``angular_cs`` cache holds keeps O(n) data, not (n+1)^2 entries."""
 
     n: int
     omega_bar: EulerAngles
     shell_peaks: np.ndarray
 
-    @functools.cached_property
+    @property
     def coeffs(self) -> np.ndarray:
         ob = self.omega_bar
         coeffs = _channel_coefficients(self.n, ob.theta_bar, ob.phi_bar, ob.psi_bar)
@@ -141,7 +142,7 @@ def angular_cs(n: int, omega_bar: EulerAngles) -> AngularFactor:
     ``coeffs`` holds the (n+1)^2 channel coefficients A_lm e^{-i(m phi_bar + l psi_bar)}, in
     channel order l^2 + l + m; the squared norm is the shell dimension (n+1)^2.  Shell k <= n of
     a hydrogen state uses the first (k+1)^2 entries, so each (n, omega_bar) is built once and
-    shared: its channel vector on first read, its shell peaks here, in O(n).  The peak
+    shared: its shell peaks here, in O(n), and its channel vector on each read.  The peak
     of channel l is |A_lm| = w_lm sqrt(2l+1) sin^(2l-j) cos^j of theta_bar/2 at the mode of
     |A_lm|^2/(2l+1), Binomial(2l, cos^2(theta_bar/2)) in j = l + m (Arecchi et al., Phys. Rev. A 6,
     2211 (1972)): j = r - 1 and r, r = round((2l+1) cos^2), hold the mode and both modes of a tie,

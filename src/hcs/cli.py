@@ -11,7 +11,6 @@ win).  Reports are byte-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -283,39 +282,35 @@ def _checks_stability(cfg, family, rng):
 def stability_sweep(family, rng, count=50, n_max=12) -> float:
     """Max evolution-vs-label-shift residual over a random label sweep.
 
-    Configuration i is of kind i mod 4: canonical z and generalized (r, theta)
-    states under the oscillator spectrum (z -> z e^{-i omega t}, theta ->
-    theta - omega t), degenerate (s, gamma) states under the inverse-square
-    one (gamma -> gamma + omega t), and hydrogen states.  A 1-D state times
-    its evolution phases is compared with the shifted label's state, raw
-    coefficients with no global phase, so any residual past the roundoff
-    eps |angle + omega t| is a bug; the label ranges keep the angles O(10).
+    Configuration i is of kind i mod 4: canonical states (the exponential
+    family, periodic phase) and the family's periodic-phase states under the
+    oscillator spectrum (angle -> angle - omega t), its covering-phase states
+    under the inverse-square one (gamma -> gamma + omega t), and hydrogen
+    states.  A 1-D state times its evolution phases is compared with the
+    shifted label's state, raw coefficients with no global phase, so any
+    residual past the roundoff eps |angle + omega t| is a bug; the label
+    ranges keep the angles O(10).
     """
+    # per 1-D kind: family, label phase, spectrum kind and the lower bound of the radial label
+    kinds = (
+        (weights.builtin_family("exponential"), "periodic", "oscillator", 0.2),
+        (family, "periodic", "oscillator", 0.0),
+        (family, "covering", "inverse-square", 0.0),
+    )
     worst = 0.0
     for i in range(count):
         t = rng.uniform(0.1, 5.0)
         omega = rng.uniform(0.5, 2.0)
-        kind = ("oscillator", "generalized", "degenerate", "hydrogen")[i % 4]
-        if kind == "hydrogen":
+        if i % 4 == 3:
             label = _random_label(rng, 1.5)
             worst = max(worst, hydrogen.hydrogen_stability_residual(label, family, omega, t, n_max=n_max))
             continue
-        if kind == "oscillator":
-            z = complex(rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
-            spectrum = fock1d.Spectrum("oscillator", omega)
-            state = fock1d.oscillator_cs(z, n_max, check_tail=False)
-            twin = fock1d.oscillator_cs(z * cmath.exp(-1j * omega * t), n_max, check_tail=False)
-        elif kind == "generalized":
-            r, theta = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
-            spectrum = fock1d.Spectrum("oscillator", omega)
-            state = fock1d.generalized_cs(r, theta, family, n_max, check_tail=False)
-            twin = fock1d.generalized_cs(r, theta - omega * t, family, n_max, check_tail=False)
-        else:
-            s, gamma = rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
-            spectrum = fock1d.Spectrum("inverse-square", omega)
-            state = fock1d.degen_cs(s, gamma, family, n_max, check_tail=False)
-            twin = fock1d.degen_cs(s, gamma + omega * t, family, n_max, check_tail=False)
-        evolved = state * spectrum.evolution_phases(n_max + 1, t)
+        fam, phase, spectrum, r_low = kinds[i % 4]
+        r, angle = rng.uniform(r_low, 1.5), rng.uniform(-math.pi, math.pi)
+        shift = -omega * t if phase == "periodic" else omega * t
+        state = fock1d.label_cs(r, angle, fam, phase, n_max, check_tail=False)
+        twin = fock1d.label_cs(r, angle + shift, fam, phase, n_max, check_tail=False)
+        evolved = state * fock1d.Spectrum(spectrum, omega).evolution_phases(n_max + 1, t)
         worst = max(worst, float(np.max(np.abs(evolved - twin))))
     return worst
 
@@ -477,7 +472,8 @@ def run_evolve(cfg: RunConfig) -> tuple[list, int]:
     rows, code = [], EXIT_OK
     for t in cfg.times:
         phases = spectrum.evolution_phases(cfg.n_max + 1, t)
-        shifted = fock1d.degen_cs(label.s, label.shifted(cfg.omega, t).gamma, family, cfg.n_max, check_tail=False)
+        gamma = label.shifted(cfg.omega, t).gamma
+        shifted = fock1d.label_cs(label.s, gamma, family, "covering", cfg.n_max, check_tail=False)
         residual = hydrogen._coefficient_residual(state.phased(phases), shifted)
         auto = complex(np.sum(shell_norms * phases)) / norm_sq
         rows.append((float(t), residual, auto.real, auto.imag, abs(auto)))

@@ -1,16 +1,15 @@
 """Single-degree-of-freedom coherent-state families over a number basis.
 
-Three constructors cover the canonical states (label z), the generalized
-states built on an arbitrary moment weight (label r, theta with periodic
-phase), and the degenerate-spectrum states whose phase frequencies
-1/(n+1)^2 live on the covering space of the circle (label s, gamma).  A
-state is its truncated coefficient array over levels 0..n_max; evolution
-multiplies it by ``Spectrum.evolution_phases``.
+One constructor, ``label_cs``, builds every family from a moment weight and
+a label phase: the periodic phase (label r, theta; the canonical states on
+the exponential family) and the covering-space phase of the degenerate
+spectrum, whose frequencies 1/(n+1)^2 are incommensurate with 2*pi (label
+s, gamma).  A state is its truncated coefficient array over levels
+0..n_max; evolution multiplies it by ``Spectrum.evolution_phases``.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -24,9 +23,7 @@ from .weights import WeightFamily
 __all__ = [
     "Spectrum",
     "ResolutionReport",
-    "oscillator_cs",
-    "generalized_cs",
-    "degen_cs",
+    "label_cs",
     "resolution_check_1d",
     "radial_factor_matrix",
 ]
@@ -84,78 +81,41 @@ def tail_guard(weights: np.ndarray, radius: float, what: str) -> None:
         )
 
 
-def oscillator_cs(z: complex, n_max: int, check_tail: bool = True) -> np.ndarray:
-    """Canonical coherent state: c_n = e^{-|z|^2/2} z^n / sqrt(n!).
-
-    Amplitudes are assembled in log space; ``check_tail=False`` skips the
-    truncation-adequacy guard for callers comparing identically truncated
-    vectors.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    z = complex(z)
-    n = np.arange(n_max + 1)
-    if z == 0:
-        coeffs = np.zeros(n_max + 1, dtype=complex)
-        coeffs[0] = 1.0
-    else:
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
-        log_amp = -0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * log_fact
-        coeffs = np.exp(log_amp + 1j * (n * cmath.phase(z)))
-    if check_tail:
-        tail_guard(np.abs(coeffs) ** 2, abs(z), "oscillator_cs")
-    return coeffs
-
-
-def _weighted_amplitudes(r: float, family: WeightFamily, n_max: int) -> np.ndarray:
-    """Real amplitudes M(r^2) r^n / sqrt(rho_n) for n <= n_max."""
-    log_mom = family.log_moments(n_max)
-    if r == 0.0:
-        amp = np.zeros(n_max + 1)
-        amp[0] = family.m_value(0.0) * math.exp(-0.5 * log_mom[0])
-        return amp
-    log_m = math.log(family.m_value(r * r))
-    return np.exp(log_m + np.arange(n_max + 1) * math.log(r) - 0.5 * log_mom)
-
-
-def generalized_cs(
-    r: float, theta: float, family: WeightFamily, n_max: int, check_tail: bool = True
+def label_cs(
+    r: float, angle: float, family: WeightFamily, phase: str, n_max: int, check_tail: bool = True
 ) -> np.ndarray:
-    """Moment-weight coherent state: c_n = M(r^2) r^n e^{i n theta} / sqrt(rho_n).
+    """Coherent state c_n = M(r^2) r^n e^{i angle f_n} / sqrt(rho_n) for n <= n_max.
 
-    ``check_tail`` applies the truncation guard and, for a family without a
-    closed form, the tail rule of its normalization series at r^2.
+    ``phase`` 'periodic' takes f_n = n, the generalized state (on the
+    exponential family, the canonical state at z = r e^{i angle});
+    'covering' takes f_n = 1/(n+1)^2, the degenerate-spectrum state, whose
+    angle is unbounded.  These label phases are not read from
+    ``Spectrum.evolution_phases``: they are the reference that
+    temporal-stability holds the evolution to.  ``check_tail`` applies the
+    truncation guard and, for a family without a closed form, the tail rule
+    of its normalization series at r^2.
     """
     if r < 0:
         raise ValueError(f"radial label must be >= 0, got r={r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(n_max + 1)
-    coeffs = _weighted_amplitudes(r, family, n_max) * np.exp(1j * n * theta)
+    if phase == "periodic":
+        phases = np.exp(1j * n * angle)
+    elif phase == "covering":
+        phases = np.exp(1j * (angle / _level_squares(n_max + 1)))
+    else:
+        raise ConfigurationError(f"phase mode must be 'periodic' or 'covering', got {phase!r}")
+    log_mom = family.log_moments(n_max)
+    if r == 0.0:
+        amps = np.zeros(n_max + 1)
+        amps[0] = family.m_value(0.0) * math.exp(-0.5 * log_mom[0])
+    else:
+        amps = np.exp(math.log(family.m_value(r * r)) + n * math.log(r) - 0.5 * log_mom)
+    coeffs = amps * phases
     if check_tail:
         family.check_series_tail(r * r)
-        tail_guard(np.abs(coeffs) ** 2, r, "generalized_cs")
-    return coeffs
-
-
-def degen_cs(
-    s: float, gamma: float, family: WeightFamily, n_max: int, check_tail: bool = True
-) -> np.ndarray:
-    """Degenerate-spectrum coherent state with covering-space phase label.
-
-    c_n = M(s^2) s^n e^{i gamma/(n+1)^2} / sqrt(rho_n); gamma is unbounded
-    because the frequencies 1/(n+1)^2 are incommensurate with 2*pi.
-    ``check_tail`` guards as in ``generalized_cs``.
-    """
-    if s < 0:
-        raise ValueError(f"radial label must be >= 0, got s={s}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    phases = Spectrum("inverse-square").evolution_phases(n_max + 1, gamma)  # e^{i gamma/(n+1)^2}
-    coeffs = _weighted_amplitudes(s, family, n_max) * phases
-    if check_tail:
-        family.check_series_tail(s * s)
-        tail_guard(np.abs(coeffs) ** 2, s, "degen_cs")
+        tail_guard(np.abs(coeffs) ** 2, r, f"label_cs ({phase})")
     return coeffs
 
 

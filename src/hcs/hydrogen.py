@@ -23,7 +23,7 @@ from .angular import (
     angular_resolution_check,
     shell_dimension,
 )
-from .fock1d import ResolutionReport, Spectrum, _level_squares, degen_cs, resolution_check_1d, tail_guard
+from .fock1d import ResolutionReport, Spectrum, _level_squares, label_cs, resolution_check_1d, tail_guard
 from .specfun import logsumexp
 from .weights import WeightFamily
 
@@ -89,7 +89,8 @@ class HydrogenExpansion:
     @property
     def coeffs(self) -> np.ndarray:
         """The flat vector, shell n from index sum_{k<n} (k+1)^2 on: amps[n] * angular.coeffs[:(n+1)^2]."""
-        return np.concatenate([a * self.angular.coeffs[: shell_dimension(n)] for n, a in enumerate(self.amps)])
+        coeffs = self.angular.coeffs
+        return np.concatenate([a * coeffs[: shell_dimension(n)] for n, a in enumerate(self.amps)])
 
     def shell_norms(self) -> np.ndarray:
         """|amps[n]|^2 W_n per shell, W_n = (n+1)^2 the squared norm of the shell's angular state."""
@@ -108,15 +109,15 @@ def hydrogen_cs(
 ) -> HydrogenExpansion:
     """Hydrogen coherent state truncated at shell n_max.
 
-    The shell amplitudes are the degenerate-spectrum coefficients of
-    ``degen_cs``.  The tail-adequacy guard requires the last shell to carry
+    The shell amplitudes are the covering-phase coefficients of
+    ``label_cs``.  The tail-adequacy guard requires the last shell to carry
     at most TAIL_TOL of the total weight, and a family without a closed
     form to have converged its normalization series at s^2
     (``WeightFamily.check_series_tail``); pass ``check_tail=False`` when
     comparing identically truncated vectors, where adequacy is irrelevant.
     """
     angular = angular_cs(n_max, label.omega_bar)  # first: it refuses a shell past the last finite one
-    amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False)
+    amps = label_cs(label.s, label.gamma, family, "covering", n_max, check_tail=False)
     if check_tail:
         family.check_series_tail(label.s * label.s)
         tail_guard(np.abs(amps) ** 2 * _level_squares(n_max + 1), label.s, f"hydrogen_cs at s={label.s}")
@@ -149,10 +150,10 @@ def hydrogen_stability_residual(
 
     This is an exact label identity; the residual is pure roundoff and
     scales like eps * |gamma + omega t|.  The evolved and shifted states share one angular factor,
-    so only their shell amplitudes, the shifted ones from ``degen_cs``, are compared.
+    so only their shell amplitudes, the shifted ones from ``label_cs``, are compared.
     """
     state = hydrogen_cs(label, family, n_max, check_tail=False)
-    amps = degen_cs(label.s, label.shifted(omega, t).gamma, family, n_max, check_tail=False)
+    amps = label_cs(label.s, label.shifted(omega, t).gamma, family, "covering", n_max, check_tail=False)
     return _coefficient_residual(evolve_hydrogen(state, omega, t), amps)
 
 

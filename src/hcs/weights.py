@@ -212,7 +212,8 @@ class WeightFamily:
         return math.sqrt(m2)
 
     def k_weight(self, u):
-        """Measure density k(u) = rho(u) / M^2(u)."""
+        """Measure density k(u): the closed form when available, else rho(u) / M^2(u), which
+        the factorization check of ``validate_family`` then reproduces by construction."""
         u = np.asarray(u, dtype=float)
         if self._k_closed is not None:
             return self._k_closed(u)
@@ -255,7 +256,7 @@ def builtin_family(name: str) -> WeightFamily:
 
     ``exponential``: rho = e^{-u}, rho_n = n!, M^2 = e^{-u}, k = 1.
     ``sqrt-exponential``: rho = e^{-sqrt(u)}/2, rho_n = (2n+1)!,
-    M^2 = sqrt(u)/sinh(sqrt(u)).
+    M^2 = sqrt(u)/sinh(sqrt(u)), k = (1 - e^{-2 sqrt(u)}) / (4 sqrt(u)).
     """
     if name == "exponential":
         return WeightFamily(
@@ -272,6 +273,7 @@ def builtin_family(name: str) -> WeightFamily:
             rho=lambda u: 0.5 * np.exp(-np.sqrt(np.asarray(u, dtype=float))),
             factorial_moment=lambda n: 2 * n + 1,
             m_squared_closed=lambda u: _x_over_sinh(np.sqrt(np.asarray(u, dtype=float))),
+            k_closed=_sqrt_exponential_k,
             subst_power=2,
         )
     raise ConfigurationError(
@@ -287,6 +289,13 @@ def _x_over_sinh(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out = np.where(small, 1.0 - x * x / 6.0, safe / np.sinh(safe))
     return out
+
+
+def _sqrt_exponential_k(u) -> np.ndarray:
+    """-expm1(-2x) / (4x) at x = sqrt(u), continued through u = 0 by its limit 1/2."""
+    x = np.sqrt(np.asarray(u, dtype=float))
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 0.5, -np.expm1(-2.0 * safe) / (4.0 * safe))
 
 
 def _number_table(field: str, values) -> np.ndarray:
@@ -412,8 +421,8 @@ def validate_family(family: WeightFamily, n_max: int = 10) -> tuple[CheckResult,
     so n_max past the order its largest Gauss-Laguerre rule reaches is
     refused.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if family._grid is None:
         # moment_by_quadrature(n) takes subst_power * n + 2 Laguerre nodes
         limit = (_LAGUERRE_MAX_NODES - 2) // family._subst_power

@@ -2,9 +2,11 @@
 
 Each one is the plain formula, one value (or one row of points) per call;
 the library keeps one vectorized copy of the same concept, or, for the
-radial eigenfunctions, an independent recurrence.
+radial eigenfunctions, an independent recurrence.  The canonical coherent
+state lives only here: the library builds it as one case of ``label_cs``.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -36,6 +38,23 @@ def shell_offset(n: int) -> int:
 def total_dimension(n_max: int) -> int:
     """Dimension of the truncated (n, l, m) basis with shells 0..n_max."""
     return shell_offset(n_max + 1)
+
+
+def canonical_state(z: complex, n_max: int) -> np.ndarray:
+    """Canonical coherent state c_n = e^{-|z|^2/2} z^n / sqrt(n!) for n <= n_max, in log space.
+
+    The closed form that ``fock1d.label_cs`` must reproduce on the
+    exponential family with the periodic phase at z = r e^{i angle}.
+    """
+    z = complex(z)
+    coeffs = np.zeros(n_max + 1, dtype=complex)
+    if z == 0:
+        coeffs[0] = 1.0
+        return coeffs
+    for n in range(n_max + 1):
+        log_amp = -0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * log_factorial(n)
+        coeffs[n] = cmath.exp(log_amp + 1j * n * cmath.phase(z))
+    return coeffs
 
 
 def spectrum_energies(spectrum, count: int, t: float = 0.1) -> np.ndarray:

@@ -165,6 +165,27 @@ class TestVerify:
         assert [c["name"] for c in failed] == ["angular-coherence"]
         assert failed[0]["measured"] > 1.0
 
+    @pytest.mark.parametrize("kind", ["inverse-square", "oscillator"])
+    def test_evolution_sign_mutant_fails_temporal_stability(self, monkeypatch, kind):
+        # label_cs forms the label phases itself, so conjugating one branch of the evolution
+        # moves the evolved states off their shifted labels
+        from hcs import cli, fock1d
+
+        original = fock1d.Spectrum.evolution_phases
+
+        def conjugated(self, count, t):
+            phases = original(self, count, t)
+            return phases.conj() if self.kind == kind else phases
+
+        monkeypatch.setattr(fock1d.Spectrum, "evolution_phases", conjugated)
+        for name in ("exponential", "sqrt-exponential"):
+            assert cli.stability_sweep(builtin_family(name), np.random.default_rng(0)) > 5e-15
+        report, code = cli.run_verify(_build_config("verify", {}, {"seed": 0}))
+        assert code == 1
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert [c["name"] for c in failed] == ["temporal-stability"]
+        assert failed[0]["measured"] > 1.0
+
     def test_shell_norm_labels_are_the_scalar_draws(self, monkeypatch):
         from hcs import angular, cli
 
@@ -269,6 +290,13 @@ class TestMoments:
         err = capsys.readouterr().err
         assert "quadrature for rho_0 returned 0.0 with the 600-cell x 8-point composite rule on grid_u" in err
         assert "nodes" not in err and not out.exists()
+
+    def test_one_moment_table(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["moments", "--n-max", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True
+        assert [row["n"] for row in report["moments"]] == [0]
 
     @pytest.mark.parametrize("family,limit", [("exponential", 126), ("sqrt-exponential", 63)])
     def test_n_max_past_the_quadrature_cap_names_n_max(self, tmp_path, capsys, family, limit):
@@ -613,7 +641,7 @@ class TestEvolve:
         def per_shell_work(*args, **kwargs):
             raise AssertionError("shell amplitudes built before the shell limit was checked")
 
-        monkeypatch.setattr(hydrogen, "degen_cs", per_shell_work)
+        monkeypatch.setattr(hydrogen, "label_cs", per_shell_work)
         out = tmp_path / "evolve.csv"
         for n_max in ("1027", "20000000"):
             assert main(["evolve", "--n-max", n_max, "--out", str(out)]) == 2

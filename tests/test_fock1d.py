@@ -6,26 +6,26 @@ import numpy as np
 import pytest
 
 from hcs.errors import ConfigurationError, TruncationError
-from hcs.fock1d import (
-    Spectrum,
-    degen_cs,
-    generalized_cs,
-    oscillator_cs,
-    radial_factor_matrix,
-    resolution_check_1d,
-)
+from hcs.fock1d import Spectrum, label_cs, radial_factor_matrix, resolution_check_1d
 from hcs.weights import builtin_family
-from oracles import spectrum_energies
+from oracles import canonical_state, spectrum_energies
+
+_EXPONENTIAL = builtin_family("exponential")
 
 
 @pytest.fixture(scope="module")
 def exponential():
-    return builtin_family("exponential")
+    return _EXPONENTIAL
 
 
 @pytest.fixture(scope="module")
 def sqrt_exponential():
     return builtin_family("sqrt-exponential")
+
+
+def _canonical(z, n_max, check_tail=True):
+    """The canonical state at z: ``label_cs`` on the exponential family, periodic phase, r e^{i angle} = z."""
+    return label_cs(abs(z), cmath.phase(z), _EXPONENTIAL, "periodic", n_max, check_tail)
 
 
 def _norm_squared(coeffs):
@@ -60,31 +60,31 @@ class TestSpectrum:
 
 class TestOscillatorCS:
     def test_vacuum(self):
-        x = oscillator_cs(0.0, 16)
+        x = _canonical(0.0, 16)
         assert x[0] == 1.0
         assert np.all(x[1:] == 0.0)
 
     def test_known_coefficient(self):
-        x = oscillator_cs(1.0, 32)
+        x = _canonical(1.0, 32)
         assert x[2] == pytest.approx(0.4288819424803534, rel=1e-13)
 
     def test_unit_norm(self):
         for z in (1.0, 1 + 1j, 2.2 - 0.3j):
-            assert _norm_squared(oscillator_cs(z, 64)) == pytest.approx(1.0, abs=1e-12)
+            assert _norm_squared(_canonical(z, 64)) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_modulus(self):
-        a = oscillator_cs(1.0, 64)
-        b = oscillator_cs(1 + 1j, 64)
+        a = _canonical(1.0, 64)
+        b = _canonical(1 + 1j, 64)
         assert abs(np.vdot(a, b)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
-            oscillator_cs(3.0, 16)
+            _canonical(3.0, 16)
 
 
 class TestGeneralizedCS:
     def test_vacuum(self, exponential):
-        x = generalized_cs(0.0, 0.7, exponential, 16)
+        x = label_cs(0.0, 0.7, exponential, "periodic", 16)
         assert x[0] == 1.0
         assert np.all(x[1:] == 0.0)
 
@@ -93,53 +93,57 @@ class TestGeneralizedCS:
         for _ in range(5):
             r = rng.uniform(0.1, 2.0)
             theta = rng.uniform(-math.pi, math.pi)
-            gen = generalized_cs(r, theta, exponential, 64)
-            osc = oscillator_cs(r * cmath.exp(1j * theta), 64)
+            gen = label_cs(r, theta, exponential, "periodic", 64)
+            osc = canonical_state(r * cmath.exp(1j * theta), 64)
             assert np.max(np.abs(gen - osc)) <= 1e-13
 
     def test_phase_period(self, sqrt_exponential):
-        a = generalized_cs(1.0, 0.0, sqrt_exponential, 32)
-        b = generalized_cs(1.0, 2 * math.pi, sqrt_exponential, 32)
+        a = label_cs(1.0, 0.0, sqrt_exponential, "periodic", 32)
+        b = label_cs(1.0, 2 * math.pi, sqrt_exponential, "periodic", 32)
         assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_unit_norm(self, sqrt_exponential):
-        assert _norm_squared(generalized_cs(2.0, 1.0, sqrt_exponential, 48)) == pytest.approx(
+        assert _norm_squared(label_cs(2.0, 1.0, sqrt_exponential, "periodic", 48)) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_unknown_phase_rejected(self, exponential):
+        with pytest.raises(ConfigurationError, match="'spiral'"):
+            label_cs(1.0, 0.0, exponential, "spiral", 8)
 
 
 class TestDegenCS:
     def test_vacuum_carries_phase(self, exponential):
-        x = degen_cs(0.0, 7.3, exponential, 8)
+        x = label_cs(0.0, 7.3, exponential, "covering", 8)
         assert x[0] == pytest.approx(cmath.exp(7.3j), abs=1e-15)
         assert np.all(x[1:] == 0.0)
 
     def test_zero_phase_real_positive(self, exponential):
-        x = degen_cs(1.0, 0.0, exponential, 32)
+        x = label_cs(1.0, 0.0, exponential, "covering", 32)
         n = np.arange(33)
         expected = np.exp(-0.5 - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
         assert np.max(np.abs(x - expected)) <= 1e-14
         assert np.all(x.imag == 0.0)
 
     def test_covering_space_phase_not_periodic(self, exponential):
-        a = degen_cs(1.0, 0.0, exponential, 32)
-        b = degen_cs(1.0, 2 * math.pi, exponential, 32)
+        a = label_cs(1.0, 0.0, exponential, "covering", 32)
+        b = label_cs(1.0, 2 * math.pi, exponential, "covering", 32)
         # 2*pi/(n+1)^2 is not a multiple of 2*pi for n >= 1
         assert abs(a[1] - b[1]) > 0.1 * abs(a[1])
 
 
 class TestOverlap:
     def test_self_overlap(self, sqrt_exponential):
-        x = generalized_cs(1.3, 0.4, sqrt_exponential, 48)
+        x = label_cs(1.3, 0.4, sqrt_exponential, "periodic", 48)
         assert np.vdot(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_labels(self):
-        got = np.vdot(oscillator_cs(1.0, 64), oscillator_cs(-1.0, 64))
+        got = np.vdot(_canonical(1.0, 64), _canonical(-1.0, 64))
         assert got == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_vacuum_against_displaced(self):
         vac = np.array([1.0 + 0.0j])
-        displaced = oscillator_cs(2.0, 64)
+        displaced = _canonical(2.0, 64)
         # the vacuum has one level: <vac|b> reads the first coefficient of b
         assert np.vdot(vac, displaced[:1]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
@@ -148,36 +152,36 @@ class TestOverlap:
         for _ in range(20):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            got = np.vdot(oscillator_cs(z, 64, check_tail=False), oscillator_cs(w, 64, check_tail=False))
+            got = np.vdot(_canonical(z, 64, check_tail=False), _canonical(w, 64, check_tail=False))
             assert abs(got - _oscillator_kernel(z, w)) <= 1e-10
 
 
 class TestEvolution:
     def test_identity_at_zero_time(self, exponential):
-        x = degen_cs(1.0, 0.3, exponential, 32)
+        x = label_cs(1.0, 0.3, exponential, "covering", 32)
         y = _evolve(x, Spectrum("inverse-square", 1.0), 0.0)
         assert np.array_equal(x, y)
 
     def test_oscillator_label_shift(self):
         z, omega, t = 1.0, 1.0, 0.7
-        evolved = _evolve(oscillator_cs(z, 48), Spectrum("oscillator", omega), t)
-        shifted = oscillator_cs(z * cmath.exp(-1j * omega * t), 48)
+        evolved = _evolve(_canonical(z, 48), Spectrum("oscillator", omega), t)
+        shifted = canonical_state(z * cmath.exp(-1j * omega * t), 48)
         assert np.max(np.abs(evolved - shifted)) <= 1e-14
 
     def test_degenerate_label_shift(self, exponential):
         s, gamma, omega, t = 1.0, 0.4, 1.0, 2.5
-        evolved = _evolve(degen_cs(s, gamma, exponential, 48), Spectrum("inverse-square", omega), t)
-        shifted = degen_cs(s, gamma + omega * t, exponential, 48)
+        evolved = _evolve(label_cs(s, gamma, exponential, "covering", 48), Spectrum("inverse-square", omega), t)
+        shifted = label_cs(s, gamma + omega * t, exponential, "covering", 48)
         assert np.max(np.abs(evolved - shifted)) <= 1e-14
 
     def test_norm_preserved(self, sqrt_exponential):
-        x = generalized_cs(1.5, 1.0, sqrt_exponential, 48)
+        x = label_cs(1.5, 1.0, sqrt_exponential, "periodic", 48)
         y = _evolve(x, Spectrum("oscillator", 1.3), 2.0)
         # pure phases: preserved up to a couple of ulps of rounding
         assert _norm_squared(y) == pytest.approx(_norm_squared(x), rel=1e-15)
 
     def test_period_is_exact_identity(self):
-        x = oscillator_cs(1.3, 48)
+        x = _canonical(1.3, 48)
         y = _evolve(x, Spectrum("oscillator", 1.0), 2 * math.pi)
         assert np.array_equal(x, y)
 
@@ -187,20 +191,20 @@ class TestStabilityResidual:
 
     def test_oscillator_example(self):
         z, spectrum, t = 1 + 2j, Spectrum("oscillator", 1.0), 0.7
-        evolved = _evolve(oscillator_cs(z, 48, check_tail=False), spectrum, t)
-        shifted = oscillator_cs(z * cmath.exp(-1j * spectrum.omega * t), 48, check_tail=False)
+        evolved = _evolve(_canonical(z, 48, check_tail=False), spectrum, t)
+        shifted = _canonical(z * cmath.exp(-1j * spectrum.omega * t), 48, check_tail=False)
         assert np.max(np.abs(evolved - shifted)) <= 5e-15
 
     def test_degenerate_example(self, exponential):
         (s, gamma), spectrum, t = (1.5, 3.0), Spectrum("inverse-square", 1.0), 10.0
-        evolved = _evolve(degen_cs(s, gamma, exponential, 48, check_tail=False), spectrum, t)
-        shifted = degen_cs(s, gamma + spectrum.omega * t, exponential, 48, check_tail=False)
+        evolved = _evolve(label_cs(s, gamma, exponential, "covering", 48, check_tail=False), spectrum, t)
+        shifted = label_cs(s, gamma + spectrum.omega * t, exponential, "covering", 48, check_tail=False)
         assert np.max(np.abs(evolved - shifted)) <= 5e-15
 
     def test_generalized_example(self, sqrt_exponential):
         (r, theta), spectrum, t = (2.0, 1.0), Spectrum("oscillator", 1.0), math.pi
-        evolved = _evolve(generalized_cs(r, theta, sqrt_exponential, 48, check_tail=False), spectrum, t)
-        shifted = generalized_cs(r, theta - spectrum.omega * t, sqrt_exponential, 48, check_tail=False)
+        evolved = _evolve(label_cs(r, theta, sqrt_exponential, "periodic", 48, check_tail=False), spectrum, t)
+        shifted = label_cs(r, theta - spectrum.omega * t, sqrt_exponential, "periodic", 48, check_tail=False)
         assert np.max(np.abs(evolved - shifted)) <= 5e-15
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from hcs.angular import EulerAngles, _channel_coefficients, _channels, angular_cs, shell_dimension
 from hcs.errors import NumericalError, TruncationError
-from hcs.fock1d import Spectrum, degen_cs, radial_factor_matrix
+from hcs.fock1d import Spectrum, label_cs, radial_factor_matrix
 from hcs.hydrogen import (
     HydrogenLabel,
     evolve_hydrogen,
@@ -115,7 +115,7 @@ class TestHydrogenCS:
     def test_carries_read_only_shell_amplitudes(self, exponential):
         label = HydrogenLabel(0.8, 0.3, ANGLES)
         x = hydrogen_cs(label, exponential, 6, check_tail=False)
-        assert np.array_equal(x.amps, degen_cs(0.8, 0.3, exponential, 6, check_tail=False))
+        assert np.array_equal(x.amps, label_cs(0.8, 0.3, exponential, "covering", 6, check_tail=False))
         for array in (x.amps, x.angular.coeffs):
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -220,7 +220,7 @@ def _shell_products(amps, angular):
 
 def _per_shell_state(label, family, n_max):
     """Shell by shell: amplitude n times the first (n+1)^2 angular coefficients, built afresh."""
-    amps = degen_cs(label.s, label.gamma, family, n_max, check_tail=False)
+    amps = label_cs(label.s, label.gamma, family, "covering", n_max, check_tail=False)
     ob = label.omega_bar
     return _shell_products(amps, _channel_coefficients(n_max, ob.theta_bar, ob.phi_bar, ob.psi_bar))
 
@@ -279,6 +279,8 @@ def test_angular_factor_is_shared_and_read_only(exponential):
         assert not factor.coeffs.flags.writeable
         with pytest.raises(ValueError):
             factor.coeffs[0] = 0.0
+        # the cached entry keeps its O(n) peaks, not the (n+1)^2 vector it was read for
+        assert "coeffs" not in vars(factor)
     states = [hydrogen_cs(HydrogenLabel(s, 0.3, ANGLES), exponential, 12, check_tail=False) for s in (0.4, 0.8)]
     assert states[0].angular is states[1].angular is angular_cs(12, ANGLES)
     assert not any(column.flags.writeable for column in _channels(12))

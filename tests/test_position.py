@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from hcs.angular import EulerAngles, angular_cs
 from hcs.errors import ConfigurationError, NumericalError
 from hcs.cli import write_csv
-from hcs.fock1d import Spectrum, degen_cs
+from hcs.fock1d import Spectrum, label_cs
 from hcs import position
 from hcs.hydrogen import (
     HydrogenExpansion,
@@ -438,7 +438,7 @@ class TestGramForms:
         for s in (0.0, 0.5, 1.4):
             angles = EulerAngles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             label = HydrogenLabel(s, rng.uniform(-math.pi, math.pi), angles)
-            amps = degen_cs(label.s, label.gamma, exponential, n_max, check_tail=False)
+            amps = label_cs(label.s, label.gamma, exponential, "covering", n_max, check_tail=False)
             state = hydrogen_cs(label, exponential, n_max, check_tail=False)
             omega, t = rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0)
             phases = Spectrum("inverse-square", omega).evolution_phases(n_max + 1, t)

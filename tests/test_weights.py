@@ -145,6 +145,14 @@ class TestKWeight:
         expected = math.exp(-1.0) * math.sinh(1.0) / 2.0
         assert float(sqrt_exponential.k_weight(1.0)) == pytest.approx(expected, rel=1e-12)
 
+    def test_sqrt_exponential_closed_form_is_the_ratio(self, sqrt_exponential):
+        u = np.geomspace(1e-3, 50, 40)
+        ratio = sqrt_exponential.rho(u) / sqrt_exponential.M_squared(u)
+        assert np.max(np.abs(sqrt_exponential.k_weight(u) / ratio - 1.0)) <= 1e-15
+        # the limit at u = 0, and the small-u values the expm1 form keeps accurate
+        assert float(sqrt_exponential.k_weight(0.0)) == 0.5
+        assert float(sqrt_exponential.k_weight(1e-30)) == pytest.approx(0.5, rel=1e-14)
+
     def test_nonnegative_on_grid(self, sqrt_exponential):
         u = np.geomspace(1e-3, 50, 64)
         assert np.all(sqrt_exponential.k_weight(u) >= 0)
@@ -182,6 +190,24 @@ class TestValidateFamily:
         names = [c.name for c in validate_family(fam, n_max=4) if not c.passed]
         assert "factorization" in names
 
+    def test_scaled_m_squared_fails_factorization(self, monkeypatch):
+        # k has its own closed form, so M^2 off by 1% no longer reproduces rho
+        from hcs import weights
+
+        original = weights._x_over_sinh
+        monkeypatch.setattr(weights, "_x_over_sinh", lambda x: 1.01 * original(x))
+        checks = {c.name: c for c in validate_family(builtin_family("sqrt-exponential"), n_max=10)}
+        assert not checks["factorization"].passed
+        assert checks["factorization"].measured == pytest.approx(0.01, rel=1e-9)
+        assert checks["moments"].passed and checks["positivity"].passed
+
+    def test_one_moment(self, exponential):
+        checks = validate_family(exponential, n_max=0)
+        assert all(c.passed for c in checks)
+        assert "n=0" in checks[0].detail
+        with pytest.raises(ValueError, match=">= 0"):
+            validate_family(exponential, n_max=-1)
+
 
 class TestTabulatedFamily:
     def _exponential_table(self, n_max=6, moments=None):
@@ -207,21 +233,23 @@ class TestTabulatedFamily:
     def test_state_constructors_apply_the_series_tail_rule(self):
         # M^2 from a 7-term series at u = 4 (last term / sum 0.117): the state's norm^2 is 1.124
         from hcs.angular import EulerAngles
-        from hcs.fock1d import degen_cs, generalized_cs
+        from hcs.fock1d import label_cs
         from hcs.hydrogen import HydrogenLabel, hydrogen_cs
 
         grid = np.linspace(0.0, 60.0, 601)
         fam = tabulated_family("tab-exp", grid, np.exp(-grid), 6)
         for build in (
-            lambda check: generalized_cs(2.0, 0.0, fam, 30, check_tail=check),
-            lambda check: degen_cs(2.0, 0.3, fam, 30, check_tail=check),
+            lambda check: label_cs(2.0, 0.0, fam, "periodic", 30, check_tail=check),
+            lambda check: label_cs(2.0, 0.3, fam, "covering", 30, check_tail=check),
             lambda check: hydrogen_cs(HydrogenLabel(2.0, 0.3, EulerAngles(1.0, 0.0, 0.0)), fam, 30, check),
         ):
             with pytest.raises(TruncationError, match="not converged"):
                 build(True)
             build(False)  # identically truncated comparisons still build the state
-        assert np.sum(np.abs(generalized_cs(2.0, 0.0, fam, 30, check_tail=False)) ** 2) == pytest.approx(1.124, abs=1e-3)
-        assert np.sum(np.abs(generalized_cs(0.05, 0.0, fam, 30)) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(label_cs(2.0, 0.0, fam, "periodic", 30, check_tail=False)) ** 2) == pytest.approx(
+            1.124, abs=1e-3
+        )
+        assert np.sum(np.abs(label_cs(0.05, 0.0, fam, "periodic", 30)) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_json_round_trip(self, tmp_path):
         grid = np.linspace(1e-4, 40.0, 300)
